@@ -39,7 +39,6 @@ from .multishell import (
     staircase_index,
     MultiShellGrid,
     build_grid,
-    SignalSamples,
     SpfCoefficients,
     forward_spf,
     inverse_spf,
@@ -81,7 +80,6 @@ __all__ = [
     "staircase_index",
     "MultiShellGrid",
     "build_grid",
-    "SignalSamples",
     "SpfCoefficients",
     "forward_spf",
     "inverse_spf",

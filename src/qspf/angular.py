@@ -44,14 +44,9 @@ def _even_degrees(bandlimit: int, order: int) -> np.ndarray:
     return np.arange(start, bandlimit, 2)
 
 
-def _coeff_offsets(bandlimit: int) -> dict:
-    """Flat index of (l, m=-l) for each even degree l < bandlimit."""
-    offsets = {}
-    pos = 0
-    for l in range(0, bandlimit, 2):
-        offsets[l] = pos
-        pos += 2 * l + 1
-    return offsets
+def _sh_position(l, m):
+    """Flat index of (l, m) in ShCoefficients.values; l may be an array of even degrees."""
+    return l * (l + 1) // 2 + m
 
 
 @dataclass
@@ -79,8 +74,7 @@ class ShCoefficients:
             raise ValueError(f"degree {l} outside the even band below {self.bandlimit}")
         if abs(m) > l:
             raise ValueError(f"|m| = {abs(m)} exceeds degree {l}")
-        t = l // 2
-        return t * (2 * t - 1) + (m + l)
+        return _sh_position(l, m)
 
     def get(self, l: int, m: int) -> complex:
         return complex(self.values[self.index(l, m)])
@@ -262,7 +256,6 @@ def forward_sht(values, scheme: AngularScheme) -> ShCoefficients:
     acc = [np.zeros(scheme.ring_sizes[k], dtype=complex) for k in range(n_rings)]
 
     coeffs = ShCoefficients.zeros(scheme.bandlimit)
-    offsets = _coeff_offsets(scheme.bandlimit)
     for mu in range(scheme.bandlimit - 1, -1, -1):
         sys = scheme.order_systems[mu]
         sign = -1.0 if mu % 2 else 1.0
@@ -273,8 +266,7 @@ def forward_sht(values, scheme: AngularScheme) -> ShCoefficients:
                 u = m % scheme.ring_sizes[k]
                 rhs[row] = (ghat[k][u] - acc[k][u]) * np.exp(-1j * m * scheme.phi_offsets[k])
             solved = order_sign * np.linalg.solve(sys.matrix, rhs)
-            for deg, c in zip(sys.degrees, solved):
-                coeffs.values[offsets[deg] + (m + deg)] = c
+            coeffs.values[_sh_position(sys.degrees, m)] = solved
             content = order_sign * (sys.eval_all @ solved)
             for k in range(n_rings):
                 u = m % scheme.ring_sizes[k]
@@ -295,7 +287,6 @@ def inverse_sht(coeffs: ShCoefficients, scheme: AngularScheme) -> np.ndarray:
             f"coefficient band limit {coeffs.bandlimit} does not match "
             f"scheme band limit {scheme.bandlimit}"
         )
-    offsets = _coeff_offsets(scheme.bandlimit)
     out = np.empty(scheme.n_points, dtype=complex)
     for k in range(scheme.n_rings):
         n_k = scheme.ring_sizes[k]
@@ -305,9 +296,7 @@ def inverse_sht(coeffs: ShCoefficients, scheme: AngularScheme) -> np.ndarray:
             sign = -1.0 if mu % 2 else 1.0
             for m in ((mu, -mu) if mu > 0 else (mu,)):
                 order_sign = sign if m < 0 else 1.0
-                amps = np.array(
-                    [coeffs.values[offsets[deg] + (m + deg)] for deg in sys.degrees]
-                )
+                amps = coeffs.values[_sh_position(sys.degrees, m)]
                 content = order_sign * (sys.eval_all[k, :] @ amps)
                 bins[m % n_k] += content * np.exp(1j * m * scheme.phi_offsets[k])
         out[scheme.ring_slice(k)] = np.fft.ifft(bins) * n_k

@@ -84,21 +84,31 @@ def grid_from_descriptor(desc: dict) -> MultiShellGrid:
     ring placements) drive the rebuild; stored derived values (zeta,
     b-values, weights) are informational.
     """
+    if not isinstance(desc, dict):
+        raise CliError("descriptor must be a JSON object")
     if desc.get("version") != DESCRIPTOR_VERSION:
         raise CliError(f"unsupported descriptor version {desc.get('version')!r}")
-    conv = desc.get("convention", {})
-    convention = BConvention(conv.get("mode", "normalized"), conv.get("tau"))
-    shells = desc["shells"]
-    if len(shells) != desc["n_shells"]:
-        raise CliError("descriptor shell list does not match n_shells")
-    return build_grid(
-        desc["n_shells"],
-        desc["b_max"],
-        desc["bandlimits"],
-        convention,
-        ring_latitudes=[np.asarray(s["ring_latitudes"], dtype=float) for s in shells],
-        ring_offsets=[np.asarray(s["ring_phi_offsets"], dtype=float) for s in shells],
-    )
+    try:
+        conv = desc.get("convention", {})
+        convention = BConvention(conv.get("mode", "normalized"), conv.get("tau"))
+        shells = desc["shells"]
+        if len(shells) != desc["n_shells"]:
+            raise CliError("descriptor shell list does not match n_shells")
+        for i, (shell, L) in enumerate(zip(shells, desc["bandlimits"])):
+            if shell["bandlimit"] != L:
+                raise CliError(f"shells[{i}].bandlimit disagrees with bandlimits[{i}] = {L}")
+        return build_grid(
+            desc["n_shells"],
+            desc["b_max"],
+            desc["bandlimits"],
+            convention,
+            ring_latitudes=[np.asarray(s["ring_latitudes"], dtype=float) for s in shells],
+            ring_offsets=[np.asarray(s["ring_phi_offsets"], dtype=float) for s in shells],
+        )
+    except KeyError as exc:
+        raise CliError(f"descriptor is missing {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"bad descriptor: {exc}") from None
 
 
 def format_bvals(grid: MultiShellGrid) -> str:
@@ -172,14 +182,13 @@ def parse_coefficients_csv(text: str) -> SpfCoefficients:
     for key in ("zeta", "convention", "bandlimits"):
         if key not in meta:
             raise CliError(f"coefficients file is missing '# {key}=' metadata")
-    tau = float(meta["tau"]) if meta.get("tau") else None
-    convention = BConvention(meta["convention"], tau)
     try:
-        bandlimits = tuple(int(t) for t in meta["bandlimits"].split(","))
+        tau = float(meta["tau"]) if meta.get("tau") else None
+        convention = BConvention(meta["convention"], tau)
+        index = staircase_index(int(t) for t in meta["bandlimits"].split(","))
         zeta = float(meta["zeta"])
     except ValueError as exc:
         raise CliError(f"bad metadata: {exc}") from None
-    index = staircase_index(bandlimits)
     if len(rows) != index.size:
         raise CliError(f"expected {index.size} coefficient rows, got {len(rows)}")
     values = np.zeros(index.size, dtype=complex)
@@ -197,19 +206,22 @@ def parse_coefficients_csv(text: str) -> SpfCoefficients:
 
 
 def parse_samples(text: str) -> np.ndarray:
-    """One value per line in grid sample order; complex accepted as 'a+bj'."""
+    """One finite value per line in grid sample order; complex accepted as 'a+bj'."""
     values = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            values.append(float(line))
+            value = float(line)
         except ValueError:
             try:
-                values.append(complex(line.replace(" ", "")))
+                value = complex(line.replace(" ", ""))
             except ValueError:
                 raise CliError(f"line {lineno}: cannot parse sample value {line!r}") from None
+        if not np.isfinite(value):
+            raise CliError(f"line {lineno}: sample value {line!r} is not finite")
+        values.append(value)
     arr = np.asarray(values)
     if np.isrealobj(arr) or np.all(arr.imag == 0):
         arr = arr.real.astype(float) if arr.size else np.asarray([], dtype=float)
@@ -244,19 +256,11 @@ def parse_queries(text: str):
 
 def _is_real_signal(coeffs: SpfCoefficients) -> bool:
     """True when the table obeys the real-signal conjugation symmetry."""
-    scale = max(np.max(np.abs(coeffs.values)), 1.0)
-    for pos, (n, l, m) in enumerate(coeffs.index.entries):
-        if m < 0:
-            continue
-        value = coeffs.values[pos]
-        if m == 0:
-            if abs(value.imag) > 1e-9 * scale:
-                return False
-            continue
-        partner = coeffs.values[coeffs.index.locate(n, l, -m)]
-        if abs(partner - (-1.0) ** m * np.conj(value)) > 1e-9 * scale:
-            return False
-    return True
+    index, values = coeffs.index, coeffs.values
+    scale = max(np.max(np.abs(values)), 1.0)
+    # c_{n,l,-m} = (-1)^m conj(c_{n,l,m}); at m = 0 this asks for a zero imaginary part
+    mirrored = np.where(index.orders % 2, -1.0, 1.0) * np.conj(values[index.partner])
+    return bool(np.all(np.abs(values - mirrored) <= 1e-9 * scale))
 
 
 # ---------------------------------------------------------------- commands
@@ -292,9 +296,17 @@ def _jsonable(obj):
     return obj
 
 
+def _load_descriptor(path: str) -> MultiShellGrid:
+    try:
+        desc = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise CliError(f"{path} is not valid JSON: {exc}") from None
+    return grid_from_descriptor(desc)
+
+
 def _grid_from_args(args) -> MultiShellGrid:
     if args.from_descriptor:
-        return grid_from_descriptor(json.loads(_read_text(args.from_descriptor)))
+        return _load_descriptor(args.from_descriptor)
     try:
         bandlimits = tuple(int(t) for t in args.bandlimits.split(","))
     except ValueError:
@@ -326,7 +338,7 @@ def cmd_grid(args) -> int:
 
 
 def cmd_forward(args) -> int:
-    grid = grid_from_descriptor(json.loads(_read_text(args.scheme)))
+    grid = _load_descriptor(args.scheme)
     samples = parse_samples(_read_text(args.samples))
     if samples.shape != (grid.n_samples,):
         raise CliError(

@@ -14,6 +14,14 @@ quadrature; the rest are solved by direct collocation on the shells that
 see them. Signals with energy at degree l on shells whose band limit is
 <= l fall outside the model space by construction; sampling such a shell
 simply cannot represent that content.
+
+Each degree's radial map depends only on the grid, so build_grid makes
+it once: the quadrature matrix, plus, for each set of carrying shells
+that leaves a shell out, the collocation matrix and its condition
+number. Both radial modes then share one path: per degree, gather the
+carrying shells' harmonic coefficients, apply the stored map (zero_padded
+uses the quadrature columns of the carrying shells), and write the
+degree's block of the table.
 """
 
 from __future__ import annotations
@@ -23,14 +31,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angular import AngularScheme, ShCoefficients, forward_sht, inverse_sht, make_angular_scheme
+from .angular import ShCoefficients, _sh_position, forward_sht, inverse_sht, make_angular_scheme
+from .errors import ConditioningError
 from .radial import (
+    COLLOCATION_COND_LIMIT,
     BConvention,
     RadialScheme,
+    _basis_table,
     make_radial_scheme,
-    radial_basis_eval,
-    radial_collocation_solve,
-    radial_project,
 )
 from .specfun import normalized_legendre
 
@@ -39,7 +47,6 @@ __all__ = [
     "staircase_index",
     "MultiShellGrid",
     "build_grid",
-    "SignalSamples",
     "SpfCoefficients",
     "forward_spf",
     "inverse_spf",
@@ -53,12 +60,15 @@ class StaircaseIndex:
 
     Entries are ordered by ascending even degree l, then order m from -l
     to l, then radial order n. Degree l appears with n < N_l, where N_l
-    is the number of shells whose band limit exceeds l.
+    is the number of shells whose band limit exceeds l. orders[k] is the
+    m of entry k and partner[k] the position of its (n, l, -m) entry.
     """
 
     bandlimits: tuple
     entries: tuple
     position: dict = field(repr=False)
+    orders: np.ndarray = field(repr=False)
+    partner: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -86,13 +96,28 @@ def staircase_index(bandlimits) -> StaircaseIndex:
         if L < 1 or L % 2 == 0:
             raise ValueError(f"band limits must be odd and positive, got {L}")
     entries = []
+    partner = []
     for l in range(0, max(bandlimits), 2):
         n_l = sum(1 for L in bandlimits if L > l)
         for m in range(-l, l + 1):
             entries.extend((n, l, m) for n in range(n_l))
+        # the degree block is m-major, so (n, l, -m) sits at the m-reversed row
+        block = np.arange(len(entries) - (2 * l + 1) * n_l, len(entries))
+        partner.append(block.reshape(2 * l + 1, n_l)[::-1].ravel())
     entries = tuple(entries)
     position = {key: pos for pos, key in enumerate(entries)}
-    return StaircaseIndex(bandlimits=bandlimits, entries=entries, position=position)
+    orders = np.array([m for _, _, m in entries])
+    return StaircaseIndex(bandlimits, entries, position, orders, np.concatenate(partner))
+
+
+def _degree_blocks(index: StaircaseIndex):
+    """Yield (l, N_l, positions) per even degree; a block is m-major, n-minor."""
+    start = 0
+    for l in range(0, max(index.bandlimits), 2):
+        n_l = index.n_per_degree(l)
+        stop = start + (2 * l + 1) * n_l
+        yield l, n_l, slice(start, stop)
+        start = stop
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +126,10 @@ class MultiShellGrid:
 
     Flat sample arrays are shell-major (all of shell 0, then shell 1, ...)
     and ring-major within each shell, matching the angular schemes' point
-    order.
+    order. The radial maps depend only on the grid and are built with it:
+    radial_quadrature[n, i] = w_i R_n(q_i) serves every degree all shells
+    carry. radial_collocation maps each tuple of carrying shells that
+    leaves some shell out to (M, cond(M)), M[j, n] = R_n(q_shells[j]).
     """
 
     radial: RadialScheme
@@ -112,6 +140,8 @@ class MultiShellGrid:
     radii: np.ndarray
     bvalues: np.ndarray
     shell_starts: np.ndarray
+    radial_quadrature: np.ndarray = field(repr=False)
+    radial_collocation: dict = field(repr=False)
 
     @property
     def n_shells(self) -> int:
@@ -182,6 +212,12 @@ def build_grid(
     points = np.vstack([s.points for s in schemes])
     radii = np.repeat(radial.radii, counts)
     bvalues = np.repeat(radial.bvalues, counts)
+    collocation = {}
+    for l in range(0, max(bandlimits), 2):
+        shells = index.shells_for_degree(l)
+        if len(shells) < n_shells and shells not in collocation:
+            matrix = _basis_table(radial.radii[list(shells)], len(shells), radial.zeta).T
+            collocation[shells] = (matrix, float(np.linalg.cond(matrix)))
     return MultiShellGrid(
         radial=radial,
         angular=schemes,
@@ -191,20 +227,9 @@ def build_grid(
         radii=radii,
         bvalues=bvalues,
         shell_starts=shell_starts,
+        radial_quadrature=_basis_table(radial.radii, n_shells, radial.zeta) * radial.weights,
+        radial_collocation=collocation,
     )
-
-
-@dataclass
-class SignalSamples:
-    """Signal values aligned one-to-one with a grid's samples."""
-
-    values: np.ndarray
-    noise_sigma: float | None = None
-
-    def __post_init__(self):
-        self.values = np.atleast_1d(np.asarray(self.values))
-        if self.values.ndim != 1:
-            raise ValueError("sample values must be a flat array")
 
 
 @dataclass
@@ -249,79 +274,63 @@ class SpfCoefficients:
         a_{n,l,-m} = -sqrt(2) (-1)^m Im c_{n,l,m}, with a_{n,l,0} =
         Re c_{n,l,0}. Entry order matches index.entries.
         """
-        out = np.empty(self.index.size)
-        root2 = np.sqrt(2.0)
-        for pos, (n, l, m) in enumerate(self.index.entries):
-            if m == 0:
-                out[pos] = self.values[pos].real
-            else:
-                c = self.values[self.index.locate(n, l, abs(m))]
-                sign = -1.0 if abs(m) % 2 else 1.0
-                out[pos] = root2 * sign * (c.real if m > 0 else -c.imag)
-        return out
+        m = self.index.orders
+        c = np.where(m < 0, self.values[self.index.partner], self.values)
+        sign = np.where(m % 2, -1.0, 1.0)
+        return np.where(m == 0, c.real, np.sqrt(2.0) * sign * np.where(m > 0, c.real, -c.imag))
 
 
 def forward_spf(grid: MultiShellGrid, samples, radial_mode: str = "staircase") -> SpfCoefficients:
     """Transform grid samples to coefficients, shell by shell then radially.
 
-    Each shell goes through its exact angular transform; each (l, m) row
-    then goes through the exact radial quadrature when every shell carries
-    degree l, or a direct collocation solve on the shells that do.
+    Each shell goes through its exact angular transform; each degree l
+    then goes through its radial map from the grid: the exact radial
+    quadrature when every shell carries degree l, or a direct collocation
+    solve on the shells that do.
 
     radial_mode "staircase" (default) returns the bijective coefficient
     set. Mode "zero_padded" instead treats degrees above a shell's band
     limit as zero-valued on that shell and runs the quadrature for every
-    (l, m) over all shells, returning a uniform table of n_shells radial
+    degree over all shells, returning a uniform table of n_shells radial
     orders per degree (264 entries at the defaults). That variant is not
     a bijection but keeps the pure-quadrature radial path for every row.
 
     Raises
     ------
     ConditioningError
-        Propagated from the angular transform or a radial collocation
-        solve.
+        Propagated from the angular transform, or raised in staircase
+        mode when a degree's collocation matrix has condition number
+        above 1e8.
     """
     if radial_mode not in ("staircase", "zero_padded"):
         raise ValueError(f"unknown radial_mode {radial_mode!r}")
-    values = samples.values if isinstance(samples, SignalSamples) else np.asarray(samples)
+    values = np.asarray(samples)
     if values.shape != (grid.n_samples,):
         raise ValueError(f"grid has {grid.n_samples} samples, got values of shape {values.shape}")
     per_shell = [
-        forward_sht(values[grid.shell_slice(i)], grid.angular[i]) for i in range(grid.n_shells)
+        forward_sht(values[grid.shell_slice(i)], grid.angular[i]).values
+        for i in range(grid.n_shells)
     ]
-    radial = grid.radial
-    l_max = max(grid.bandlimits)
-
     if radial_mode == "zero_padded":
-        out_index = staircase_index((l_max,) * grid.n_shells)
+        out_index = staircase_index((max(grid.bandlimits),) * grid.n_shells)
     else:
         out_index = grid.index
-    coeffs = SpfCoefficients.zeros(out_index, radial.zeta, radial.convention)
-
-    for l in range(0, l_max, 2):
+    out = np.empty(out_index.size, dtype=complex)
+    for l, _, block in _degree_blocks(out_index):
         shells = grid.index.shells_for_degree(l)
-        for m in range(-l, l + 1):
-            if radial_mode == "zero_padded":
-                row = np.array(
-                    [per_shell[i].get(l, m) if i in shells else 0.0 for i in range(grid.n_shells)]
-                )
-                solved = radial_project(row, radial)
-                for n, c in enumerate(solved):
-                    coeffs.set(n, l, m, c)
-                continue
-            row = np.array([per_shell[i].get(l, m) for i in shells])
-            if len(shells) == grid.n_shells:
-                solved = radial_project(row, radial)
-            else:
-                solved = radial_collocation_solve(row, shells, radial)
-            for n, c in enumerate(solved):
-                coeffs.set(n, l, m, c)
-    return coeffs
-
-
-def _radial_table(coeffs: SpfCoefficients, q: np.ndarray) -> np.ndarray:
-    n_max = max(coeffs.index.n_per_degree(0), 1)
-    return np.stack([radial_basis_eval(n, q, coeffs.zeta) for n in range(n_max)])
+        sh_block = slice(_sh_position(l, -l), _sh_position(l, l) + 1)
+        rows = np.stack([per_shell[i][sh_block] for i in shells])
+        if radial_mode == "staircase" and shells in grid.radial_collocation:
+            matrix, cond = grid.radial_collocation[shells]
+            if not cond < COLLOCATION_COND_LIMIT:
+                raise ConditioningError("radial collocation matrix is ill-conditioned", cond)
+            solved = np.linalg.solve(matrix, rows)
+        else:
+            # zero_padded reads the quadrature over the carrying shells only;
+            # the other shells' degree-l values are zero
+            solved = grid.radial_quadrature[:, shells] @ rows
+        out[block] = solved.T.ravel()
+    return SpfCoefficients(out_index, grid.radial.zeta, grid.radial.convention, out)
 
 
 def inverse_spf(coeffs: SpfCoefficients, directions, q=None, b=None):
@@ -362,7 +371,7 @@ def inverse_spf(coeffs: SpfCoefficients, directions, q=None, b=None):
     phi = np.arctan2(dirs[:, 1], dirs[:, 0])
     l_max = max(coeffs.index.bandlimits)
     ptab = normalized_legendre(l_max - 1, np.cos(theta))
-    rtab = _radial_table(coeffs, qv)
+    rtab = _basis_table(qv, len(coeffs.index.bandlimits), coeffs.zeta)
 
     out = np.zeros(dirs.shape[0], dtype=complex)
     for pos, (n, l, m) in enumerate(coeffs.index.entries):
@@ -390,20 +399,12 @@ def synthesize_on_grid(coeffs: SpfCoefficients, grid: MultiShellGrid) -> np.ndar
     """
     if abs(coeffs.zeta - grid.radial.zeta) > 1e-9 * max(coeffs.zeta, grid.radial.zeta):
         raise ValueError("coefficient table and grid use different radial scales")
-    out = np.empty(grid.n_samples, dtype=complex)
-    for i in range(grid.n_shells):
-        L = grid.bandlimits[i]
-        q_i = grid.radial.radii[i]
-        shell_coeffs = ShCoefficients.zeros(L)
-        for l in range(0, L, 2):
-            n_l = coeffs.index.n_per_degree(l)
-            if n_l == 0:
-                continue
-            rvals = np.array(
-                [radial_basis_eval(n, q_i, coeffs.zeta) for n in range(n_l)]
-            )
-            for m in range(-l, l + 1):
-                amps = np.array([coeffs.get(n, l, m) for n in range(n_l)])
-                shell_coeffs.set(l, m, amps @ rvals)
-        out[grid.shell_slice(i)] = inverse_sht(shell_coeffs, grid.angular[i])
-    return out
+    rtab = _basis_table(grid.radial.radii, len(coeffs.index.bandlimits), coeffs.zeta)
+    per_shell = [ShCoefficients.zeros(L) for L in grid.bandlimits]
+    for l, n_l, block in _degree_blocks(coeffs.index):
+        # row m, column i: sum_n c_{n,l,m} R_n(q_i)
+        on_shells = coeffs.values[block].reshape(2 * l + 1, n_l) @ rtab[:n_l]
+        for i, shell_coeffs in enumerate(per_shell):
+            if l < shell_coeffs.bandlimit:
+                shell_coeffs.values[_sh_position(l, -l) : _sh_position(l, l) + 1] = on_shells[:, i]
+    return np.concatenate([inverse_sht(c, s) for c, s in zip(per_shell, grid.angular)])

@@ -172,11 +172,9 @@ def quadrature_weights(roots: np.ndarray, n_shells: int, zeta: float) -> np.ndar
     return np.exp(log_w)
 
 
-def _basis_matrix(scheme: RadialScheme, orders: int, shells) -> np.ndarray:
-    """Matrix M[i, n] = R_n(q_i) over the given shell indices."""
-    return np.column_stack(
-        [radial_basis_eval(n, scheme.radii[shells], scheme.zeta) for n in range(orders)]
-    )
+def _basis_table(q, n_orders: int, zeta: float) -> np.ndarray:
+    """Table T[n] = R_n(q) for n < n_orders, of shape (n_orders,) + shape(q)."""
+    return np.array([radial_basis_eval(n, q, zeta) for n in range(n_orders)])
 
 
 def radial_project(values, scheme: RadialScheme) -> np.ndarray:
@@ -190,13 +188,10 @@ def radial_project(values, scheme: RadialScheme) -> np.ndarray:
         raise ValueError(
             f"expected one value per shell ({scheme.n_shells}), got shape {values.shape}"
         )
-    basis = _basis_matrix(scheme, scheme.n_shells, slice(None))
-    return (basis * scheme.weights[:, None]).T @ values
+    return (_basis_table(scheme.radii, scheme.n_shells, scheme.zeta) * scheme.weights) @ values
 
 
-def radial_collocation_solve(
-    values, shells, scheme: RadialScheme, n_orders: int | None = None
-) -> np.ndarray:
+def radial_collocation_solve(values, shells, scheme: RadialScheme) -> np.ndarray:
     """Direct collocation solve for radial coefficients on a shell subset.
 
     Solves M c = values with M[i, n] = R_n(q_i) over the chosen shells.
@@ -214,11 +209,7 @@ def radial_collocation_solve(
         raise ValueError(f"{len(shells)} shells but {values.shape} values")
     if len(shells) > scheme.n_shells:
         raise ValueError("more collocation shells than the scheme has")
-    if n_orders is None:
-        n_orders = len(shells)
-    if n_orders != len(shells):
-        raise ValueError("collocation system must be square: one order per shell")
-    matrix = _basis_matrix(scheme, n_orders, shells)
+    matrix = _basis_table(scheme.radii[shells], len(shells), scheme.zeta).T
     cond = np.linalg.cond(matrix)
     if not cond < COLLOCATION_COND_LIMIT:
         raise ConditioningError("radial collocation matrix is ill-conditioned", cond)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "laguerre_eval",
@@ -102,7 +101,7 @@ def laguerre_roots(n_poly: int, alpha: float = 0.5) -> np.ndarray:
         diag = 2.0 * np.arange(n_poly) + alpha + 1.0
         k = np.arange(1.0, n_poly)
         off = np.sqrt(k * (k + alpha))
-        x = eigh_tridiagonal(diag, off, eigvals_only=True)
+        x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     x = x - laguerre_eval(n_poly, alpha, x) / laguerre_deriv(n_poly, alpha, x)
     return np.sort(x)
 

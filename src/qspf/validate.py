@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConditioningError
 from .multishell import MultiShellGrid, build_grid, forward_spf, synthesize_on_grid
-from .radial import BConvention, radial_basis_eval
+from .radial import BConvention, _basis_table
 from .angular import forward_sht, inverse_sht, ShCoefficients
 from .signals import random_staircase_signal
 
@@ -65,9 +65,7 @@ def run_validation(
     checks = {}
 
     # orthonormality of the radial basis under the shell quadrature
-    basis = np.array(
-        [radial_basis_eval(n, radial.radii, radial.zeta) for n in range(radial.n_shells)]
-    )
+    basis = _basis_table(radial.radii, radial.n_shells, radial.zeta)
     gram = (basis * radial.weights) @ basis.T
     checks["radial_orthonormality"] = _check(
         np.max(np.abs(gram - np.eye(radial.n_shells))),

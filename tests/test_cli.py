@@ -238,3 +238,61 @@ def test_cli_outputs_are_deterministic(tmp_path, grid):
     for out in (r1, r2):
         assert main(["validate", "--draws", "5", "--seed", "3", "--output", str(out)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def _descriptor_edit(edit):
+    def transform(desc):
+        edit(desc)
+        return json.dumps(desc)
+    return transform
+
+
+def _sample_line(lineno, text):
+    def transform(samples):
+        lines = samples.splitlines()
+        lines[lineno - 1] = text
+        return "\n".join(lines) + "\n"
+    return transform
+
+
+@pytest.mark.parametrize(
+    "command, bad_file, transform, message",
+    [
+        ("forward", "scheme.json", lambda desc: "{not json", "is not valid JSON"),
+        ("forward", "scheme.json", _descriptor_edit(lambda d: d.pop("b_max")), "'b_max'"),
+        ("forward", "scheme.json",
+         _descriptor_edit(lambda d: d["shells"][3]["ring_latitudes"].pop()), "ring latitudes"),
+        ("forward", "scheme.json",
+         _descriptor_edit(lambda d: d["shells"][1].update(bandlimit=7)), "shells[1].bandlimit"),
+        ("forward", "samples.txt", _sample_line(5, "nan"), "line 5"),
+        ("forward", "samples.txt", _sample_line(132, "-inf"), "line 132"),
+        ("evaluate", "coeffs.csv",
+         lambda text: text.replace("# convention=normalized", "# convention=weird"), "weird"),
+    ],
+    ids=["not-json", "no-bmax", "ring-count", "shell-bandlimit", "nan", "inf", "convention"],
+)
+def test_malformed_inputs_exit_with_error(tmp_path, grid, capsys, command, bad_file, transform,
+                                          message):
+    coeffs = random_staircase_signal(3, grid.bandlimits, 4, grid.radial.zeta)
+    samples = synthesize_on_grid(coeffs, grid).real
+    good = {
+        "scheme.json": descriptor_from_grid(grid),
+        "samples.txt": "".join(f"{float(v)!r}\n" for v in samples),
+        "coeffs.csv": format_coefficients_csv(coeffs),
+        "queries.txt": "1000 0 0 1\n",
+    }
+    for name, content in good.items():
+        if name == bad_file:
+            content = transform(content)
+        elif name == "scheme.json":
+            content = json.dumps(content)
+        (tmp_path / name).write_text(content)
+    argv = {
+        "forward": ["forward", "--scheme", "scheme.json", "--samples", "samples.txt"],
+        "evaluate": ["evaluate", "--coefficients", "coeffs.csv", "--queries", "queries.txt"],
+    }[command]
+    argv = [str(tmp_path / a) if "." in a else a for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert message in err

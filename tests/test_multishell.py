@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import roots_genlaguerre
 
 from qspf.multishell import (
-    SignalSamples,
     SpfCoefficients,
     build_grid,
     forward_spf,
@@ -12,6 +11,7 @@ from qspf.multishell import (
     staircase_index,
     synthesize_on_grid,
 )
+from qspf.errors import ConditioningError
 from qspf.radial import radial_basis_eval
 from qspf.signals import random_staircase_signal
 from qspf.specfun import spherical_harmonic
@@ -135,13 +135,32 @@ def test_forward_is_linear(grid):
     assert np.max(np.abs(combined.values - separate)) / scale < 1e-12
 
 
+@pytest.mark.parametrize("mode", ["staircase", "zero_padded"])
+def test_synthesis_inverts_forward_on_white_noise(grid, mode):
+    # white noise reaches every degree on every shell, so this pins the
+    # per-shell truncation of both modes, not only their low degrees
+    samples = np.random.default_rng(21).standard_normal(132)
+    back = synthesize_on_grid(forward_spf(grid, samples, radial_mode=mode), grid)
+    assert np.max(np.abs(back - samples)) / np.max(np.abs(samples)) < 1e-9
+
+
+def test_ill_conditioned_collocation_fails_only_in_staircase_mode():
+    # build_grid stores the condition number without raising; only the
+    # staircase transform, which would solve that system, refuses
+    grid = build_grid(16, 8000.0, (1,) * 8 + (3,) * 8)
+    samples = np.random.default_rng(22).standard_normal(grid.n_samples)
+    with pytest.raises(ConditioningError) as excinfo:
+        forward_spf(grid, samples)
+    assert excinfo.value.condition > 1e8
+    padded = forward_spf(grid, samples, radial_mode="zero_padded")
+    assert np.all(np.isfinite(padded.values))
+
+
 def test_forward_validation(grid):
     with pytest.raises(ValueError):
         forward_spf(grid, np.ones(50))
     with pytest.raises(ValueError):
         forward_spf(grid, np.ones(132), radial_mode="bogus")
-    wrapped = forward_spf(grid, SignalSamples(np.ones(132)))
-    assert wrapped.index.size == 132
 
 
 def test_inverse_spf_basics(grid):

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_genlaguerre, roots_genlaguerre, roots_hermite, sph_harm_y
 
+import qspf
 from qspf.specfun import (
     laguerre_deriv,
     laguerre_eval,
@@ -46,6 +52,15 @@ def test_laguerre_roots_against_scipy():
         mine = laguerre_roots(n, 0.5)
         ref, _ = roots_genlaguerre(n, 0.5)
         assert np.max(np.abs(mine - np.sort(ref))) < 1e-10 * max(ref)
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(qspf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, qspf; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_laguerre_roots_four_shell_values():

@@ -3,8 +3,13 @@
 For each odd band limit the forward transform reduces to one small
 Legendre system per azimuthal order; the largest condition number over
 orders bounds how much sample noise can inflate coefficients. This sweep
-prints that number for the built-in ring layout with and without the
-deterministic layout search, plus the transform round-trip error.
+prints that number for the plain uniform ring layout
+theta_k = pi (2k+1) / (2(L+1)), passed as explicit ring latitudes so the
+layout search is skipped, and for the built-in layout, which keeps the
+best of a few rescalings of it; plus the transform round-trip error.
+
+Run with the package importable, for example
+PYTHONPATH=src python3 scripts/conditioning_sweep.py --lmax 21
 """
 
 import argparse
@@ -36,7 +41,8 @@ def main():
 
     print(f"{'L':>3} {'points':>7} {'cond (plain)':>13} {'cond (swept)':>13} {'round trip':>12}")
     for L in range(1, args.lmax + 1, 2):
-        plain = make_angular_scheme(L, optimize=False)
+        k = np.arange((L + 1) // 2)
+        plain = make_angular_scheme(L, thetas=np.pi * (2 * k + 1) / (2 * (L + 1)))
         swept = make_angular_scheme(L)
         err = round_trip_error(swept, args.draws, args.seed + L)
         print(

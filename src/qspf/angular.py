@@ -13,6 +13,14 @@ interference iff 4k+1 >= 2|m|+1, and any order aliased into the same bin
 on such a ring has strictly larger |m|, so its contribution is already
 known and can be subtracted. Each order then reduces to a square Legendre
 system over its usable rings.
+
+Both transforms keep the per-ring FFT bins in one flat array in sample
+order, so order m sits at ring_starts + m mod n_k on all rings at once,
+with azimuth phase exp(i m phi_k), and both walk the signed orders high
+|m| first, order -m taking the sign (-1)^m. Per order, the forward
+transform reads, solves and subtracts over all rings in one vector
+operation each; the inverse adds the order's content to the bins; only
+the per-ring FFTs loop over rings.
 """
 
 from __future__ import annotations
@@ -36,12 +44,6 @@ __all__ = [
 ]
 
 SOLVE_COND_LIMIT = 1e8
-
-
-def _even_degrees(bandlimit: int, order: int) -> np.ndarray:
-    """Even degrees l with order <= l < bandlimit."""
-    start = order if order % 2 == 0 else order + 1
-    return np.arange(start, bandlimit, 2)
 
 
 def _sh_position(l, m):
@@ -115,20 +117,8 @@ class AngularScheme:
     order_systems: tuple = field(repr=False)
 
     @property
-    def n_rings(self) -> int:
-        return len(self.thetas)
-
-    @property
     def n_points(self) -> int:
         return len(self.theta)
-
-    def ring_slice(self, k: int) -> slice:
-        return slice(self.ring_starts[k], self.ring_starts[k] + self.ring_sizes[k])
-
-
-def _default_thetas(bandlimit: int) -> np.ndarray:
-    k = np.arange((bandlimit + 1) // 2)
-    return np.pi * (2 * k + 1) / (2 * (bandlimit + 1))
 
 
 def _order_systems(bandlimit: int, thetas: np.ndarray):
@@ -138,7 +128,7 @@ def _order_systems(bandlimit: int, thetas: np.ndarray):
     systems = []
     worst = 0.0
     for mu in range(bandlimit):
-        degrees = _even_degrees(bandlimit, mu)
+        degrees = np.arange(mu + mu % 2, bandlimit, 2)  # even l with mu <= l < L
         rings = np.arange(math.ceil(mu / 2), n_rings)
         eval_all = ptab[degrees, mu, :].T
         matrix = eval_all[rings, :]
@@ -157,42 +147,33 @@ def _order_systems(bandlimit: int, thetas: np.ndarray):
     return tuple(systems), worst
 
 
-def make_angular_scheme(
-    bandlimit: int,
-    thetas=None,
-    phi_offsets=None,
-    optimize: bool = True,
-) -> AngularScheme:
+def make_angular_scheme(bandlimit: int, thetas=None, phi_offsets=None) -> AngularScheme:
     """Build the hemisphere sampling scheme for an odd band limit.
 
     With thetas omitted, ring colatitudes start from the uniform layout
-    theta_k = pi (2k+1) / (2(L+1)) and, when optimize is set, a short
-    deterministic sweep of uniform rescalings keeps whichever layout
-    minimizes the worst per-order condition number. Explicit thetas skip
-    the sweep entirely (custom layouts are taken as given, including
-    poorly conditioned ones; the transform itself guards against those).
+    theta_k = pi (2k+1) / (2(L+1)) and a short deterministic sweep of
+    uniform rescalings keeps whichever layout minimizes the worst
+    per-order condition number. Explicit thetas skip the sweep entirely
+    (custom layouts are taken as given, including poorly conditioned
+    ones; the transform itself guards against those).
     """
     if bandlimit < 1 or bandlimit % 2 == 0:
         raise ValueError(f"band limit must be odd and positive, got {bandlimit}")
     n_rings = (bandlimit + 1) // 2
 
     if thetas is None:
-        candidates = [_default_thetas(bandlimit)]
-        if optimize:
-            base = candidates[0]
-            for scale in (0.96, 0.98, 1.02, 1.04):
-                candidates.append(base * scale)
-        best = None
-        for cand in candidates:
-            systems, worst = _order_systems(bandlimit, cand)
-            if best is None or worst < best[2]:
-                best = (cand, systems, worst)
-        thetas, systems, worst = best
+        base = np.pi * (2 * np.arange(n_rings) + 1) / (2 * (bandlimit + 1))
+        candidates = [base] + [base * scale for scale in (0.96, 0.98, 1.02, 1.04)]
+        # min keeps the first of equally conditioned layouts
+        thetas, systems, worst = min(
+            ((cand, *_order_systems(bandlimit, cand)) for cand in candidates),
+            key=lambda layout: layout[2],
+        )
     else:
         thetas = np.asarray(thetas, dtype=float)
         if thetas.shape != (n_rings,):
             raise ValueError(f"band limit {bandlimit} needs {n_rings} ring latitudes")
-        if np.any(thetas <= 0) or np.any(thetas >= np.pi):
+        if not np.all((thetas > 0) & (thetas < np.pi)):
             raise ValueError("ring latitudes must lie strictly inside (0, pi)")
         systems, worst = _order_systems(bandlimit, thetas)
 
@@ -202,6 +183,8 @@ def make_angular_scheme(
         phi_offsets = np.asarray(phi_offsets, dtype=float)
         if phi_offsets.shape != (n_rings,):
             raise ValueError(f"band limit {bandlimit} needs {n_rings} azimuth offsets")
+        if not np.all(np.isfinite(phi_offsets)):
+            raise ValueError("ring azimuth offsets must be finite")
 
     ring_sizes = 4 * np.arange(n_rings) + 1
     ring_starts = np.concatenate([[0], np.cumsum(ring_sizes)[:-1]])
@@ -227,6 +210,23 @@ def make_angular_scheme(
     )
 
 
+def _signed_orders(scheme: AngularScheme):
+    """Yield (m, order system, sign) for every signed order, highest |m| first.
+
+    Order -m reuses the system of |m| with sign (-1)^m, since
+    Y_l^{-m} = (-1)^m conj Y_l^m.
+    """
+    for sys in reversed(scheme.order_systems):
+        yield sys.order, sys, 1.0
+        if sys.order:
+            yield -sys.order, sys, -1.0 if sys.order % 2 else 1.0
+
+
+def _order_bins(scheme: AngularScheme, m: int):
+    """Flat FFT-bin position of order m on every ring, and its phase exp(i m phi_k)."""
+    return scheme.ring_starts + m % scheme.ring_sizes, np.exp(1j * m * scheme.phi_offsets)
+
+
 def forward_sht(values, scheme: AngularScheme) -> ShCoefficients:
     """Exact forward transform of hemisphere samples to coefficients.
 
@@ -250,27 +250,18 @@ def forward_sht(values, scheme: AngularScheme) -> ShCoefficients:
             "angular scheme is too ill-conditioned for a trustworthy transform",
             scheme.condition,
         )
-    n_rings = scheme.n_rings
-    ghat = [np.fft.fft(values[scheme.ring_slice(k)]) / scheme.ring_sizes[k]
-            for k in range(n_rings)]
-    acc = [np.zeros(scheme.ring_sizes[k], dtype=complex) for k in range(n_rings)]
-
+    # norm="forward" puts the 1/n_k on the FFT, so a bin holds its order's amplitude
+    bins = np.concatenate(
+        [np.fft.fft(ring, norm="forward") for ring in np.split(values, scheme.ring_starts[1:])]
+    )
     coeffs = ShCoefficients.zeros(scheme.bandlimit)
-    for mu in range(scheme.bandlimit - 1, -1, -1):
-        sys = scheme.order_systems[mu]
-        sign = -1.0 if mu % 2 else 1.0
-        for m in ((mu, -mu) if mu > 0 else (mu,)):
-            order_sign = sign if m < 0 else 1.0
-            rhs = np.empty(len(sys.rings), dtype=complex)
-            for row, k in enumerate(sys.rings):
-                u = m % scheme.ring_sizes[k]
-                rhs[row] = (ghat[k][u] - acc[k][u]) * np.exp(-1j * m * scheme.phi_offsets[k])
-            solved = order_sign * np.linalg.solve(sys.matrix, rhs)
-            coeffs.values[_sh_position(sys.degrees, m)] = solved
-            content = order_sign * (sys.eval_all @ solved)
-            for k in range(n_rings):
-                u = m % scheme.ring_sizes[k]
-                acc[k][u] += content[k] * np.exp(1j * m * scheme.phi_offsets[k])
+    for m, sys, sign in _signed_orders(scheme):
+        where, phase = _order_bins(scheme, m)
+        rhs = bins[where[sys.rings]] * np.conj(phase[sys.rings])
+        solved = sign * np.linalg.solve(sys.matrix, rhs)
+        coeffs.values[_sh_position(sys.degrees, m)] = solved
+        # lower orders read these bins on rings too small to separate m
+        bins[where] -= sign * (sys.eval_all @ solved) * phase
     return coeffs
 
 
@@ -287,20 +278,13 @@ def inverse_sht(coeffs: ShCoefficients, scheme: AngularScheme) -> np.ndarray:
             f"coefficient band limit {coeffs.bandlimit} does not match "
             f"scheme band limit {scheme.bandlimit}"
         )
-    out = np.empty(scheme.n_points, dtype=complex)
-    for k in range(scheme.n_rings):
-        n_k = scheme.ring_sizes[k]
-        bins = np.zeros(n_k, dtype=complex)
-        for mu in range(scheme.bandlimit):
-            sys = scheme.order_systems[mu]
-            sign = -1.0 if mu % 2 else 1.0
-            for m in ((mu, -mu) if mu > 0 else (mu,)):
-                order_sign = sign if m < 0 else 1.0
-                amps = coeffs.values[_sh_position(sys.degrees, m)]
-                content = order_sign * (sys.eval_all[k, :] @ amps)
-                bins[m % n_k] += content * np.exp(1j * m * scheme.phi_offsets[k])
-        out[scheme.ring_slice(k)] = np.fft.ifft(bins) * n_k
-    return out
+    bins = np.zeros(scheme.n_points, dtype=complex)
+    for m, sys, sign in _signed_orders(scheme):
+        where, phase = _order_bins(scheme, m)
+        bins[where] += sign * (sys.eval_all @ coeffs.values[_sh_position(sys.degrees, m)]) * phase
+    return np.concatenate(
+        [np.fft.ifft(ring, norm="forward") for ring in np.split(bins, scheme.ring_starts[1:])]
+    )
 
 
 def dense_sht_oracle(values, scheme: AngularScheme) -> ShCoefficients:

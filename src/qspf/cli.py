@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from .angular import mirror_to_full_sphere
+from .errors import ConditioningError
 from .multishell import MultiShellGrid, SpfCoefficients, build_grid, forward_spf, inverse_spf, staircase_index
 from .radial import BConvention
 from .validate import run_validation
@@ -90,6 +92,8 @@ def grid_from_descriptor(desc: dict) -> MultiShellGrid:
         raise CliError(f"unsupported descriptor version {desc.get('version')!r}")
     try:
         conv = desc.get("convention", {})
+        if not isinstance(conv, dict):
+            raise CliError("descriptor convention must be a JSON object")
         convention = BConvention(conv.get("mode", "normalized"), conv.get("tau"))
         shells = desc["shells"]
         if len(shells) != desc["n_shells"]:
@@ -179,6 +183,8 @@ def parse_coefficients_csv(text: str) -> SpfCoefficients:
                          float(parts[3]), float(parts[4])))
         except ValueError as exc:
             raise CliError(f"line {lineno}: {exc}") from None
+        if not np.all(np.isfinite(rows[-1][3:])):
+            raise CliError(f"line {lineno}: coefficient value is not finite")
     for key in ("zeta", "convention", "bandlimits"):
         if key not in meta:
             raise CliError(f"coefficients file is missing '# {key}=' metadata")
@@ -187,6 +193,8 @@ def parse_coefficients_csv(text: str) -> SpfCoefficients:
         convention = BConvention(meta["convention"], tau)
         index = staircase_index(int(t) for t in meta["bandlimits"].split(","))
         zeta = float(meta["zeta"])
+        if not 0 < zeta < math.inf:
+            raise ValueError(f"zeta must be positive and finite, got {zeta}")
     except ValueError as exc:
         raise CliError(f"bad metadata: {exc}") from None
     if len(rows) != index.size:
@@ -242,9 +250,11 @@ def parse_queries(text: str):
             b, ux, uy, uz = (float(p) for p in parts)
         except ValueError as exc:
             raise CliError(f"line {lineno}: {exc}") from None
+        if not np.all(np.isfinite([b, ux, uy, uz])):
+            raise CliError(f"line {lineno}: query values must be finite")
         if b < 0:
             raise CliError(f"line {lineno}: b-value must be non-negative")
-        norm = np.sqrt(ux * ux + uy * uy + uz * uz)
+        norm = math.hypot(ux, uy, uz)
         if norm < 1e-12:
             raise CliError(f"line {lineno}: direction has zero length")
         bvals.append(b)
@@ -313,8 +323,8 @@ def _grid_from_args(args) -> MultiShellGrid:
         raise CliError(f"cannot parse band limits {args.bandlimits!r}") from None
     if args.convention == "physical" and args.tau is None:
         raise CliError("physical convention requires --tau (seconds)")
-    convention = BConvention(args.convention, args.tau if args.convention == "physical" else None)
     try:
+        convention = BConvention(args.convention, args.tau if args.convention == "physical" else None)
         return build_grid(args.shells, args.bmax, bandlimits, convention)
     except ValueError as exc:
         raise CliError(str(exc)) from None
@@ -432,7 +442,7 @@ def main(argv=None) -> int:
         parser.error("--mirror applies only to --format csv")
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ConditioningError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -333,6 +333,18 @@ def forward_spf(grid: MultiShellGrid, samples, radial_mode: str = "staircase") -
     return SpfCoefficients(out_index, grid.radial.zeta, grid.radial.convention, out)
 
 
+def _unit_directions(directions):
+    """Directions as an (n, 3) array of unit vectors, and whether one 3-vector was given."""
+    directions = np.asarray(directions, dtype=float)
+    dirs = np.atleast_2d(directions)
+    if dirs.ndim != 2 or dirs.shape[1] != 3:
+        raise ValueError(f"directions must have 3 components, got shape {directions.shape}")
+    # written so that a NaN component fails too
+    if not np.all(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) <= 1e-6):
+        raise ValueError("directions must be unit vectors")
+    return dirs, directions.ndim == 1
+
+
 def inverse_spf(coeffs: SpfCoefficients, directions, q=None, b=None):
     """Evaluate the expansion at arbitrary q-space locations.
 
@@ -349,14 +361,8 @@ def inverse_spf(coeffs: SpfCoefficients, directions, q=None, b=None):
     q = np.asarray(q, dtype=float)
     if np.any(q < 0):
         raise ValueError("radii must be non-negative")
-    directions = np.asarray(directions, dtype=float)
-    scalar = directions.ndim == 1 and q.ndim == 0
-    dirs = np.atleast_2d(directions)
-    if dirs.ndim != 2 or dirs.shape[1] != 3:
-        raise ValueError(f"directions must have 3 components, got shape {directions.shape}")
-    norms = np.linalg.norm(dirs, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-6):
-        raise ValueError("directions must be unit vectors")
+    dirs, one_direction = _unit_directions(directions)
+    scalar = one_direction and q.ndim == 0
     qv = np.atleast_1d(q)
     if qv.ndim != 1:
         raise ValueError("q must be a scalar or a flat array")

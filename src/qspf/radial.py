@@ -49,8 +49,8 @@ class BConvention:
         if self.mode not in ("normalized", "physical"):
             raise ValueError(f"unknown b convention {self.mode!r}")
         if self.mode == "physical":
-            if self.tau is None or self.tau <= 0:
-                raise ValueError("physical convention requires tau > 0 (seconds)")
+            if self.tau is None or not 0 < self.tau < math.inf:
+                raise ValueError("physical convention requires a finite tau > 0 (seconds)")
 
     @property
     def b_per_q2(self) -> float:
@@ -101,8 +101,8 @@ def make_radial_scheme(
     """
     if n_shells < 1:
         raise ValueError(f"need at least one shell, got {n_shells}")
-    if not b_max > 0:
-        raise ValueError(f"b_max must be positive, got {b_max}")
+    if not 0 < b_max < math.inf:
+        raise ValueError(f"b_max must be positive and finite, got {b_max}")
     roots = laguerre_roots(n_shells, 0.5)
     q_max = float(convention.q_from_b(b_max))
     zeta = float(q_max**2 / roots[-1])

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multishell import SpfCoefficients, staircase_index
+from .multishell import SpfCoefficients, _unit_directions, staircase_index
 from .radial import BConvention
 
 __all__ = [
@@ -93,13 +93,8 @@ def multi_tensor_eval(mixture, b, directions):
     b = np.asarray(b, dtype=float)
     if np.any(b < 0):
         raise ValueError("b-values must be non-negative")
-    directions = np.asarray(directions, dtype=float)
-    scalar = directions.ndim == 1 and b.ndim == 0
-    dirs = np.atleast_2d(directions)
-    if dirs.ndim != 2 or dirs.shape[1] != 3:
-        raise ValueError(f"directions must have 3 components, got shape {directions.shape}")
-    if np.any(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) > 1e-6):
-        raise ValueError("directions must be unit vectors")
+    dirs, one_direction = _unit_directions(directions)
+    scalar = one_direction and b.ndim == 0
     out = np.zeros(len(dirs))
     for comp in mixture:
         exponent = np.einsum("pi,ij,pj->p", dirs, comp.tensor, dirs)

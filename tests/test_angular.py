@@ -30,6 +30,13 @@ def direct_synthesis(coeffs, scheme):
     return out
 
 
+def custom_scheme():
+    """L=9 with random latitudes and azimuth offsets: the phase of every order is non-trivial."""
+    rng = np.random.default_rng(3)
+    thetas = np.sort(rng.uniform(0.2, 1.5, 5))
+    return make_angular_scheme(9, thetas=thetas, phi_offsets=rng.uniform(0.0, 2 * np.pi, 5))
+
+
 def test_scheme_structure():
     for L in (1, 3, 5, 9, 11):
         scheme = make_angular_scheme(L)
@@ -49,6 +56,10 @@ def test_make_angular_scheme_validation():
         make_angular_scheme(5, thetas=[0.3, 0.9])
     with pytest.raises(ValueError):
         make_angular_scheme(3, thetas=[0.0, 1.0])
+    with pytest.raises(ValueError):
+        make_angular_scheme(3, thetas=[np.nan, 1.0])
+    with pytest.raises(ValueError):
+        make_angular_scheme(3, phi_offsets=[0.0, np.inf])
 
 
 def test_conditioning_stays_small_at_default_layouts():
@@ -69,9 +80,8 @@ def test_round_trip_all_default_bandlimits():
 
 def test_inverse_matches_direct_summation():
     rng = np.random.default_rng(1)
-    for L in (3, 5, 11):
-        scheme = make_angular_scheme(L)
-        coeffs = random_coefficients(L, rng)
+    for scheme in [make_angular_scheme(L) for L in (3, 5, 11, 21)] + [custom_scheme()]:
+        coeffs = random_coefficients(scheme.bandlimit, rng)
         fast = inverse_sht(coeffs, scheme)
         slow = direct_synthesis(coeffs, scheme)
         assert np.max(np.abs(fast - slow)) < 1e-11
@@ -79,12 +89,12 @@ def test_inverse_matches_direct_summation():
 
 def test_forward_agrees_with_dense_oracle():
     rng = np.random.default_rng(2)
-    scheme = make_angular_scheme(11)
-    for _ in range(10):
-        values = inverse_sht(random_coefficients(11, rng), scheme)
-        fast = forward_sht(values, scheme)
-        dense = dense_sht_oracle(values, scheme)
-        assert np.max(np.abs(fast.values - dense.values)) < 1e-11
+    for scheme in (make_angular_scheme(11), custom_scheme()):
+        for _ in range(10):
+            values = inverse_sht(random_coefficients(scheme.bandlimit, rng), scheme)
+            fast = forward_sht(values, scheme)
+            dense = dense_sht_oracle(values, scheme)
+            assert np.max(np.abs(fast.values - dense.values)) < 1e-11
 
 
 def test_round_trip_with_custom_offsets_and_latitudes():

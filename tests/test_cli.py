@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qspf import build_grid, forward_spf, inverse_spf, random_staircase_signal, synthesize_on_grid
 from qspf.cli import (
@@ -225,6 +226,8 @@ def test_validate_micro_scheme(tmp_path):
 def test_physical_convention_needs_tau(capsys):
     assert main(["grid", "--convention", "physical"]) == 1
     assert "tau" in capsys.readouterr().err
+    assert main(["grid", "--convention", "physical", "--tau", "-1"]) == 1
+    assert "tau" in capsys.readouterr().err
 
 
 def test_cli_outputs_are_deterministic(tmp_path, grid):
@@ -245,6 +248,17 @@ def _descriptor_edit(edit):
         edit(desc)
         return json.dumps(desc)
     return transform
+
+
+def _set_path(desc, path, value):
+    """Set the descriptor entry at path, a tuple of keys and list indices."""
+    for key in path[:-1]:
+        desc = desc[key]
+    desc[path[-1]] = value
+
+
+def _set_field(path, value):
+    return _descriptor_edit(lambda desc: _set_path(desc, path, value))
 
 
 def _sample_line(lineno, text):
@@ -268,8 +282,28 @@ def _sample_line(lineno, text):
         ("forward", "samples.txt", _sample_line(132, "-inf"), "line 132"),
         ("evaluate", "coeffs.csv",
          lambda text: text.replace("# convention=normalized", "# convention=weird"), "weird"),
+        ("forward", "scheme.json",
+         _set_field(("shells", 3, "ring_latitudes"), [0.2, 0.2, 0.5, 0.8, 1.1, 1.4]),
+         "ill-conditioned"),
+        ("forward", "scheme.json", _set_field(("shells", 2, "ring_phi_offsets", 0), float("inf")),
+         "finite"),
+        ("grid", "scheme.json", _set_field(("shells", 1, "ring_phi_offsets", 2), float("nan")),
+         "finite"),
+        ("forward", "scheme.json", _set_field(("shells", 0, "ring_latitudes", 0), float("nan")),
+         "ring latitudes"),
+        ("forward", "scheme.json", _set_field(("convention",), "normalized"), "convention"),
+        ("evaluate", "queries.txt", lambda text: "nan 0 0 1\n", "line 1"),
+        ("evaluate", "queries.txt", lambda text: "inf 0 0 1\n", "line 1"),
+        ("evaluate", "queries.txt", lambda text: "1e400 0 0 1\n", "line 1"),
+        ("evaluate", "queries.txt", lambda text: "# c\n1000 nan 0 1\n", "line 2"),
+        ("evaluate", "queries.txt", lambda text: "1000 0 inf 1\n", "line 1"),
+        ("evaluate", "coeffs.csv", _sample_line(7, "0,0,0,nan,0.0"), "line 7"),
+        ("evaluate", "coeffs.csv", _sample_line(2, "# zeta=nan"), "zeta"),
     ],
-    ids=["not-json", "no-bmax", "ring-count", "shell-bandlimit", "nan", "inf", "convention"],
+    ids=["not-json", "no-bmax", "ring-count", "shell-bandlimit", "nan", "inf", "convention",
+         "equal-latitudes", "inf-offset", "nan-offset-grid", "nan-latitude", "convention-string",
+         "query-b-nan", "query-b-inf", "query-b-overflow", "query-dir-nan", "query-dir-inf",
+         "coeff-nan", "zeta-nan"],
 )
 def test_malformed_inputs_exit_with_error(tmp_path, grid, capsys, command, bad_file, transform,
                                           message):
@@ -290,9 +324,92 @@ def test_malformed_inputs_exit_with_error(tmp_path, grid, capsys, command, bad_f
     argv = {
         "forward": ["forward", "--scheme", "scheme.json", "--samples", "samples.txt"],
         "evaluate": ["evaluate", "--coefficients", "coeffs.csv", "--queries", "queries.txt"],
+        "grid": ["grid", "--from-descriptor", "scheme.json", "--format", "csv"],
     }[command]
     argv = [str(tmp_path / a) if "." in a else a for a in argv]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert message in err
+
+
+# Tokens that break parsers: non-finite and overflowing numbers, complex text, stray bytes.
+_TOKENS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-100, 100).map(str),
+    st.sampled_from(["nan", "-inf", "1e400", "Infinity", "1+2j", "nanj", "#", ""]),
+    st.text(max_size=4),
+)
+
+
+def _edited_text(text, sep):
+    """Arbitrary text, or text with up to three of its sep-separated fields replaced."""
+    lines = [line.split(sep) for line in text.splitlines()]
+    edit = st.tuples(st.integers(0, len(lines) - 1), st.integers(0, 4), _TOKENS)
+
+    def apply(edits):
+        out = [list(fields) for fields in lines]
+        for i, j, token in edits:
+            out[i][j % len(out[i])] = token
+        return "\n".join(sep.join(fields) for fields in out) + "\n"
+
+    return st.one_of(st.text(), st.lists(edit, min_size=1, max_size=3).map(apply))
+
+
+def _finite_queries(parsed):
+    b, dirs = parsed
+    return np.all(np.isfinite(b)) and np.all(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) < 1e-12)
+
+
+@pytest.mark.parametrize(
+    "parse, valid, sep, check",
+    [
+        (parse_samples, "1.5\n-2\n3+1j\n# c\n0.25\n", ",",
+         lambda values: np.all(np.isfinite(values))),
+        (parse_queries, "1000 0 0 1\n# c\n2500,0.6,0.8,0\n0 1 0 0\n", " ", _finite_queries),
+        (parse_coefficients_csv,
+         format_coefficients_csv(random_staircase_signal(0, (3,), 1, 1.0)), ",",
+         lambda coeffs: np.all(np.isfinite(coeffs.values)) and np.isfinite(coeffs.zeta)),
+    ],
+    ids=["samples", "queries", "coefficients"],
+)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_parsers_return_finite_data_or_cli_error(parse, valid, sep, check, data):
+    text = data.draw(_edited_text(valid, sep))
+    try:
+        parsed = parse(text)
+    except CliError:
+        return
+    assert check(parsed)
+
+
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+        st.integers(-100, 100),
+        st.text(max_size=6),
+    ),
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+_DESCRIPTOR_FIELDS = (
+    [(key,) for key in ("version", "n_shells", "b_max", "convention", "bandlimits", "zeta",
+                        "bvalues", "weights", "shells")]
+    + [("convention", key) for key in ("mode", "tau")]
+    + [("shells", i, key) for i in range(4)
+       for key in ("bandlimit", "ring_latitudes", "ring_phi_offsets")]
+)
+
+
+@given(path=st.sampled_from(_DESCRIPTOR_FIELDS), value=_JSON_VALUES)
+@settings(max_examples=100, deadline=None)
+def test_descriptor_fields_give_a_finite_grid_or_cli_error(grid, path, value):
+    desc = descriptor_from_grid(grid)
+    _set_path(desc, path, value)
+    try:
+        rebuilt = grid_from_descriptor(json.loads(json.dumps(desc)))
+    except CliError:
+        return
+    assert np.all(np.isfinite(rebuilt.points)) and np.all(np.isfinite(rebuilt.bvalues))

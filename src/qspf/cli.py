@@ -29,7 +29,8 @@ import numpy as np
 
 from .angular import mirror_to_full_sphere
 from .errors import ConditioningError
-from .multishell import MultiShellGrid, SpfCoefficients, build_grid, forward_spf, inverse_spf, staircase_index
+from .multishell import (MultiShellGrid, SpfCoefficients, _checked_bandlimits, build_grid,
+                         forward_spf, inverse_spf, staircase_index)
 from .radial import BConvention
 from .validate import run_validation
 
@@ -191,14 +192,17 @@ def parse_coefficients_csv(text: str) -> SpfCoefficients:
     try:
         tau = float(meta["tau"]) if meta.get("tau") else None
         convention = BConvention(meta["convention"], tau)
-        index = staircase_index(int(t) for t in meta["bandlimits"].split(","))
+        bandlimits = _checked_bandlimits(int(t) for t in meta["bandlimits"].split(","))
         zeta = float(meta["zeta"])
         if not 0 < zeta < math.inf:
             raise ValueError(f"zeta must be positive and finite, got {zeta}")
     except ValueError as exc:
         raise CliError(f"bad metadata: {exc}") from None
-    if len(rows) != index.size:
-        raise CliError(f"expected {index.size} coefficient rows, got {len(rows)}")
+    # the index costs time and memory as L^2, so count the rows before building it
+    expected = sum(L * (L + 1) // 2 for L in bandlimits)
+    if len(rows) != expected:
+        raise CliError(f"expected {expected} coefficient rows, got {len(rows)}")
+    index = staircase_index(bandlimits)
     values = np.zeros(index.size, dtype=complex)
     seen = np.zeros(index.size, dtype=bool)
     for n, l, m, re, im in rows:

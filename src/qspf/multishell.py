@@ -15,13 +15,13 @@ see them. Signals with energy at degree l on shells whose band limit is
 <= l fall outside the model space by construction; sampling such a shell
 simply cannot represent that content.
 
-Each degree's radial map depends only on the grid, so build_grid makes
-it once: the quadrature matrix, plus, for each set of carrying shells
-that leaves a shell out, the collocation matrix and its condition
-number. Both radial modes then share one path: per degree, gather the
-carrying shells' harmonic coefficients, apply the stored map (zero_padded
-uses the quadrature columns of the carrying shells), and write the
-degree's block of the table.
+staircase_index owns the table layout: one (l, carrying shells, slice)
+block per even degree, m-major and n-minor, plus per-entry n, l, m and
+conjugate-partner arrays; every transform walks those. Each radial
+mode's maps depend only on the grid, so build_grid makes them once: per
+degree, the output block and the map, either quadrature columns or the
+pseudo-inverse of a collocation matrix with its condition number.
+forward_spf then runs one path: check, gather, apply, write the block.
 """
 
 from __future__ import annotations
@@ -60,64 +60,70 @@ class StaircaseIndex:
 
     Entries are ordered by ascending even degree l, then order m from -l
     to l, then radial order n. Degree l appears with n < N_l, where N_l
-    is the number of shells whose band limit exceeds l. orders[k] is the
-    m of entry k and partner[k] the position of its (n, l, -m) entry.
+    is the number of shells whose band limit exceeds l. blocks holds one
+    (l, carrying shells, slice) per even degree; a block is m-major,
+    n-minor. Entry k is (radial_orders[k], degrees[k], orders[k]), and
+    partner[k] is the position of its (n, l, -m) entry.
     """
 
     bandlimits: tuple
-    entries: tuple
-    position: dict = field(repr=False)
+    blocks: tuple = field(repr=False)
+    radial_orders: np.ndarray = field(repr=False)
+    degrees: np.ndarray = field(repr=False)
     orders: np.ndarray = field(repr=False)
     partner: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.orders)
+
+    @property
+    def entries(self) -> tuple:
+        return tuple(zip(self.radial_orders.tolist(), self.degrees.tolist(), self.orders.tolist()))
 
     def n_per_degree(self, l: int) -> int:
-        return sum(1 for L in self.bandlimits if L > l)
+        return len(self.shells_for_degree(l))
 
     def shells_for_degree(self, l: int) -> tuple:
-        return tuple(i for i, L in enumerate(self.bandlimits) if L > l)
+        # band limits are odd, so odd degree l has the carrying shells of l + 1
+        return next((shells for _, shells, _ in self.blocks[max(l + 1, 0) // 2 :]), ())
 
     def locate(self, n: int, l: int, m: int) -> int:
-        try:
-            return self.position[(n, l, m)]
-        except KeyError:
-            raise ValueError(f"(n={n}, l={l}, m={m}) is outside the coefficient set") from None
+        if l % 2 == 0 and 0 <= l < max(self.bandlimits):
+            _, shells, block = self.blocks[l // 2]
+            if 0 <= n < len(shells) and -l <= m <= l:
+                return block.start + (m + l) * len(shells) + n
+        raise ValueError(f"(n={n}, l={l}, m={m}) is outside the coefficient set")
 
 
-def staircase_index(bandlimits) -> StaircaseIndex:
-    """Enumerate the recoverable (n, l, m) set for per-shell band limits."""
+def _checked_bandlimits(bandlimits) -> tuple:
     bandlimits = tuple(int(L) for L in bandlimits)
     if not bandlimits:
         raise ValueError("need at least one band limit")
     for L in bandlimits:
         if L < 1 or L % 2 == 0:
             raise ValueError(f"band limits must be odd and positive, got {L}")
-    entries = []
-    partner = []
-    for l in range(0, max(bandlimits), 2):
-        n_l = sum(1 for L in bandlimits if L > l)
-        for m in range(-l, l + 1):
-            entries.extend((n, l, m) for n in range(n_l))
-        # the degree block is m-major, so (n, l, -m) sits at the m-reversed row
-        block = np.arange(len(entries) - (2 * l + 1) * n_l, len(entries))
-        partner.append(block.reshape(2 * l + 1, n_l)[::-1].ravel())
-    entries = tuple(entries)
-    position = {key: pos for pos, key in enumerate(entries)}
-    orders = np.array([m for _, _, m in entries])
-    return StaircaseIndex(bandlimits, entries, position, orders, np.concatenate(partner))
+    return bandlimits
 
 
-def _degree_blocks(index: StaircaseIndex):
-    """Yield (l, N_l, positions) per even degree; a block is m-major, n-minor."""
-    start = 0
-    for l in range(0, max(index.bandlimits), 2):
-        n_l = index.n_per_degree(l)
-        stop = start + (2 * l + 1) * n_l
-        yield l, n_l, slice(start, stop)
-        start = stop
+def staircase_index(bandlimits) -> StaircaseIndex:
+    """Enumerate the recoverable (n, l, m) set for per-shell band limits."""
+    bandlimits = _checked_bandlimits(bandlimits)
+    limits = np.array(bandlimits)
+    degrees = np.arange(0, limits.max(), 2)
+    n_l = np.count_nonzero(limits > degrees[:, None], axis=1)
+    sizes = (2 * degrees + 1) * n_l
+    starts = np.cumsum(sizes) - sizes
+    blocks = tuple(
+        (int(l), tuple(np.flatnonzero(limits > l).tolist()), slice(int(a), int(a + k)))
+        for l, a, k in zip(degrees, starts, sizes)
+    )
+    n_of, l_of = np.repeat(n_l, sizes), np.repeat(degrees, sizes)
+    offset = np.arange(sizes.sum()) - np.repeat(starts, sizes)
+    orders = offset // n_of - l_of
+    # the block is m-major, so (n, l, -m) sits 2 m N_l positions before (n, l, m)
+    partner = np.arange(sizes.sum()) - 2 * orders * n_of
+    return StaircaseIndex(bandlimits, blocks, offset % n_of, l_of, orders, partner)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,9 +133,10 @@ class MultiShellGrid:
     Flat sample arrays are shell-major (all of shell 0, then shell 1, ...)
     and ring-major within each shell, matching the angular schemes' point
     order. The radial maps depend only on the grid and are built with it:
-    radial_quadrature[n, i] = w_i R_n(q_i) serves every degree all shells
-    carry. radial_collocation maps each tuple of carrying shells that
-    leaves some shell out to (M, cond(M)), M[j, n] = R_n(q_shells[j]).
+    radial_maps takes each radial mode to (output index, steps), one step
+    (l, block, carrying shells, map, cond) per even degree. A map is the
+    carrying shells' quadrature columns w_i R_n(q_i), cond 1, or for a
+    staircase degree some shell leaves out pinv(M), cond(M), M[j, n] = R_n(q_j).
     """
 
     radial: RadialScheme
@@ -140,8 +147,7 @@ class MultiShellGrid:
     radii: np.ndarray
     bvalues: np.ndarray
     shell_starts: np.ndarray
-    radial_quadrature: np.ndarray = field(repr=False)
-    radial_collocation: dict = field(repr=False)
+    radial_maps: dict = field(repr=False)
 
     @property
     def n_shells(self) -> int:
@@ -212,12 +218,18 @@ def build_grid(
     points = np.vstack([s.points for s in schemes])
     radii = np.repeat(radial.radii, counts)
     bvalues = np.repeat(radial.bvalues, counts)
-    collocation = {}
-    for l in range(0, max(bandlimits), 2):
-        shells = index.shells_for_degree(l)
+    quadrature = _basis_table(radial.radii, n_shells, radial.zeta) * radial.weights
+    padded = staircase_index((max(bandlimits),) * n_shells)
+    staircase, zero_padded, collocation = [], [], {}
+    for (l, shells, block), (_, _, padded_block) in zip(index.blocks, padded.blocks):
+        # zero_padded reads the other shells' degree-l values as zero
+        quadrature_step = (quadrature[:, shells], 1.0)
+        zero_padded.append((l, padded_block, shells) + quadrature_step)
         if len(shells) < n_shells and shells not in collocation:
+            # pinv never raises: an ill-conditioned grid still serves zero_padded
             matrix = _basis_table(radial.radii[list(shells)], len(shells), radial.zeta).T
-            collocation[shells] = (matrix, float(np.linalg.cond(matrix)))
+            collocation[shells] = (np.linalg.pinv(matrix), float(np.linalg.cond(matrix)))
+        staircase.append((l, block, shells) + collocation.get(shells, quadrature_step))
     return MultiShellGrid(
         radial=radial,
         angular=schemes,
@@ -227,8 +239,7 @@ def build_grid(
         radii=radii,
         bvalues=bvalues,
         shell_starts=shell_starts,
-        radial_quadrature=_basis_table(radial.radii, n_shells, radial.zeta) * radial.weights,
-        radial_collocation=collocation,
+        radial_maps={"staircase": (index, staircase), "zero_padded": (padded, zero_padded)},
     )
 
 
@@ -284,9 +295,9 @@ def forward_spf(grid: MultiShellGrid, samples, radial_mode: str = "staircase") -
     """Transform grid samples to coefficients, shell by shell then radially.
 
     Each shell goes through its exact angular transform; each degree l
-    then goes through its radial map from the grid: the exact radial
-    quadrature when every shell carries degree l, or a direct collocation
-    solve on the shells that do.
+    then goes through the mode's radial map from the grid: the exact
+    radial quadrature when every shell carries degree l, or the inverse
+    of the collocation matrix on the shells that do.
 
     radial_mode "staircase" (default) returns the bijective coefficient
     set. Mode "zero_padded" instead treats degrees above a shell's band
@@ -311,25 +322,14 @@ def forward_spf(grid: MultiShellGrid, samples, radial_mode: str = "staircase") -
         forward_sht(values[grid.shell_slice(i)], grid.angular[i]).values
         for i in range(grid.n_shells)
     ]
-    if radial_mode == "zero_padded":
-        out_index = staircase_index((max(grid.bandlimits),) * grid.n_shells)
-    else:
-        out_index = grid.index
+    out_index, steps = grid.radial_maps[radial_mode]
     out = np.empty(out_index.size, dtype=complex)
-    for l, _, block in _degree_blocks(out_index):
-        shells = grid.index.shells_for_degree(l)
+    for l, block, shells, radial_map, cond in steps:
+        if not cond < COLLOCATION_COND_LIMIT:
+            raise ConditioningError("radial collocation matrix is ill-conditioned", cond)
         sh_block = slice(_sh_position(l, -l), _sh_position(l, l) + 1)
         rows = np.stack([per_shell[i][sh_block] for i in shells])
-        if radial_mode == "staircase" and shells in grid.radial_collocation:
-            matrix, cond = grid.radial_collocation[shells]
-            if not cond < COLLOCATION_COND_LIMIT:
-                raise ConditioningError("radial collocation matrix is ill-conditioned", cond)
-            solved = np.linalg.solve(matrix, rows)
-        else:
-            # zero_padded reads the quadrature over the carrying shells only;
-            # the other shells' degree-l values are zero
-            solved = grid.radial_quadrature[:, shells] @ rows
-        out[block] = solved.T.ravel()
+        out[block] = (radial_map @ rows).T.ravel()
     return SpfCoefficients(out_index, grid.radial.zeta, grid.radial.convention, out)
 
 
@@ -379,16 +379,14 @@ def inverse_spf(coeffs: SpfCoefficients, directions, q=None, b=None):
     ptab = normalized_legendre(l_max - 1, np.cos(theta))
     rtab = _basis_table(qv, len(coeffs.index.bandlimits), coeffs.zeta)
 
+    # one order at a time keeps every temporary at one value per point
     out = np.zeros(dirs.shape[0], dtype=complex)
-    for pos, (n, l, m) in enumerate(coeffs.index.entries):
-        c = coeffs.values[pos]
-        if c == 0:
-            continue
-        mu = abs(m)
-        ang = ptab[l, mu, :] * np.exp(1j * m * phi)
-        if m < 0 and mu % 2:
-            ang = -ang
-        out += c * rtab[n] * ang
+    for m in range(1 - l_max, l_max):
+        acc = np.zeros(dirs.shape[0], dtype=complex)
+        for l, shells, _ in coeffs.index.blocks[(abs(m) + 1) // 2 :]:
+            n_l, start = len(shells), coeffs.index.locate(0, l, m)
+            acc += (coeffs.values[start : start + n_l] @ rtab[:n_l]) * ptab[l, abs(m)]
+        out += (-1.0 if m < 0 and m % 2 else 1.0) * acc * np.exp(1j * m * phi)
     return complex(out[0]) if scalar else out
 
 
@@ -407,10 +405,9 @@ def synthesize_on_grid(coeffs: SpfCoefficients, grid: MultiShellGrid) -> np.ndar
         raise ValueError("coefficient table and grid use different radial scales")
     rtab = _basis_table(grid.radial.radii, len(coeffs.index.bandlimits), coeffs.zeta)
     per_shell = [ShCoefficients.zeros(L) for L in grid.bandlimits]
-    for l, n_l, block in _degree_blocks(coeffs.index):
+    for l, shells, block in coeffs.index.blocks:
         # row m, column i: sum_n c_{n,l,m} R_n(q_i)
-        on_shells = coeffs.values[block].reshape(2 * l + 1, n_l) @ rtab[:n_l]
-        for i, shell_coeffs in enumerate(per_shell):
-            if l < shell_coeffs.bandlimit:
-                shell_coeffs.values[_sh_position(l, -l) : _sh_position(l, l) + 1] = on_shells[:, i]
+        on_shells = coeffs.values[block].reshape(2 * l + 1, len(shells)) @ rtab[: len(shells)]
+        for i in grid.index.shells_for_degree(l):
+            per_shell[i].values[_sh_position(l, -l) : _sh_position(l, l) + 1] = on_shells[:, i]
     return np.concatenate([inverse_sht(c, s) for c, s in zip(per_shell, grid.angular)])

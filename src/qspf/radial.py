@@ -138,7 +138,9 @@ def radial_basis_eval(n: int, q, zeta: float):
     log_norm = 0.5 * (
         math.log(2.0) - 1.5 * math.log(zeta) + math.lgamma(n + 1) - math.lgamma(n + 1.5)
     )
-    out = np.exp(log_norm - 0.5 * x) * laguerre_eval(n, 0.5, x)
+    weight = np.exp(log_norm - 0.5 * x)
+    # where the Gaussian underflows, skip the polynomial (it may overflow): R_n -> 0
+    out = weight * laguerre_eval(n, 0.5, np.where(weight == 0.0, 0.0, x))
     return float(out) if out.ndim == 0 else out
 
 

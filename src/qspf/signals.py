@@ -122,19 +122,15 @@ def random_staircase_signal(
     if len(bandlimits) != n_shells:
         raise ValueError(f"{n_shells} shells need {n_shells} band limits")
     index = staircase_index(bandlimits)
-    rng = np.random.default_rng(seed)
-    coeffs = SpfCoefficients.zeros(index, zeta, convention)
-    for n, l, m in index.entries:
-        if m < 0:
-            continue
-        damp = np.exp(-decay * l)
-        if m == 0:
-            coeffs.set(n, l, 0, damp * rng.standard_normal())
-        else:
-            value = damp * (rng.standard_normal() + 1j * rng.standard_normal())
-            coeffs.set(n, l, m, value)
-            coeffs.set(n, l, -m, (-1.0) ** m * np.conj(value))
-    return coeffs
+    m = index.orders
+    # draws in entry order: one per m = 0 entry, (re, im) per m > 0, none (two pads) for m < 0
+    counts = np.sign(m) + 1
+    first = np.cumsum(counts) - counts
+    draws = np.append(np.random.default_rng(seed).standard_normal(counts.sum()), [0.0, 0.0])
+    imag = np.where(m > 0, draws[first + 1], 0.0)
+    values = np.exp(-decay * index.degrees) * (draws[first] + 1j * imag)
+    mirrored = np.where(m % 2, -1.0, 1.0) * np.conj(values[index.partner])
+    return SpfCoefficients(index, zeta, convention, np.where(m < 0, mirrored, values))
 
 
 def add_rician_noise(values, sigma: float, seed: int):

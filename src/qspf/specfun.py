@@ -137,16 +137,16 @@ def normalized_legendre(l_max: int, x) -> np.ndarray:
         table[m, m] = -math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * table[m - 1, m - 1]
     for m in range(l_max):
         table[m + 1, m] = math.sqrt(2.0 * m + 3.0) * x * table[m, m]
-    for m in range(l_max + 1):
-        for l in range(m + 2, l_max + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(
-                (2.0 * l + 1.0)
-                / (2.0 * l - 3.0)
-                * ((l - 1.0) ** 2 - m * m)
-                / (l * l - m * m)
-            )
-            table[l, m] = a * x * table[l - 1, m] - b * table[l - 2, m]
+    # degree k fills all m <= k - 2 at once; a x goes into the rows, one temporary per step
+    l = np.arange(l_max + 1).reshape((-1, 1) + (1,) * x.ndim)
+    m = np.swapaxes(l, 0, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # only m <= l - 2 is read
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = np.sqrt((2.0 * l + 1.0) / (2.0 * l - 3.0) * ((l - 1.0) ** 2 - m * m) / (l * l - m * m))
+    for k in range(2, l_max + 1):
+        rows = np.multiply(a[k, : k - 1], x, out=table[k, : k - 1])
+        rows *= table[k - 1, : k - 1]
+        rows -= b[k, : k - 1] * table[k - 2, : k - 1]
     return table
 
 

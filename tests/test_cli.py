@@ -166,6 +166,33 @@ def test_coefficients_csv_round_trip(grid):
         parse_coefficients_csv(text.rsplit("\n", 2)[0] + "\n")
 
 
+def test_coefficient_row_count_is_checked_before_the_index_is_built(grid, monkeypatch):
+    def fail(bandlimits):
+        raise AssertionError("staircase_index called before the row count check")
+
+    monkeypatch.setattr("qspf.cli.staircase_index", fail)
+    text = format_coefficients_csv(random_staircase_signal(9, grid.bandlimits, 4, grid.radial.zeta))
+    with pytest.raises(CliError, match="expected 1282401 coefficient rows, got 0"):
+        parse_coefficients_csv(text.split("n,l,m,re,im")[0].replace("3,5,9,11", "1601")
+                               + "n,l,m,re,im\n")
+    with pytest.raises(CliError, match="expected 132 coefficient rows, got 131"):
+        parse_coefficients_csv(text.rsplit("\n", 2)[0] + "\n")
+
+
+def test_evaluate_at_huge_b_gives_zero(tmp_path, grid, capsys):
+    coeffs = random_staircase_signal(9, grid.bandlimits, 4, grid.radial.zeta)
+    coeffs_path = tmp_path / "c.csv"
+    coeffs_path.write_text(format_coefficients_csv(coeffs))
+    queries_path = tmp_path / "q.txt"
+    queries_path.write_text("1e200 0 0 1\n")
+    assert main([
+        "evaluate", "--coefficients", str(coeffs_path), "--queries", str(queries_path),
+    ]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "0.0\n"
+    assert captured.err == ""
+
+
 def test_evaluate_prints_complex_for_non_real_tables(tmp_path, grid, capsys):
     coeffs = random_staircase_signal(9, grid.bandlimits, 4, grid.radial.zeta)
     coeffs.set(0, 2, 0, 1.0 + 0.7j)

@@ -50,6 +50,11 @@ def test_staircase_ordering_and_lookup():
         index.locate(1, 10, 0)
     with pytest.raises(ValueError):
         index.locate(0, 12, 0)
+    # negative n, odd l, |m| > l, n >= N_l (N_4 = 3), negative l, l >= max L
+    for n, l, m in [(-1, 0, 0), (0, 3, 0), (0, 4, 5), (0, 4, -5), (3, 4, 0), (0, -2, 0),
+                    (0, 11, 0), (0, 20, 0)]:
+        with pytest.raises(ValueError):
+            index.locate(n, l, m)
 
 
 def test_staircase_edge_cases():
@@ -174,6 +179,27 @@ def test_inverse_spf_basics(grid):
     assert got == pytest.approx(expected, rel=1e-13)
     same = inverse_spf(coeffs, np.array([0.0, 0.0, 1.0]), b=float(q0 * q0))
     assert same == pytest.approx(got, rel=1e-13)
+
+
+@pytest.mark.parametrize("mode", ["staircase", "zero_padded"])
+def test_inverse_spf_matches_direct_sum(grid, mode):
+    # complex tables without the real-signal symmetry, so every signed
+    # order, odd negative ones included, has to carry its own sign
+    index = forward_spf(grid, np.zeros(132), radial_mode=mode).index
+    rng = np.random.default_rng(24)
+    values = rng.standard_normal(index.size) + 1j * rng.standard_normal(index.size)
+    coeffs = SpfCoefficients(index, grid.radial.zeta, grid.radial.convention, values)
+    for n_points in (1, 50):
+        dirs = rng.standard_normal((n_points, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        q = rng.uniform(0.0, 1.2 * grid.radial.radii[-1], n_points)
+        theta, phi = np.arccos(dirs[:, 2]), np.arctan2(dirs[:, 1], dirs[:, 0])
+        direct = sum(
+            c * radial_basis_eval(n, q, coeffs.zeta) * spherical_harmonic(l, m, theta, phi)
+            for c, (n, l, m) in zip(values, index.entries)
+        )
+        got = inverse_spf(coeffs, dirs, q=q)
+        assert np.max(np.abs(got - direct)) < 1e-12 * np.max(np.abs(direct))
 
 
 def test_inverse_spf_antipodal_symmetry(grid):

@@ -84,6 +84,14 @@ def test_gaussian_moment_identity(scheme):
     assert abs(lhs - rhs) / rhs > 1e-6
 
 
+def test_radial_basis_vanishes_at_huge_finite_radius():
+    # the Gaussian underflows to 0 where the Laguerre polynomial overflows;
+    # the product is the limit 0, not 0 * inf = NaN
+    for n in range(8):
+        assert np.array_equal(radial_basis_eval(n, [1e50, 1e100], 500.0), [0.0, 0.0])
+    assert radial_basis_eval(3, 1e100, 500.0) == 0.0
+
+
 def test_radial_basis_validation():
     with pytest.raises(ValueError):
         radial_basis_eval(0, 1.0, -2.0)

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qspf.multishell import build_grid, forward_spf, inverse_spf, synthesize_on_grid
+from qspf.multishell import (
+    SpfCoefficients,
+    build_grid,
+    forward_spf,
+    inverse_spf,
+    staircase_index,
+    synthesize_on_grid,
+)
+from qspf.radial import BConvention
 from qspf.signals import (
     TensorComponent,
     add_rician_noise,
@@ -102,6 +110,33 @@ def test_random_staircase_signal_is_real_on_grid():
         assert coeffs.get(n, l, m) == pytest.approx((-1.0) ** m * np.conj(partner))
     samples = synthesize_on_grid(coeffs, grid)
     assert np.max(np.abs(samples.imag)) < 1e-12
+
+
+def _per_entry_staircase_signal(seed, bandlimits, zeta, decay):
+    """Reference: the per-entry draw loop whose draw order random_staircase_signal keeps."""
+    index = staircase_index(bandlimits)
+    rng = np.random.default_rng(seed)
+    coeffs = SpfCoefficients.zeros(index, zeta, BConvention())
+    for n, l, m in index.entries:
+        if m < 0:
+            continue
+        damp = np.exp(-decay * l)
+        if m == 0:
+            coeffs.set(n, l, 0, damp * rng.standard_normal())
+        else:
+            value = damp * (rng.standard_normal() + 1j * rng.standard_normal())
+            coeffs.set(n, l, m, value)
+            coeffs.set(n, l, -m, (-1.0) ** m * np.conj(value))
+    return coeffs.values
+
+
+@pytest.mark.parametrize("bandlimits", [(1,), (9, 3), (3, 5, 9, 11), (7, 7, 15)])
+@pytest.mark.parametrize("decay", [0.0, 0.3])
+def test_random_staircase_signal_matches_per_entry_draws(bandlimits, decay):
+    for seed in (0, 1, 17, 2024):
+        coeffs = random_staircase_signal(seed, bandlimits, len(bandlimits), 700.0, decay=decay)
+        assert np.array_equal(coeffs.values, _per_entry_staircase_signal(seed, bandlimits, 700.0,
+                                                                         decay))
 
 
 def test_strong_decay_leaves_only_monopole_rows():

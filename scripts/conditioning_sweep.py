@@ -4,9 +4,10 @@ For each odd band limit the forward transform reduces to one small
 Legendre system per azimuthal order; the largest condition number over
 orders bounds how much sample noise can inflate coefficients. This sweep
 prints that number for the plain uniform ring layout
-theta_k = pi (2k+1) / (2(L+1)), passed as explicit ring latitudes so the
-layout search is skipped, and for the built-in layout, which keeps the
-best of a few rescalings of it; plus the transform round-trip error.
+theta_k = pi (2k+1) / (2(L+1)), passed as explicit ring latitudes so it
+is the only candidate of the layout search, and for the built-in layout,
+which keeps the best of a few rescalings of it; plus the transform
+round-trip error.
 
 Run with the package importable, for example
 PYTHONPATH=src python3 scripts/conditioning_sweep.py --lmax 21

@@ -12,7 +12,8 @@ along ring k separates orders modulo 4k+1; a ring resolves order m without
 interference iff 4k+1 >= 2|m|+1, and any order aliased into the same bin
 on such a ring has strictly larger |m|, so its contribution is already
 known and can be subtracted. Each order then reduces to a square Legendre
-system over its usable rings.
+system over its usable rings. The ring latitudes are chosen from a few
+candidate layouts as the one whose worst such system is best conditioned.
 
 Both transforms keep the per-ring FFT bins in one flat array in sample
 order, so order m sits at ring_starts + m mod n_k on all rings at once,
@@ -25,7 +26,6 @@ the per-ring FFTs loop over rings.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,41 +121,42 @@ class AngularScheme:
         return len(self.theta)
 
 
-def _order_systems(bandlimit: int, thetas: np.ndarray):
-    """Per-order Legendre systems; returns (systems, worst condition)."""
-    n_rings = len(thetas)
-    ptab = normalized_legendre(bandlimit - 1, np.cos(thetas))
-    systems = []
-    worst = 0.0
-    for mu in range(bandlimit):
-        degrees = np.arange(mu + mu % 2, bandlimit, 2)  # even l with mu <= l < L
-        rings = np.arange(math.ceil(mu / 2), n_rings)
-        eval_all = ptab[degrees, mu, :].T
-        matrix = eval_all[rings, :]
-        cond = np.linalg.cond(matrix)
-        worst = max(worst, cond)
-        systems.append(
-            _OrderSystem(
-                order=mu,
-                degrees=degrees,
-                rings=rings,
-                matrix=matrix,
-                eval_all=eval_all,
-                condition=cond,
-            )
-        )
-    return tuple(systems), worst
+def _order_systems(bandlimit: int, layouts: np.ndarray):
+    """Per-order Legendre systems for the best-conditioned row of layouts.
+
+    Each row is one candidate set of ring colatitudes. One condition number
+    call per order covers every candidate; the row whose worst order is best
+    conditioned wins, the first of equal rows. Returns (thetas, systems,
+    worst condition).
+    """
+    orders = range(bandlimit)
+    degrees = [np.arange(mu + mu % 2, bandlimit, 2) for mu in orders]  # even l with mu <= l < L
+    rings = [np.arange((mu + 1) // 2, layouts.shape[1]) for mu in orders]
+    evals = []  # per candidate and order: the order's Legendre values on every ring
+    for thetas in layouts:
+        ptab = normalized_legendre(bandlimit - 1, np.cos(thetas))
+        evals.append([ptab[deg, mu, :].T for mu, deg in zip(orders, degrees)])
+        del ptab  # one candidate's table alive at a time
+    conds = np.array(
+        [np.linalg.cond(np.stack([ev[mu][rg, :] for ev in evals])) for mu, rg in zip(orders, rings)]
+    )
+    best = np.argmin(conds.max(axis=0))
+    systems = tuple(
+        _OrderSystem(order=mu, degrees=deg, rings=rg, matrix=ev[rg, :], eval_all=ev, condition=c)
+        for mu, deg, rg, ev, c in zip(orders, degrees, rings, evals[best], conds[:, best])
+    )
+    return layouts[best], systems, conds[:, best].max()
 
 
 def make_angular_scheme(bandlimit: int, thetas=None, phi_offsets=None) -> AngularScheme:
     """Build the hemisphere sampling scheme for an odd band limit.
 
-    With thetas omitted, ring colatitudes start from the uniform layout
-    theta_k = pi (2k+1) / (2(L+1)) and a short deterministic sweep of
-    uniform rescalings keeps whichever layout minimizes the worst
-    per-order condition number. Explicit thetas skip the sweep entirely
-    (custom layouts are taken as given, including poorly conditioned
-    ones; the transform itself guards against those).
+    Ring colatitudes are the candidate layout with the lowest worst
+    per-order condition number. With thetas omitted the candidates are
+    theta_k = pi (2k+1) / (2(L+1)) scaled by 1, 0.96, 0.98, 1.02 and 1.04,
+    the first winning ties. Explicit thetas are the only candidate, so they
+    are taken as given, poorly conditioned ones included; the transform
+    itself guards against those.
     """
     if bandlimit < 1 or bandlimit % 2 == 0:
         raise ValueError(f"band limit must be odd and positive, got {bandlimit}")
@@ -163,19 +164,15 @@ def make_angular_scheme(bandlimit: int, thetas=None, phi_offsets=None) -> Angula
 
     if thetas is None:
         base = np.pi * (2 * np.arange(n_rings) + 1) / (2 * (bandlimit + 1))
-        candidates = [base] + [base * scale for scale in (0.96, 0.98, 1.02, 1.04)]
-        # min keeps the first of equally conditioned layouts
-        thetas, systems, worst = min(
-            ((cand, *_order_systems(bandlimit, cand)) for cand in candidates),
-            key=lambda layout: layout[2],
-        )
+        layouts = base * np.array([[1.0], [0.96], [0.98], [1.02], [1.04]])
     else:
         thetas = np.asarray(thetas, dtype=float)
         if thetas.shape != (n_rings,):
             raise ValueError(f"band limit {bandlimit} needs {n_rings} ring latitudes")
         if not np.all((thetas > 0) & (thetas < np.pi)):
             raise ValueError("ring latitudes must lie strictly inside (0, pi)")
-        systems, worst = _order_systems(bandlimit, thetas)
+        layouts = thetas[None]
+    thetas, systems, worst = _order_systems(bandlimit, layouts)
 
     if phi_offsets is None:
         phi_offsets = np.zeros(n_rings)
@@ -188,11 +185,10 @@ def make_angular_scheme(bandlimit: int, thetas=None, phi_offsets=None) -> Angula
 
     ring_sizes = 4 * np.arange(n_rings) + 1
     ring_starts = np.concatenate([[0], np.cumsum(ring_sizes)[:-1]])
-    theta = np.repeat(thetas, ring_sizes)
-    phi = np.concatenate(
-        [phi_offsets[k] + 2.0 * np.pi * np.arange(ring_sizes[k]) / ring_sizes[k]
-         for k in range(n_rings)]
-    )
+    ring = np.repeat(np.arange(n_rings), ring_sizes)  # ring of each sample
+    slot = np.arange(len(ring)) - ring_starts[ring]  # position along its ring
+    theta = thetas[ring]
+    phi = phi_offsets[ring] + 2.0 * np.pi * slot / ring_sizes[ring]
     points = np.column_stack(
         [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
     )

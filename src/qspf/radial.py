@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError
-from .specfun import laguerre_eval, laguerre_roots
+from .specfun import laguerre_deriv, laguerre_eval, laguerre_roots
 
 __all__ = [
     "BConvention",
@@ -60,7 +60,8 @@ class BConvention:
         return 4.0 * math.pi**2 * self.tau
 
     def q_from_b(self, b):
-        return np.sqrt(np.asarray(b, dtype=float) / self.b_per_q2)
+        with np.errstate(over="ignore"):  # a huge finite b has the limit q = inf
+            return np.sqrt(np.asarray(b, dtype=float) / self.b_per_q2)
 
     def b_from_q(self, q):
         return self.b_per_q2 * np.square(np.asarray(q, dtype=float))
@@ -134,7 +135,8 @@ def radial_basis_eval(n: int, q, zeta: float):
     if n < 0:
         raise ValueError(f"radial order must be >= 0, got {n}")
     q = np.asarray(q, dtype=float)
-    x = q * q / zeta
+    with np.errstate(over="ignore"):  # x = inf is the limit; R_n is 0 there (below)
+        x = q * q / zeta
     log_norm = 0.5 * (
         math.log(2.0) - 1.5 * math.log(zeta) + math.lgamma(n + 1) - math.lgamma(n + 1.5)
     )
@@ -158,7 +160,7 @@ def quadrature_weights(roots: np.ndarray, n_shells: int, zeta: float) -> np.ndar
     if zeta <= 0:
         raise ValueError(f"zeta must be positive, got {zeta}")
     resid = laguerre_eval(n_shells, 0.5, roots)
-    deriv = -laguerre_eval(n_shells - 1, 1.5, roots) if n_shells > 1 else -np.ones_like(roots)
+    deriv = laguerre_deriv(n_shells, 0.5, roots)
     if np.any(np.abs(resid / deriv) > 1e-8 * np.maximum(roots, 1.0)):
         raise ValueError("supplied nodes are not roots of the order-N Laguerre polynomial")
     log_w = (

@@ -68,6 +68,25 @@ def test_conditioning_stays_small_at_default_layouts():
         assert make_angular_scheme(L).condition < 10.0
 
 
+def test_layout_search_keeps_the_best_rescaling():
+    # the winners of the five rescalings; at L=1 all tie and the first, unscaled, is kept
+    for L in range(1, 82, 2):
+        scale = 1.0 if L == 1 else 1.04 if L <= 7 else 1.02 if L <= 11 else 1.0 if L <= 17 else 0.98
+        base = np.pi * (2 * np.arange((L + 1) // 2) + 1) / (2 * (L + 1))
+        assert np.array_equal(make_angular_scheme(L).thetas, base * scale), L
+
+
+def test_explicit_latitudes_reproduce_the_chosen_layout():
+    for L in (1, 3, 11, 25, 41):
+        chosen = make_angular_scheme(L)
+        again = make_angular_scheme(L, thetas=chosen.thetas)
+        assert np.array_equal(again.thetas, chosen.thetas)
+        assert again.condition == chosen.condition
+        assert [s.condition for s in again.order_systems] == [
+            s.condition for s in chosen.order_systems
+        ]
+
+
 def test_round_trip_all_default_bandlimits():
     rng = np.random.default_rng(0)
     for L in (1, 3, 5, 9, 11):

@@ -193,6 +193,31 @@ def test_evaluate_at_huge_b_gives_zero(tmp_path, grid, capsys):
     assert captured.err == ""
 
 
+def test_evaluate_at_huge_physical_b_gives_zero(tmp_path, capsys):
+    # the physical q = sqrt(b / (4 pi^2 tau)) overflows to its limit inf, where the signal is 0
+    scheme_path = tmp_path / "scheme.json"
+    assert main([
+        "grid", "--convention", "physical", "--tau", "0.001", "--format", "json",
+        "--output", str(scheme_path),
+    ]) == 0
+    samples_path = tmp_path / "samples.txt"
+    samples_path.write_text("1.0\n" * 132)
+    coeffs_path = tmp_path / "c.csv"
+    assert main([
+        "forward", "--scheme", str(scheme_path), "--samples", str(samples_path),
+        "--output", str(coeffs_path),
+    ]) == 0
+    queries_path = tmp_path / "q.txt"
+    queries_path.write_text("1.7e308 0 0 1\n")
+    capsys.readouterr()
+    assert main([
+        "evaluate", "--coefficients", str(coeffs_path), "--queries", str(queries_path),
+    ]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "0.0\n"
+    assert captured.err == ""
+
+
 def test_evaluate_prints_complex_for_non_real_tables(tmp_path, grid, capsys):
     coeffs = random_staircase_signal(9, grid.bandlimits, 4, grid.radial.zeta)
     coeffs.set(0, 2, 0, 1.0 + 0.7j)

@@ -88,7 +88,7 @@ def test_radial_basis_vanishes_at_huge_finite_radius():
     # the Gaussian underflows to 0 where the Laguerre polynomial overflows;
     # the product is the limit 0, not 0 * inf = NaN
     for n in range(8):
-        assert np.array_equal(radial_basis_eval(n, [1e50, 1e100], 500.0), [0.0, 0.0])
+        assert np.array_equal(radial_basis_eval(n, [1e50, 1e100, 1e200], 500.0), [0.0, 0.0, 0.0])
     assert radial_basis_eval(3, 1e100, 500.0) == 0.0
 
 
@@ -158,6 +158,8 @@ def test_bconvention_round_trip():
     conv = BConvention("physical", tau=0.05)
     b = np.array([0.0, 411.3, 8000.0])
     assert np.max(np.abs(conv.b_from_q(conv.q_from_b(b)) - b)) < 1e-9
+    # b / (4 pi^2 tau) overflows; inf is the limit, with no warning
+    assert BConvention("physical", tau=1e-3).q_from_b(1.7e308) == np.inf
     with pytest.raises(ValueError):
         BConvention("physical")
     with pytest.raises(ValueError):

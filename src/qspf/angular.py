@@ -17,11 +17,12 @@ candidate layouts as the one whose worst such system is best conditioned.
 
 Both transforms keep the per-ring FFT bins in one flat array in sample
 order, so order m sits at ring_starts + m mod n_k on all rings at once,
-with azimuth phase exp(i m phi_k), and both walk the signed orders high
-|m| first, order -m taking the sign (-1)^m. Per order, the forward
-transform reads, solves and subtracts over all rings in one vector
-operation each; the inverse adds the order's content to the bins; only
-the per-ring FFTs loop over rings.
+with azimuth phase exp(i m phi_k). The walk over the signed orders, high
+|m| first, depends only on the scheme, so make_angular_scheme builds it
+once and both transforms only apply it. Per order, the forward transform
+reads, solves and subtracts over all rings in one vector operation each;
+the inverse adds the order's content to the bins; only the per-ring FFTs
+loop over rings.
 """
 
 from __future__ import annotations
@@ -93,7 +94,6 @@ class ShCoefficients:
 class _OrderSystem:
     """Square solve data for one azimuthal order magnitude."""
 
-    order: int
     degrees: np.ndarray
     rings: np.ndarray
     matrix: np.ndarray
@@ -103,7 +103,13 @@ class _OrderSystem:
 
 @dataclass(frozen=True, eq=False)
 class AngularScheme:
-    """Iso-latitude hemisphere sampling scheme with per-order solvers."""
+    """Iso-latitude hemisphere sampling scheme with per-order solvers.
+
+    order_systems holds one Legendre system per |m|. walk holds, per signed
+    order m, highest |m| first: the system of |m|, the sign (-1)^m for m < 0,
+    the coefficient positions, the flat FFT bin on every ring and the phase
+    exp(i m phi_k); forward_sht and inverse_sht apply it in that order.
+    """
 
     bandlimit: int
     thetas: np.ndarray
@@ -115,6 +121,7 @@ class AngularScheme:
     points: np.ndarray
     condition: float
     order_systems: tuple = field(repr=False)
+    walk: tuple = field(repr=False)
 
     @property
     def n_points(self) -> int:
@@ -142,8 +149,8 @@ def _order_systems(bandlimit: int, layouts: np.ndarray):
     )
     best = np.argmin(conds.max(axis=0))
     systems = tuple(
-        _OrderSystem(order=mu, degrees=deg, rings=rg, matrix=ev[rg, :], eval_all=ev, condition=c)
-        for mu, deg, rg, ev, c in zip(orders, degrees, rings, evals[best], conds[:, best])
+        _OrderSystem(degrees=deg, rings=rg, matrix=ev[rg, :], eval_all=ev, condition=c)
+        for deg, rg, ev, c in zip(degrees, rings, evals[best], conds[:, best])
     )
     return layouts[best], systems, conds[:, best].max()
 
@@ -192,6 +199,15 @@ def make_angular_scheme(bandlimit: int, thetas=None, phi_offsets=None) -> Angula
     points = np.column_stack(
         [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
     )
+    # order -m reuses the system of |m|, since Y_l^{-m} = (-1)^m conj Y_l^m
+    orders = np.array([s * mu for mu in range(bandlimit - 1, 0, -1) for s in (1, -1)] + [0])
+    where = ring_starts + orders[:, None] % ring_sizes
+    phase = np.exp(1j * orders[:, None] * phi_offsets)
+    walk = []
+    for m, bins, phases in zip(orders, where, phase):
+        sys = systems[abs(m)]
+        sign = -1.0 if m < 0 and m % 2 else 1.0
+        walk.append((sys, sign, _sh_position(sys.degrees, m), bins, phases))
     return AngularScheme(
         bandlimit=bandlimit,
         thetas=thetas,
@@ -203,24 +219,8 @@ def make_angular_scheme(bandlimit: int, thetas=None, phi_offsets=None) -> Angula
         points=points,
         condition=worst,
         order_systems=systems,
+        walk=tuple(walk),
     )
-
-
-def _signed_orders(scheme: AngularScheme):
-    """Yield (m, order system, sign) for every signed order, highest |m| first.
-
-    Order -m reuses the system of |m| with sign (-1)^m, since
-    Y_l^{-m} = (-1)^m conj Y_l^m.
-    """
-    for sys in reversed(scheme.order_systems):
-        yield sys.order, sys, 1.0
-        if sys.order:
-            yield -sys.order, sys, -1.0 if sys.order % 2 else 1.0
-
-
-def _order_bins(scheme: AngularScheme, m: int):
-    """Flat FFT-bin position of order m on every ring, and its phase exp(i m phi_k)."""
-    return scheme.ring_starts + m % scheme.ring_sizes, np.exp(1j * m * scheme.phi_offsets)
 
 
 def forward_sht(values, scheme: AngularScheme) -> ShCoefficients:
@@ -251,11 +251,10 @@ def forward_sht(values, scheme: AngularScheme) -> ShCoefficients:
         [np.fft.fft(ring, norm="forward") for ring in np.split(values, scheme.ring_starts[1:])]
     )
     coeffs = ShCoefficients.zeros(scheme.bandlimit)
-    for m, sys, sign in _signed_orders(scheme):
-        where, phase = _order_bins(scheme, m)
+    for sys, sign, positions, where, phase in scheme.walk:
         rhs = bins[where[sys.rings]] * np.conj(phase[sys.rings])
         solved = sign * np.linalg.solve(sys.matrix, rhs)
-        coeffs.values[_sh_position(sys.degrees, m)] = solved
+        coeffs.values[positions] = solved
         # lower orders read these bins on rings too small to separate m
         bins[where] -= sign * (sys.eval_all @ solved) * phase
     return coeffs
@@ -275,9 +274,8 @@ def inverse_sht(coeffs: ShCoefficients, scheme: AngularScheme) -> np.ndarray:
             f"scheme band limit {scheme.bandlimit}"
         )
     bins = np.zeros(scheme.n_points, dtype=complex)
-    for m, sys, sign in _signed_orders(scheme):
-        where, phase = _order_bins(scheme, m)
-        bins[where] += sign * (sys.eval_all @ coeffs.values[_sh_position(sys.degrees, m)]) * phase
+    for sys, sign, positions, where, phase in scheme.walk:
+        bins[where] += sign * (sys.eval_all @ coeffs.values[positions]) * phase
     return np.concatenate(
         [np.fft.ifft(ring, norm="forward") for ring in np.split(bins, scheme.ring_starts[1:])]
     )

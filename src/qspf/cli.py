@@ -270,11 +270,10 @@ def parse_queries(text: str):
 
 def _is_real_signal(coeffs: SpfCoefficients) -> bool:
     """True when the table obeys the real-signal conjugation symmetry."""
-    index, values = coeffs.index, coeffs.values
+    values = coeffs.values
     scale = max(np.max(np.abs(values)), 1.0)
     # c_{n,l,-m} = (-1)^m conj(c_{n,l,m}); at m = 0 this asks for a zero imaginary part
-    mirrored = np.where(index.orders % 2, -1.0, 1.0) * np.conj(values[index.partner])
-    return bool(np.all(np.abs(values - mirrored) <= 1e-9 * scale))
+    return bool(np.all(np.abs(values - coeffs.index.mirrored(values)) <= 1e-9 * scale))
 
 
 # ---------------------------------------------------------------- commands

@@ -88,6 +88,10 @@ class StaircaseIndex:
         # band limits are odd, so odd degree l has the carrying shells of l + 1
         return next((shells for _, shells, _ in self.blocks[max(l + 1, 0) // 2 :]), ())
 
+    def mirrored(self, values) -> np.ndarray:
+        """(-1)^m conj(values[partner]): what a real signal holds at each entry."""
+        return np.where(self.orders % 2, -1.0, 1.0) * np.conj(values[self.partner])
+
     def locate(self, n: int, l: int, m: int) -> int:
         if l % 2 == 0 and 0 <= l < max(self.bandlimits):
             _, shells, block = self.blocks[l // 2]

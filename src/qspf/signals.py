@@ -129,8 +129,7 @@ def random_staircase_signal(
     draws = np.append(np.random.default_rng(seed).standard_normal(counts.sum()), [0.0, 0.0])
     imag = np.where(m > 0, draws[first + 1], 0.0)
     values = np.exp(-decay * index.degrees) * (draws[first] + 1j * imag)
-    mirrored = np.where(m % 2, -1.0, 1.0) * np.conj(values[index.partner])
-    return SpfCoefficients(index, zeta, convention, np.where(m < 0, mirrored, values))
+    return SpfCoefficients(index, zeta, convention, np.where(m < 0, index.mirrored(values), values))
 
 
 def add_rician_noise(values, sigma: float, seed: int):

@@ -17,6 +17,7 @@ All functions are pure and safe for concurrent use.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -106,6 +107,18 @@ def laguerre_roots(n_poly: int, alpha: float = 0.5) -> np.ndarray:
     return np.sort(x)
 
 
+@functools.lru_cache(maxsize=32)
+def _recurrence_coefficients(l_max: int, ndim: int):
+    """Read-only recurrence factors a, b of normalized_legendre, shaped to broadcast on ndim-D x."""
+    l = np.arange(l_max + 1).reshape((-1, 1) + (1,) * ndim)
+    m = np.swapaxes(l, 0, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # only m <= l - 2 is read
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = np.sqrt((2.0 * l + 1.0) / (2.0 * l - 3.0) * ((l - 1.0) ** 2 - m * m) / (l * l - m * m))
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
 def normalized_legendre(l_max: int, x) -> np.ndarray:
     """Fully normalized associated Legendre functions P-tilde_l^m(x), m >= 0.
 
@@ -138,11 +151,7 @@ def normalized_legendre(l_max: int, x) -> np.ndarray:
     for m in range(l_max):
         table[m + 1, m] = math.sqrt(2.0 * m + 3.0) * x * table[m, m]
     # degree k fills all m <= k - 2 at once; a x goes into the rows, one temporary per step
-    l = np.arange(l_max + 1).reshape((-1, 1) + (1,) * x.ndim)
-    m = np.swapaxes(l, 0, 1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # only m <= l - 2 is read
-        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-        b = np.sqrt((2.0 * l + 1.0) / (2.0 * l - 3.0) * ((l - 1.0) ** 2 - m * m) / (l * l - m * m))
+    a, b = _recurrence_coefficients(l_max, x.ndim)
     for k in range(2, l_max + 1):
         rows = np.multiply(a[k, : k - 1], x, out=table[k, : k - 1])
         rows *= table[k - 1, : k - 1]

@@ -15,8 +15,8 @@ from math import gamma
 import numpy as np
 
 from .errors import ConditioningError
-from .multishell import MultiShellGrid, build_grid, forward_spf, synthesize_on_grid
-from .radial import BConvention, _basis_table
+from .multishell import MultiShellGrid, forward_spf, synthesize_on_grid
+from .radial import _basis_table
 from .angular import forward_sht, inverse_sht, ShCoefficients
 from .signals import random_staircase_signal
 
@@ -42,24 +42,13 @@ def _failed(threshold: float, reason: str) -> dict:
     return {"value": None, "threshold": threshold, "passed": False, "error": reason}
 
 
-def run_validation(
-    grid: MultiShellGrid | None = None,
-    n_shells: int = 4,
-    b_max: float = 8000.0,
-    bandlimits=(3, 5, 9, 11),
-    convention: BConvention = BConvention(),
-    seed: int = 0,
-    n_draws: int = 100,
-) -> dict:
-    """Run every scheme self-check and collect a report dictionary.
+def run_validation(grid: MultiShellGrid, seed: int = 0, n_draws: int = 100) -> dict:
+    """Run every scheme self-check on a grid and collect a report dictionary.
 
-    Pass a prebuilt grid to validate custom ring placements; otherwise the
-    grid is built from the keyword arguments. A ConditioningError raised
-    by any transform marks that check failed rather than aborting the run.
-    The report's top-level "passed" is the conjunction of all checks.
+    A ConditioningError raised by any transform marks that check failed
+    rather than aborting the run. The report's top-level "passed" is the
+    conjunction of all checks.
     """
-    if grid is None:
-        grid = build_grid(n_shells, b_max, bandlimits, convention)
     radial = grid.radial
     rng = np.random.default_rng(seed)
     checks = {}

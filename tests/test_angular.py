@@ -108,7 +108,7 @@ def test_inverse_matches_direct_summation():
 
 def test_forward_agrees_with_dense_oracle():
     rng = np.random.default_rng(2)
-    for scheme in (make_angular_scheme(11), custom_scheme()):
+    for scheme in (make_angular_scheme(11), custom_scheme(), make_angular_scheme(21)):
         for _ in range(10):
             values = inverse_sht(random_coefficients(scheme.bandlimit, rng), scheme)
             fast = forward_sht(values, scheme)

@@ -61,6 +61,12 @@ def test_descriptor_round_trip_rebuilds_grid(grid):
     assert np.array_equal(rebuilt.points, grid.points)
     assert np.array_equal(rebuilt.bvalues, grid.bvalues)
     assert rebuilt.radial.zeta == grid.radial.zeta
+    samples = np.random.default_rng(4).standard_normal(grid.n_samples)
+    for mode in ("staircase", "zero_padded"):
+        assert np.array_equal(
+            forward_spf(rebuilt, samples, radial_mode=mode).values,
+            forward_spf(grid, samples, radial_mode=mode).values,
+        )
 
 
 def test_grid_csv_mirror(tmp_path):

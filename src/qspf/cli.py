@@ -375,6 +375,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.draws < 1:
+        raise CliError(f"--draws must be >= 1, got {args.draws}")
     grid = _grid_from_args(args)
     report = run_validation(grid=grid, seed=args.seed, n_draws=args.draws)
     _write_text(json.dumps(_jsonable(report), indent=2) + "\n", args.output)

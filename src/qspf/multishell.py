@@ -22,6 +22,8 @@ mode's maps depend only on the grid, so build_grid makes them once: per
 degree, the output block and the map, either quadrature columns or the
 pseudo-inverse of a collocation matrix with its condition number.
 forward_spf then runs one path: check, gather, apply, write the block.
+inverse_spf, the read side, goes one azimuthal order at a time with its
+Legendre rows made by recurrence, so its memory is linear in the batch.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .radial import (
     _basis_table,
     make_radial_scheme,
 )
-from .specfun import normalized_legendre
+from .specfun import _legendre_by_order
 
 __all__ = [
     "StaircaseIndex",
@@ -80,9 +82,6 @@ class StaircaseIndex:
     @property
     def entries(self) -> tuple:
         return tuple(zip(self.radial_orders.tolist(), self.degrees.tolist(), self.orders.tolist()))
-
-    def n_per_degree(self, l: int) -> int:
-        return len(self.shells_for_degree(l))
 
     def shells_for_degree(self, l: int) -> tuple:
         # band limits are odd, so odd degree l has the carrying shells of l + 1
@@ -356,42 +355,53 @@ def inverse_spf(coeffs: SpfCoefficients, directions, q=None, b=None):
     defined for any radius and any unit direction, on or off the grid.
     Pass exactly one of q (radius) or b (b-value in the table's
     convention). Directions and radii broadcast: one direction with many
-    radii, many directions with one radius, or matched arrays.
+    radii, many directions with one radius, or matched arrays (empty too).
+
+    The sum goes order by order, +mu and -mu together: a real GEMM against
+    the radial table, weighted by Legendre rows that a recurrence makes as
+    it goes. Memory is linear in the batch; pass a large batch in one call.
     """
     if (q is None) == (b is None):
         raise ValueError("pass exactly one of q or b")
-    if b is not None:
-        q = coeffs.convention.q_from_b(b)
-    q = np.asarray(q, dtype=float)
-    if np.any(q < 0):
-        raise ValueError("radii must be non-negative")
+    radii = np.asarray(q if b is None else b, dtype=float)
+    if not np.all(radii >= 0):  # written so that NaN fails too
+        raise ValueError(f"{'radii' if b is None else 'b-values'} must be non-negative, not NaN")
+    q = radii if b is None else coeffs.convention.q_from_b(radii)
     dirs, one_direction = _unit_directions(directions)
     scalar = one_direction and q.ndim == 0
     qv = np.atleast_1d(q)
     if qv.ndim != 1:
         raise ValueError("q must be a scalar or a flat array")
-    if len(qv) == 1 and len(dirs) > 1:
+    if len(qv) == 1:
         qv = np.full(len(dirs), qv[0])
-    elif len(dirs) == 1 and len(qv) > 1:
+    elif len(dirs) == 1:
         dirs = np.broadcast_to(dirs, (len(qv), 3))
     elif len(qv) != len(dirs):
         raise ValueError(f"{len(qv)} radii do not pair with {len(dirs)} directions")
 
-    theta = np.arccos(np.clip(dirs[:, 2], -1.0, 1.0))
-    phi = np.arctan2(dirs[:, 1], dirs[:, 0])
-    l_max = max(coeffs.index.bandlimits)
-    ptab = normalized_legendre(l_max - 1, np.cos(theta))
-    rtab = _basis_table(qv, len(coeffs.index.bandlimits), coeffs.zeta)
+    index = coeffs.index
+    n_orders, l_max = len(index.bandlimits), max(index.bandlimits)
+    # order mu adds c+ e^(i mu phi) + c- e^(-i mu phi), c- = (-1)^mu c_{n,l,-mu}, which is
+    # (c+ + c-) cos(mu phi) + i (c+ - c-) sin(mu phi); at mu = 0, c- is c+ itself: halve order 0
+    plus, minus = coeffs.values, np.conj(index.mirrored(coeffs.values))
+    terms = np.stack([plus + minus, 1j * (plus - minus)], axis=1).view(float)
+    up = index.orders >= 0
+    parts = np.zeros((l_max, (l_max + 1) // 2, 4, n_orders))
+    parts[index.orders[up], index.degrees[up] // 2, :, index.radial_orders[up]] = terms[up]
+    parts[0] /= 2
 
-    # one order at a time keeps every temporary at one value per point
-    out = np.zeros(dirs.shape[0], dtype=complex)
-    for m in range(1 - l_max, l_max):
-        acc = np.zeros(dirs.shape[0], dtype=complex)
-        for l, shells, _ in coeffs.index.blocks[(abs(m) + 1) // 2 :]:
-            n_l, start = len(shells), coeffs.index.locate(0, l, m)
-            acc += (coeffs.values[start : start + n_l] @ rtab[:n_l]) * ptab[l, abs(m)]
-        out += (-1.0 if m < 0 and m % 2 else 1.0) * acc * np.exp(1j * m * phi)
-    return complex(out[0]) if scalar else out
+    rtab = _basis_table(qv, n_orders, coeffs.zeta)
+    phi = np.arctan2(dirs[:, 1], dirs[:, 0])
+    cos1, sin1, cos, sin = np.cos(phi), np.sin(phi), np.ones(len(qv)), np.zeros(len(qv))
+    acc = np.zeros((2, len(qv)))
+    for mu, leg in enumerate(_legendre_by_order(l_max - 1, np.clip(dirs[:, 2], -1.0, 1.0))):
+        # even degrees l >= mu: blocks (mu + 1) // 2 on, rows l - mu = mu % 2, + 2, ... of leg
+        block = parts[mu, (mu + 1) // 2 :]
+        radial = (block.reshape(-1, n_orders) @ rtab).reshape(len(block), 4, -1)
+        weighted = np.einsum("jkp,jp->kp", radial, leg[mu % 2 :: 2])
+        acc += weighted[:2] * cos + weighted[2:] * sin
+        cos, sin = cos * cos1 - sin * sin1, sin * cos1 + cos * sin1
+    return complex(acc[0, 0], acc[1, 0]) if scalar else acc[0] + 1j * acc[1]
 
 
 def synthesize_on_grid(coeffs: SpfCoefficients, grid: MultiShellGrid) -> np.ndarray:

@@ -159,6 +159,26 @@ def normalized_legendre(l_max: int, x) -> np.ndarray:
     return table
 
 
+def _legendre_by_order(l_max: int, x):
+    """Yield normalized_legendre(l_max, x)[m:, m] for m = 0 .. l_max, on 1-D x: bitwise
+    the same rows by the same seeds and recurrence, from one (l_max+1, len(x)) buffer."""
+    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    a, b = _recurrence_coefficients(l_max, x.ndim)
+    rows = np.empty((l_max + 1,) + x.shape)
+    row = list(rows)
+    rows[0] = 1.0 / math.sqrt(4.0 * math.pi)
+    for m in range(l_max + 1):
+        if m:
+            rows[m] = -math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * rows[m - 1]
+        if m < l_max:
+            rows[m + 1] = math.sqrt(2.0 * m + 3.0) * x * rows[m]
+        np.multiply(a[m + 2 :, m], x, out=rows[m + 2 :])  # a x for all degrees, then two steps each
+        for k in range(m + 2, l_max + 1):
+            row[k] *= row[k - 1]
+            row[k] -= b[k, m] * row[k - 2]
+        yield rows[m:]
+
+
 def spherical_harmonic(l: int, m: int, theta, phi):
     """Orthonormal complex spherical harmonic Y_l^m(theta, phi).
 
@@ -167,11 +187,7 @@ def spherical_harmonic(l: int, m: int, theta, phi):
     """
     if abs(m) > l:
         raise ValueError(f"order |m|={abs(m)} exceeds degree l={l}")
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    table = normalized_legendre(l, np.cos(theta))
-    leg = table[l, abs(m)]
-    if m < 0 and m % 2 != 0:
-        leg = -leg
-    out = leg * np.exp(1j * m * phi)
+    leg = normalized_legendre(l, np.cos(np.asarray(theta, dtype=float)))[l, abs(m)]
+    sign = -1.0 if m < 0 and m % 2 else 1.0
+    out = sign * leg * np.exp(1j * m * np.asarray(phi, dtype=float))
     return complex(out) if out.ndim == 0 else out

@@ -47,8 +47,10 @@ def run_validation(grid: MultiShellGrid, seed: int = 0, n_draws: int = 100) -> d
 
     A ConditioningError raised by any transform marks that check failed
     rather than aborting the run. The report's top-level "passed" is the
-    conjunction of all checks.
+    conjunction of all checks. n_draws < 1 is an error: nothing would be checked.
     """
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     radial = grid.radial
     rng = np.random.default_rng(seed)
     checks = {}

@@ -281,6 +281,17 @@ def test_validate_micro_scheme(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("draws", ["0", "-3"])
+def test_validate_without_draws_is_an_error(tmp_path, capsys, draws):
+    # zero draws would make both round trips read 0.0 and pass unchecked
+    report_path = tmp_path / "r.json"
+    code = main(["validate", "--bandlimits", "15,25,41,63", "--draws", draws,
+                 "--output", str(report_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not report_path.exists()
+
+
 def test_physical_convention_needs_tau(capsys):
     assert main(["grid", "--convention", "physical"]) == 1
     assert "tau" in capsys.readouterr().err

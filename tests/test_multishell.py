@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import roots_genlaguerre
+from scipy.special import roots_genlaguerre, sph_harm_y
 
 from qspf.multishell import (
     SpfCoefficients,
@@ -29,10 +31,29 @@ def uniform_grid():
     return build_grid(4, 8000.0, (11, 11, 11, 11))
 
 
+@pytest.fixture(scope="module")
+def high_grid():
+    return build_grid(4, 8000.0, (15, 25, 41, 63))
+
+
+def random_unit_vectors(rng, count):
+    dirs = rng.standard_normal((count, 3))
+    return dirs / np.linalg.norm(dirs, axis=1)[:, None]
+
+
+def direct_sum(coeffs, dirs, q):
+    """The triple sum of c_{n,l,m} R_n(q) Y_l^m with scipy's harmonics, term by term."""
+    index = coeffs.index
+    theta, phi = np.arccos(dirs[:, 2]), np.arctan2(dirs[:, 1], dirs[:, 0])
+    radial = np.array([radial_basis_eval(n, q, coeffs.zeta) for n in range(len(index.bandlimits))])
+    angular = sph_harm_y(index.degrees[:, None], index.orders[:, None], theta, phi)
+    return coeffs.values @ (radial[index.radial_orders] * angular)
+
+
 def test_staircase_default_counts():
     index = staircase_index(DEFAULTS)
     assert index.size == 132
-    per_degree = {l: index.n_per_degree(l) for l in range(0, 11, 2)}
+    per_degree = {l: len(index.shells_for_degree(l)) for l in range(0, 11, 2)}
     assert per_degree == {0: 4, 2: 4, 4: 3, 6: 2, 8: 2, 10: 1}
     block = {l: sum(1 for (_, l2, _) in index.entries if l2 == l) for l in range(0, 11, 2)}
     assert block == {0: 4, 2: 20, 4: 27, 6: 26, 8: 34, 10: 21}
@@ -61,7 +82,7 @@ def test_staircase_edge_cases():
     assert staircase_index((1,)).entries == ((0, 0, 0),)
     uniform = staircase_index((11,) * 4)
     assert uniform.size == 264
-    assert all(uniform.n_per_degree(l) == 4 for l in range(0, 11, 2))
+    assert all(len(uniform.shells_for_degree(l)) == 4 for l in range(0, 11, 2))
     with pytest.raises(ValueError):
         staircase_index((4, 5))
     with pytest.raises(ValueError):
@@ -182,24 +203,51 @@ def test_inverse_spf_basics(grid):
 
 
 @pytest.mark.parametrize("mode", ["staircase", "zero_padded"])
-def test_inverse_spf_matches_direct_sum(grid, mode):
+def test_inverse_spf_matches_direct_sum(grid, high_grid, mode):
     # complex tables without the real-signal symmetry, so every signed
     # order, odd negative ones included, has to carry its own sign
-    index = forward_spf(grid, np.zeros(132), radial_mode=mode).index
     rng = np.random.default_rng(24)
-    values = rng.standard_normal(index.size) + 1j * rng.standard_normal(index.size)
-    coeffs = SpfCoefficients(index, grid.radial.zeta, grid.radial.convention, values)
-    for n_points in (1, 50):
-        dirs = rng.standard_normal((n_points, 3))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        q = rng.uniform(0.0, 1.2 * grid.radial.radii[-1], n_points)
-        theta, phi = np.arccos(dirs[:, 2]), np.arctan2(dirs[:, 1], dirs[:, 0])
-        direct = sum(
-            c * radial_basis_eval(n, q, coeffs.zeta) * spherical_harmonic(l, m, theta, phi)
-            for c, (n, l, m) in zip(values, index.entries)
-        )
-        got = inverse_spf(coeffs, dirs, q=q)
-        assert np.max(np.abs(got - direct)) < 1e-12 * np.max(np.abs(direct))
+    for g, sizes in ((grid, (1, 50)), (high_grid, (1, 4))):
+        index = g.radial_maps[mode][0]
+        values = rng.standard_normal(index.size) + 1j * rng.standard_normal(index.size)
+        coeffs = SpfCoefficients(index, g.radial.zeta, g.radial.convention, values)
+        for n_points in sizes:
+            dirs = random_unit_vectors(rng, n_points)
+            q = rng.uniform(0.0, 1.2 * g.radial.radii[-1], n_points)
+            direct = direct_sum(coeffs, dirs, q)
+            got = inverse_spf(coeffs, dirs, q=q)
+            assert np.max(np.abs(got - direct)) < 1e-12 * np.max(np.abs(direct))
+
+
+def test_inverse_spf_broadcasts_large_batches(grid):
+    rng = np.random.default_rng(40)
+    coeffs = random_staircase_signal(8, DEFAULTS, 4, grid.radial.zeta)
+    dirs = random_unit_vectors(rng, 4096)
+    q = rng.uniform(0.0, grid.radial.radii[-1], 4096)
+    checked = slice(None, None, 512)
+    one_direction = inverse_spf(coeffs, dirs[7], q=q)
+    one_radius = inverse_spf(coeffs, dirs, q=q[7])
+    assert one_direction.shape == one_radius.shape == (4096,)
+    for got, d, r in ((one_direction, dirs[7:8], q), (one_radius, dirs, np.full(4096, q[7]))):
+        direct = direct_sum(coeffs, np.broadcast_to(d, (4096, 3))[checked], r[checked])
+        assert np.max(np.abs(got[checked] - direct)) < 1e-12 * np.max(np.abs(direct))
+        assert np.array_equal(got, inverse_spf(coeffs, np.broadcast_to(d, (4096, 3)), q=r))
+
+
+def test_inverse_spf_memory_is_linear_in_the_batch(grid):
+    # a 4096-point call traced at 2.41 MB; the (11, 11, 4096) Legendre
+    # table alone would be 3.96 MB
+    rng = np.random.default_rng(41)
+    coeffs = random_staircase_signal(9, DEFAULTS, 4, grid.radial.zeta)
+    dirs, b = random_unit_vectors(rng, 4096), rng.uniform(0.0, 8000.0, 4096)
+    inverse_spf(coeffs, dirs, b=b)
+    tracemalloc.start()
+    try:
+        inverse_spf(coeffs, dirs, b=b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0e6
 
 
 def test_inverse_spf_antipodal_symmetry(grid):
@@ -226,6 +274,14 @@ def test_inverse_spf_validation(grid):
         inverse_spf(coeffs, 2.0 * u, q=1.0)
     with pytest.raises(ValueError):
         inverse_spf(coeffs, np.tile(u, (3, 1)), q=np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="b-values must be non-negative"):
+        inverse_spf(coeffs, u, b=-1.0)
+    for bad in (dict(q=np.nan), dict(b=np.nan), dict(q=np.array([1.0, np.nan]))):
+        with pytest.raises(ValueError, match="not NaN"):
+            inverse_spf(coeffs, u, **bad)
+    assert inverse_spf(coeffs, u, q=np.inf) == 0.0
+    assert inverse_spf(coeffs, np.zeros((0, 3)), q=1.0).shape == (0,)
+    assert inverse_spf(coeffs, u, b=np.zeros(0)).shape == (0,)
 
 
 def test_synthesis_matches_pointwise_inverse_when_nothing_truncates(uniform_grid):

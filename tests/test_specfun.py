@@ -10,6 +10,7 @@ from scipy.special import eval_genlaguerre, roots_genlaguerre, roots_hermite, sp
 
 import qspf
 from qspf.specfun import (
+    _legendre_by_order,
     laguerre_deriv,
     laguerre_eval,
     laguerre_roots,
@@ -107,6 +108,17 @@ def test_normalized_legendre_shape_and_poles():
         for m in range(1, l + 1):
             assert np.all(table[l, m, :] == pytest.approx(0.0))
     assert table[0, 0, 0] == pytest.approx(1.0 / np.sqrt(4.0 * np.pi))
+
+
+@pytest.mark.parametrize("l_max", [0, 1, 2, 5, 10, 62, 80])
+def test_legendre_by_order_equals_the_table(l_max):
+    x = np.concatenate([[-1.0, 1.0], np.cos(np.linspace(0.01, np.pi - 0.01, 37))])
+    table = normalized_legendre(l_max, x)
+    orders = 0
+    for m, rows in enumerate(_legendre_by_order(l_max, x)):
+        assert np.array_equal(rows, table[m:, m])
+        orders += 1
+    assert orders == l_max + 1
 
 
 def test_spherical_harmonic_against_scipy():

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditioningError
-from .specfun import normalized_legendre, spherical_harmonic
+from .specfun import _legendre_by_order, spherical_harmonic
 
 __all__ = [
     "AngularScheme",
@@ -139,18 +139,18 @@ def _order_systems(bandlimit: int, layouts: np.ndarray):
     orders = range(bandlimit)
     degrees = [np.arange(mu + mu % 2, bandlimit, 2) for mu in orders]  # even l with mu <= l < L
     rings = [np.arange((mu + 1) // 2, layouts.shape[1]) for mu in orders]
-    evals = []  # per candidate and order: the order's Legendre values on every ring
-    for thetas in layouts:
-        ptab = normalized_legendre(bandlimit - 1, np.cos(thetas))
-        evals.append([ptab[deg, mu, :].T for mu, deg in zip(orders, degrees)])
-        del ptab  # one candidate's table alive at a time
-    conds = np.array(
-        [np.linalg.cond(np.stack([ev[mu][rg, :] for ev in evals])) for mu, rg in zip(orders, rings)]
-    )
+    legendre = _legendre_by_order(bandlimit - 1, np.cos(layouts).ravel())
+    # per order, all candidates: (candidate, degree, ring) values; degree l is row l - mu of leg
+    evals = [
+        leg[mu % 2 :: 2].reshape(len(deg), *layouts.shape).swapaxes(0, 1).copy()
+        for mu, deg, leg in zip(orders, degrees, legendre)
+    ]
+    conds = np.array([np.linalg.cond(ev.swapaxes(1, 2)[:, rg]) for ev, rg in zip(evals, rings)])
     best = np.argmin(conds.max(axis=0))
+    winner = [ev[best].copy().T for ev in evals]  # (ring, degree), not a view of all candidates
     systems = tuple(
         _OrderSystem(degrees=deg, rings=rg, matrix=ev[rg, :], eval_all=ev, condition=c)
-        for deg, rg, ev, c in zip(degrees, rings, evals[best], conds[:, best])
+        for deg, rg, ev, c in zip(degrees, rings, winner, conds[:, best])
     )
     return layouts[best], systems, conds[:, best].max()
 
@@ -233,6 +233,8 @@ def forward_sht(values, scheme: AngularScheme) -> ShCoefficients:
 
     Raises
     ------
+    ValueError
+        If the samples are the wrong shape or not all finite.
     ConditioningError
         If any per-order system has condition number above 1e8.
     """
@@ -241,6 +243,8 @@ def forward_sht(values, scheme: AngularScheme) -> ShCoefficients:
         raise ValueError(
             f"expected {scheme.n_points} samples (ring-major), got shape {values.shape}"
         )
+    if not np.all(np.isfinite(values)):
+        raise ValueError("samples must be finite")
     if not scheme.condition < SOLVE_COND_LIMIT:
         raise ConditioningError(
             "angular scheme is too ill-conditioned for a trustworthy transform",

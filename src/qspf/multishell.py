@@ -83,10 +83,6 @@ class StaircaseIndex:
     def entries(self) -> tuple:
         return tuple(zip(self.radial_orders.tolist(), self.degrees.tolist(), self.orders.tolist()))
 
-    def shells_for_degree(self, l: int) -> tuple:
-        # band limits are odd, so odd degree l has the carrying shells of l + 1
-        return next((shells for _, shells, _ in self.blocks[max(l + 1, 0) // 2 :]), ())
-
     def mirrored(self, values) -> np.ndarray:
         """(-1)^m conj(values[partner]): what a real signal holds at each entry."""
         return np.where(self.orders % 2, -1.0, 1.0) * np.conj(values[self.partner])
@@ -311,6 +307,8 @@ def forward_spf(grid: MultiShellGrid, samples, radial_mode: str = "staircase") -
 
     Raises
     ------
+    ValueError
+        If the samples are the wrong shape or not all finite.
     ConditioningError
         Propagated from the angular transform, or raised in staircase
         mode when a degree's collocation matrix has condition number
@@ -419,9 +417,11 @@ def synthesize_on_grid(coeffs: SpfCoefficients, grid: MultiShellGrid) -> np.ndar
         raise ValueError("coefficient table and grid use different radial scales")
     rtab = _basis_table(grid.radial.radii, len(coeffs.index.bandlimits), coeffs.zeta)
     per_shell = [ShCoefficients.zeros(L) for L in grid.bandlimits]
-    for l, shells, block in coeffs.index.blocks:
+    # both block lists run over even degrees from 0, so zip pairs equal degrees and
+    # drops the table's degrees above the grid's top one
+    for (l, shells, block), (_, carried, _) in zip(coeffs.index.blocks, grid.index.blocks):
         # row m, column i: sum_n c_{n,l,m} R_n(q_i)
         on_shells = coeffs.values[block].reshape(2 * l + 1, len(shells)) @ rtab[: len(shells)]
-        for i in grid.index.shells_for_degree(l):
+        for i in carried:
             per_shell[i].values[_sh_position(l, -l) : _sh_position(l, l) + 1] = on_shells[:, i]
     return np.concatenate([inverse_sht(c, s) for c, s in zip(per_shell, grid.angular)])

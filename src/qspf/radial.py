@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError
-from .specfun import laguerre_deriv, laguerre_eval, laguerre_roots
+from .specfun import _laguerre_rows, laguerre_deriv, laguerre_roots
 
 __all__ = [
     "BConvention",
@@ -135,14 +135,9 @@ def radial_basis_eval(n: int, q, zeta: float):
     if n < 0:
         raise ValueError(f"radial order must be >= 0, got {n}")
     q = np.asarray(q, dtype=float)
-    with np.errstate(over="ignore"):  # x = inf is the limit; R_n is 0 there (below)
-        x = q * q / zeta
-    log_norm = 0.5 * (
-        math.log(2.0) - 1.5 * math.log(zeta) + math.lgamma(n + 1) - math.lgamma(n + 1.5)
-    )
-    weight = np.exp(log_norm - 0.5 * x)
-    # where the Gaussian underflows, skip the polynomial (it may overflow): R_n -> 0
-    out = weight * laguerre_eval(n, 0.5, np.where(weight == 0.0, 0.0, x))
+    if np.any(np.isnan(q)):
+        raise ValueError("radial_basis_eval requires q that is not NaN")
+    out = _basis_table(q, n + 1, zeta)[n]
     return float(out) if out.ndim == 0 else out
 
 
@@ -159,8 +154,8 @@ def quadrature_weights(roots: np.ndarray, n_shells: int, zeta: float) -> np.ndar
         raise ValueError(f"expected {n_shells} roots, got {len(roots)}")
     if zeta <= 0:
         raise ValueError(f"zeta must be positive, got {zeta}")
-    resid = laguerre_eval(n_shells, 0.5, roots)
-    deriv = laguerre_deriv(n_shells, 0.5, roots)
+    deriv = laguerre_deriv(n_shells, 0.5, roots)  # raises for non-finite roots
+    *_, resid, following = _laguerre_rows(n_shells + 1, 0.5, roots)
     if np.any(np.abs(resid / deriv) > 1e-8 * np.maximum(roots, 1.0)):
         raise ValueError("supplied nodes are not roots of the order-N Laguerre polynomial")
     log_w = (
@@ -171,14 +166,27 @@ def quadrature_weights(roots: np.ndarray, n_shells: int, zeta: float) -> np.ndar
         + roots
         - math.lgamma(n_shells + 1)
         - 2.0 * math.log(n_shells + 1.0)
-        - 2.0 * np.log(np.abs(laguerre_eval(n_shells + 1, 0.5, roots)))
+        - 2.0 * np.log(np.abs(following))
     )
     return np.exp(log_w)
 
 
 def _basis_table(q, n_orders: int, zeta: float) -> np.ndarray:
-    """Table T[n] = R_n(q) for n < n_orders, of shape (n_orders,) + shape(q)."""
-    return np.array([radial_basis_eval(n, q, zeta) for n in range(n_orders)])
+    """Table T[n] = R_n(q) for n < n_orders, of shape (n_orders,) + shape(q).
+
+    All orders come from one Laguerre pass; see radial_basis_eval for R_n.
+    """
+    q = np.asarray(q, dtype=float)
+    with np.errstate(over="ignore"):  # x = inf is the limit; R_n is 0 there (below)
+        x = q * q / zeta
+    scale = math.log(2.0) - 1.5 * math.log(zeta)
+    log_norm = [0.5 * (scale + math.lgamma(n + 1) - math.lgamma(n + 1.5)) for n in range(n_orders)]
+    table = np.exp(np.reshape(log_norm, (-1,) + (1,) * q.ndim) - 0.5 * x)
+    # R_0 has the largest norm, so where its Gaussian underflows every R_n does: there,
+    # skip the polynomial (it may overflow) and R_n -> 0
+    for n, poly in enumerate(_laguerre_rows(n_orders - 1, 0.5, np.where(table[0] == 0.0, 0.0, x))):
+        table[n] *= poly
+    return table
 
 
 def radial_project(values, scheme: RadialScheme) -> np.ndarray:

@@ -12,12 +12,27 @@ Conventions (fixed, documented here once):
   Y_l^m(theta, phi) = P-tilde_l^m(cos theta) * exp(i m phi) for m >= 0,
   and Y_l^{-m} = (-1)^m conj(Y_l^m).
 
+Each special function has one recurrence, and every value of it in the
+package comes from there:
+
+* ``_laguerre_rows`` yields L_0^(alpha) .. L_n^(alpha) at x in one upward
+  pass. ``laguerre_eval`` returns its last row; the radial basis table
+  (``radial._basis_table``, the one owner of the R_n formula) and the
+  quadrature weights read all the rows they need from one pass.
+* ``_legendre_by_order`` yields the rows P-tilde_l^m, l >= m, one order m
+  at a time. ``normalized_legendre`` and ``spherical_harmonic`` read their
+  values from it, as do the angular schemes' per-order systems and
+  ``inverse_spf``. It reuses one buffer: the rows of order m are
+  overwritten when order m + 1 is made, so a consumer that keeps rows past
+  the next step must copy them.
+
 All functions are pure and safe for concurrent use.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -56,15 +71,18 @@ def laguerre_eval(n: int, alpha: float, x):
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("laguerre_eval requires finite x")
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return float(p_prev[0]) if scalar else p_prev
-    p = 1.0 + alpha - x
-    for k in range(1, n):
+    for p in _laguerre_rows(n, alpha, x):
+        pass
+    return float(p) if x.ndim == 0 else p
+
+
+def _laguerre_rows(n: int, alpha: float, x):
+    """Yield L_0^(alpha)(x) .. L_n^(alpha)(x), the rows of laguerre_eval's recurrence."""
+    p_prev, p = 0.0, np.ones_like(x)  # L_{-1} = 0, so step 0 gives L_1 = 1 + alpha - x
+    yield p
+    for k in range(n):
         p_prev, p = p, ((2 * k + 1 + alpha - x) * p - (k + alpha) * p_prev) / (k + 1)
-    return float(p[0]) if scalar else p
+        yield p
 
 
 def laguerre_deriv(n: int, alpha: float, x):
@@ -108,10 +126,10 @@ def laguerre_roots(n_poly: int, alpha: float = 0.5) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _recurrence_coefficients(l_max: int, ndim: int):
-    """Read-only recurrence factors a, b of normalized_legendre, shaped to broadcast on ndim-D x."""
-    l = np.arange(l_max + 1).reshape((-1, 1) + (1,) * ndim)
-    m = np.swapaxes(l, 0, 1)
+def _recurrence_coefficients(l_max: int):
+    """Read-only recurrence factors a[l, m], b[l, m] of the associated Legendre recurrence."""
+    l = np.arange(l_max + 1)[:, None]
+    m = l.T
     with np.errstate(divide="ignore", invalid="ignore"):  # only m <= l - 2 is read
         a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
         b = np.sqrt((2.0 * l + 1.0) / (2.0 * l - 3.0) * ((l - 1.0) ** 2 - m * m) / (l * l - m * m))
@@ -143,27 +161,22 @@ def normalized_legendre(l_max: int, x) -> np.ndarray:
     if l_max < 0:
         raise ValueError(f"l_max must be >= 0, got {l_max}")
     x = np.asarray(x, dtype=float)
-    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-    table = np.zeros((l_max + 1, l_max + 1) + x.shape)
-    table[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
-    for m in range(1, l_max + 1):
-        table[m, m] = -math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * table[m - 1, m - 1]
-    for m in range(l_max):
-        table[m + 1, m] = math.sqrt(2.0 * m + 3.0) * x * table[m, m]
-    # degree k fills all m <= k - 2 at once; a x goes into the rows, one temporary per step
-    a, b = _recurrence_coefficients(l_max, x.ndim)
-    for k in range(2, l_max + 1):
-        rows = np.multiply(a[k, : k - 1], x, out=table[k, : k - 1])
-        rows *= table[k - 1, : k - 1]
-        rows -= b[k, : k - 1] * table[k - 2, : k - 1]
-    return table
+    table = np.zeros((l_max + 1, l_max + 1, x.size))
+    for m, rows in enumerate(_legendre_by_order(l_max, x.ravel())):
+        table[m:, m] = rows
+    return table.reshape(table.shape[:2] + x.shape)
 
 
 def _legendre_by_order(l_max: int, x):
-    """Yield normalized_legendre(l_max, x)[m:, m] for m = 0 .. l_max, on 1-D x: bitwise
-    the same rows by the same seeds and recurrence, from one (l_max+1, len(x)) buffer."""
+    """Yield the rows P-tilde_l^m(x), l = m .. l_max, for m = 0 .. l_max, on 1-D x.
+
+    Each order is seeded from the sectoral P-tilde_m^m and P-tilde_{m+1}^m, then
+    runs P-tilde_k^m = a[k, m] x P-tilde_{k-1}^m - b[k, m] P-tilde_{k-2}^m. The
+    rows yielded are a view of one (l_max+1, len(x)) buffer that the next order
+    overwrites; copy what must outlive the step.
+    """
     s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-    a, b = _recurrence_coefficients(l_max, x.ndim)
+    a, b = _recurrence_coefficients(l_max)
     rows = np.empty((l_max + 1,) + x.shape)
     row = list(rows)
     rows[0] = 1.0 / math.sqrt(4.0 * math.pi)
@@ -172,7 +185,8 @@ def _legendre_by_order(l_max: int, x):
             rows[m] = -math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * rows[m - 1]
         if m < l_max:
             rows[m + 1] = math.sqrt(2.0 * m + 3.0) * x * rows[m]
-        np.multiply(a[m + 2 :, m], x, out=rows[m + 2 :])  # a x for all degrees, then two steps each
+        # a x for all degrees at once, then two in-place steps each
+        np.multiply(a[m + 2 :, m, None], x, out=rows[m + 2 :])
         for k in range(m + 2, l_max + 1):
             row[k] *= row[k - 1]
             row[k] -= b[k, m] * row[k - 2]
@@ -187,7 +201,9 @@ def spherical_harmonic(l: int, m: int, theta, phi):
     """
     if abs(m) > l:
         raise ValueError(f"order |m|={abs(m)} exceeds degree l={l}")
-    leg = normalized_legendre(l, np.cos(np.asarray(theta, dtype=float)))[l, abs(m)]
+    x = np.cos(np.asarray(theta, dtype=float))
+    rows = next(itertools.islice(_legendre_by_order(l, x.ravel()), abs(m), None))
+    leg = rows[l - abs(m)].reshape(x.shape)
     sign = -1.0 if m < 0 and m % 2 else 1.0
     out = sign * leg * np.exp(1j * m * np.asarray(phi, dtype=float))
     return complex(out) if out.ndim == 0 else out

@@ -11,7 +11,7 @@ from qspf.angular import (
     mirror_to_full_sphere,
 )
 from qspf.errors import ConditioningError
-from qspf.specfun import spherical_harmonic
+from qspf.specfun import normalized_legendre, spherical_harmonic
 
 
 def random_coefficients(bandlimit, rng):
@@ -87,6 +87,17 @@ def test_explicit_latitudes_reproduce_the_chosen_layout():
         ]
 
 
+def test_scheme_keeps_only_the_winners_legendre_rows():
+    # rows of the chosen layout, held in arrays no larger than themselves
+    scheme = make_angular_scheme(21)
+    table = normalized_legendre(20, np.cos(scheme.thetas))
+    for mu, sys in enumerate(scheme.order_systems):
+        assert np.array_equal(sys.eval_all, table[sys.degrees, mu].T)
+        assert np.array_equal(sys.matrix, sys.eval_all[sys.rings])
+        for rows in (sys.eval_all, sys.matrix):
+            assert rows.base is None or rows.base.size == rows.size
+
+
 def test_round_trip_all_default_bandlimits():
     rng = np.random.default_rng(0)
     for L in (1, 3, 5, 9, 11):
@@ -141,6 +152,11 @@ def test_forward_input_validation():
     scheme = make_angular_scheme(5)
     with pytest.raises(ValueError):
         forward_sht(np.ones(7), scheme)
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        values = np.ones(scheme.n_points, dtype=complex)
+        values[4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            forward_sht(values, scheme)
     other = ShCoefficients.zeros(3)
     with pytest.raises(ValueError):
         inverse_sht(other, scheme)

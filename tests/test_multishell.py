@@ -53,12 +53,12 @@ def direct_sum(coeffs, dirs, q):
 def test_staircase_default_counts():
     index = staircase_index(DEFAULTS)
     assert index.size == 132
-    per_degree = {l: len(index.shells_for_degree(l)) for l in range(0, 11, 2)}
+    per_degree = {l: len(shells) for l, shells, _ in index.blocks}
     assert per_degree == {0: 4, 2: 4, 4: 3, 6: 2, 8: 2, 10: 1}
     block = {l: sum(1 for (_, l2, _) in index.entries if l2 == l) for l in range(0, 11, 2)}
     assert block == {0: 4, 2: 20, 4: 27, 6: 26, 8: 34, 10: 21}
-    assert index.shells_for_degree(4) == (1, 2, 3)
-    assert index.shells_for_degree(10) == (3,)
+    assert index.blocks[2][1] == (1, 2, 3)
+    assert index.blocks[5][1] == (3,)
 
 
 def test_staircase_ordering_and_lookup():
@@ -82,7 +82,7 @@ def test_staircase_edge_cases():
     assert staircase_index((1,)).entries == ((0, 0, 0),)
     uniform = staircase_index((11,) * 4)
     assert uniform.size == 264
-    assert all(len(uniform.shells_for_degree(l)) == 4 for l in range(0, 11, 2))
+    assert [len(shells) for _, shells, _ in uniform.blocks] == [4] * 6
     with pytest.raises(ValueError):
         staircase_index((4, 5))
     with pytest.raises(ValueError):
@@ -187,6 +187,12 @@ def test_forward_validation(grid):
         forward_spf(grid, np.ones(50))
     with pytest.raises(ValueError):
         forward_spf(grid, np.ones(132), radial_mode="bogus")
+    for mode in ("staircase", "zero_padded"):
+        for where in (0, 131):
+            samples = np.ones(132)
+            samples[where] = np.nan
+            with pytest.raises(ValueError, match="finite"):
+                forward_spf(grid, samples, radial_mode=mode)
 
 
 def test_inverse_spf_basics(grid):
@@ -289,6 +295,16 @@ def test_synthesis_matches_pointwise_inverse_when_nothing_truncates(uniform_grid
     rendered = synthesize_on_grid(coeffs, uniform_grid)
     pointwise = inverse_spf(coeffs, uniform_grid.points, q=uniform_grid.radii)
     assert np.max(np.abs(rendered - pointwise)) < 1e-10
+
+
+def test_synthesis_drops_degrees_above_the_grid(grid):
+    # no shell of the default grid carries degree 12 of a (13,)*4 table
+    coeffs = random_staircase_signal(31, (13,) * 4, 4, grid.radial.zeta)
+    assert np.all(coeffs.values[coeffs.index.degrees == 12] != 0)
+    restricted = SpfCoefficients.zeros(staircase_index((11,) * 4), coeffs.zeta, coeffs.convention)
+    for k, (n, l, m) in enumerate(restricted.index.entries):
+        restricted.values[k] = coeffs.get(n, l, m)
+    assert np.array_equal(synthesize_on_grid(coeffs, grid), synthesize_on_grid(restricted, grid))
 
 
 def test_synthesis_rejects_mismatched_radial_scale(grid):

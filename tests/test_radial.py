@@ -1,14 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import roots_genlaguerre
+from scipy.special import eval_genlaguerre, gammaln, roots_genlaguerre
 
 from qspf.errors import ConditioningError
 from qspf.radial import (
     BConvention,
+    _basis_table,
     make_radial_scheme,
     quadrature_weights,
     radial_basis_eval,
@@ -84,12 +86,28 @@ def test_gaussian_moment_identity(scheme):
     assert abs(lhs - rhs) / rhs > 1e-6
 
 
+@pytest.mark.parametrize("zeta", [1e-3, 0.5, 500.0, 1e4])
+def test_basis_table_against_scipy(zeta):
+    x = np.linspace(0.0, 80.0, 161)
+    n = np.arange(20)[:, None]
+    log_norm = 0.5 * (math.log(2.0) - 1.5 * math.log(zeta) + gammaln(n + 1) - gammaln(n + 1.5))
+    ref = np.exp(log_norm - 0.5 * x) * eval_genlaguerre(n, 0.5, x)
+    table = _basis_table(np.sqrt(x * zeta), 20, zeta)
+    assert np.max(np.abs(table - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
 def test_radial_basis_vanishes_at_huge_finite_radius():
     # the Gaussian underflows to 0 where the Laguerre polynomial overflows;
-    # the product is the limit 0, not 0 * inf = NaN
-    for n in range(8):
-        assert np.array_equal(radial_basis_eval(n, [1e50, 1e100, 1e200], 500.0), [0.0, 0.0, 0.0])
-    assert radial_basis_eval(3, 1e100, 500.0) == 0.0
+    # the product is the limit 0, not 0 * inf = NaN, and nothing warns
+    q = np.array([0.0, 1e50, 1e100, 1e200, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = _basis_table(q, 30, 500.0)
+        for n in range(8):
+            assert np.array_equal(radial_basis_eval(n, q, 500.0), table[n])
+        assert radial_basis_eval(3, 1e100, 500.0) == 0.0
+    assert np.all(table[:, 0] != 0.0) and np.all(np.isfinite(table[:, 0]))
+    assert np.array_equal(table[:, 1:], np.zeros((30, 4)))
 
 
 def test_radial_basis_validation():
@@ -97,6 +115,9 @@ def test_radial_basis_validation():
         radial_basis_eval(0, 1.0, -2.0)
     with pytest.raises(ValueError):
         radial_basis_eval(-1, 1.0, 2.0)
+    for q in (np.nan, [1.0, np.nan]):
+        with pytest.raises(ValueError):
+            radial_basis_eval(2, q, 2.0)
 
 
 def test_make_radial_scheme_validation():
@@ -111,6 +132,9 @@ def test_quadrature_weights_reject_non_roots(scheme):
         quadrature_weights(scheme.roots + 0.05, 4, scheme.zeta)
     with pytest.raises(ValueError):
         quadrature_weights(scheme.roots[:3], 4, scheme.zeta)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            quadrature_weights(np.append(scheme.roots[:3], bad), 4, scheme.zeta)
 
 
 def test_radial_project_recovers_basis_coefficients(scheme):

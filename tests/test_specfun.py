@@ -92,12 +92,13 @@ def test_laguerre_roots_validation():
 
 
 def test_normalized_legendre_against_scipy():
-    theta = np.linspace(0.05, np.pi - 0.05, 40)
-    table = normalized_legendre(10, np.cos(theta))
-    for l in range(11):
-        for m in range(l + 1):
-            ref = sph_harm_y(l, m, theta, 0.0).real
-            assert np.max(np.abs(table[l, m, :] - ref)) < 1e-12
+    theta = np.concatenate([[0.0, np.pi], np.linspace(0.05, np.pi - 0.05, 40)])  # x = 1, -1, ...
+    for l_max in (10, 62):
+        table = normalized_legendre(l_max, np.cos(theta))
+        degree = np.arange(l_max + 1)
+        # scipy gives 0 for m > l, where the table is zero too
+        ref = sph_harm_y(degree[:, None, None], degree[None, :, None], theta, 0.0).real
+        assert np.max(np.abs(table - ref)) < 1e-12
 
 
 def test_normalized_legendre_shape_and_poles():

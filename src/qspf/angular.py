@@ -16,12 +16,12 @@ system over its usable rings. The ring latitudes are chosen from a few
 candidate layouts as the one whose worst such system is best conditioned.
 
 Both transforms keep the per-ring FFT bins in one flat array in sample
-order, so order m sits at ring_starts + m mod n_k on all rings at once,
-with azimuth phase exp(i m phi_k). The walk over the signed orders, high
-|m| first, depends only on the scheme, so make_angular_scheme builds it
-once and both transforms only apply it. Per order, the forward transform
-reads, solves and subtracts over all rings in one vector operation each;
-the inverse adds the order's content to the bins; only the per-ring FFTs
+order, so order m sits at ring_starts + m mod n_k on all rings at once.
+Only the Legendre solves depend on the samples, so make_angular_scheme
+folds the rest (rows, resolving rings, bins, signed phases) into a walk
+over the signed orders, high |m| first; see AngularScheme. Per order, the
+forward transform gathers, solves, scatters and subtracts the order's
+content from every ring; the inverse only adds it. Only the per-ring FFTs
 loop over rings.
 """
 
@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConditioningError
-from .specfun import _legendre_by_order, spherical_harmonic
+from .errors import COND_LIMIT, ConditioningError
+from .specfun import _legendre_by_order, normalized_legendre
 
 __all__ = [
     "AngularScheme",
@@ -43,8 +43,6 @@ __all__ = [
     "dense_sht_oracle",
     "mirror_to_full_sphere",
 ]
-
-SOLVE_COND_LIMIT = 1e8
 
 
 def _sh_position(l, m):
@@ -90,25 +88,18 @@ class ShCoefficients:
         return cls(bandlimit, np.zeros(bandlimit * (bandlimit + 1) // 2, dtype=complex))
 
 
-@dataclass(frozen=True)
-class _OrderSystem:
-    """Square solve data for one azimuthal order magnitude."""
-
-    degrees: np.ndarray
-    rings: np.ndarray
-    matrix: np.ndarray
-    eval_all: np.ndarray
-    condition: float
-
-
 @dataclass(frozen=True, eq=False)
 class AngularScheme:
-    """Iso-latitude hemisphere sampling scheme with per-order solvers.
+    """Iso-latitude hemisphere sampling scheme and its transform walk.
 
-    order_systems holds one Legendre system per |m|. walk holds, per signed
-    order m, highest |m| first: the system of |m|, the sign (-1)^m for m < 0,
-    the coefficient positions, the flat FFT bin on every ring and the phase
-    exp(i m phi_k); forward_sht and inverse_sht apply it in that order.
+    walk has one step (rows, first, positions, bins, phase, conj_phase) per
+    signed order m, highest |m| first. rows are the (ring, degree) Legendre
+    rows of |m|, one array for +m and -m (Y_l^{-m} = (-1)^m conj Y_l^m); the
+    rings from first = (|m|+1)//2 on resolve |m|, so the view rows[first:]
+    is the solve matrix. bins is m's flat FFT bin on every ring, phase is
+    exp(i m phi_k) negated for negative odd m, and conj_phase its conjugate
+    from ring first on. order_conditions[mu] is cond(rows[first:]) of
+    order mu; condition is their maximum.
     """
 
     bandlimit: int
@@ -120,7 +111,7 @@ class AngularScheme:
     phi: np.ndarray
     points: np.ndarray
     condition: float
-    order_systems: tuple = field(repr=False)
+    order_conditions: np.ndarray = field(repr=False)
     walk: tuple = field(repr=False)
 
     @property
@@ -128,31 +119,27 @@ class AngularScheme:
         return len(self.theta)
 
 
-def _order_systems(bandlimit: int, layouts: np.ndarray):
-    """Per-order Legendre systems for the best-conditioned row of layouts.
+def _order_rows(bandlimit: int, layouts: np.ndarray):
+    """Per-order Legendre rows for the best-conditioned row of layouts.
 
-    Each row is one candidate set of ring colatitudes. One condition number
-    call per order covers every candidate; the row whose worst order is best
-    conditioned wins, the first of equal rows. Returns (thetas, systems,
-    worst condition).
+    Each row is one candidate set of ring colatitudes. Order mu is solved on
+    the rings from (mu + 1) // 2 on; one condition number call per order
+    covers every candidate, and the row whose worst order is best
+    conditioned wins, the first of equal rows. Returns (thetas, the
+    (ring, degree) rows of each order, per-order condition numbers).
     """
-    orders = range(bandlimit)
-    degrees = [np.arange(mu + mu % 2, bandlimit, 2) for mu in orders]  # even l with mu <= l < L
-    rings = [np.arange((mu + 1) // 2, layouts.shape[1]) for mu in orders]
     legendre = _legendre_by_order(bandlimit - 1, np.cos(layouts).ravel())
-    # per order, all candidates: (candidate, degree, ring) values; degree l is row l - mu of leg
+    # per order, all candidates: (candidate, degree, ring) values; even degree l is row l - mu
     evals = [
-        leg[mu % 2 :: 2].reshape(len(deg), *layouts.shape).swapaxes(0, 1).copy()
-        for mu, deg, leg in zip(orders, degrees, legendre)
+        leg[mu % 2 :: 2].reshape(-1, *layouts.shape).swapaxes(0, 1).copy()
+        for mu, leg in enumerate(legendre)
     ]
-    conds = np.array([np.linalg.cond(ev.swapaxes(1, 2)[:, rg]) for ev, rg in zip(evals, rings)])
-    best = np.argmin(conds.max(axis=0))
-    winner = [ev[best].copy().T for ev in evals]  # (ring, degree), not a view of all candidates
-    systems = tuple(
-        _OrderSystem(degrees=deg, rings=rg, matrix=ev[rg, :], eval_all=ev, condition=c)
-        for deg, rg, ev, c in zip(degrees, rings, winner, conds[:, best])
+    conds = np.array(
+        [np.linalg.cond(ev.swapaxes(1, 2)[:, (mu + 1) // 2 :]) for mu, ev in enumerate(evals)]
     )
-    return layouts[best], systems, conds[:, best].max()
+    best = np.argmin(conds.max(axis=0))
+    rows = [ev[best].copy().T for ev in evals]  # not a view of all candidates
+    return layouts[best], rows, conds[:, best]
 
 
 def make_angular_scheme(bandlimit: int, thetas=None, phi_offsets=None) -> AngularScheme:
@@ -179,7 +166,7 @@ def make_angular_scheme(bandlimit: int, thetas=None, phi_offsets=None) -> Angula
         if not np.all((thetas > 0) & (thetas < np.pi)):
             raise ValueError("ring latitudes must lie strictly inside (0, pi)")
         layouts = thetas[None]
-    thetas, systems, worst = _order_systems(bandlimit, layouts)
+    thetas, rows, conditions = _order_rows(bandlimit, layouts)
 
     if phi_offsets is None:
         phi_offsets = np.zeros(n_rings)
@@ -199,15 +186,16 @@ def make_angular_scheme(bandlimit: int, thetas=None, phi_offsets=None) -> Angula
     points = np.column_stack(
         [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
     )
-    # order -m reuses the system of |m|, since Y_l^{-m} = (-1)^m conj Y_l^m
     orders = np.array([s * mu for mu in range(bandlimit - 1, 0, -1) for s in (1, -1)] + [0])
     where = ring_starts + orders[:, None] % ring_sizes
     phase = np.exp(1j * orders[:, None] * phi_offsets)
+    phase = np.where(((orders < 0) & (orders % 2 == 1))[:, None], -phase, phase)
     walk = []
-    for m, bins, phases in zip(orders, where, phase):
-        sys = systems[abs(m)]
-        sign = -1.0 if m < 0 and m % 2 else 1.0
-        walk.append((sys, sign, _sh_position(sys.degrees, m), bins, phases))
+    for m, bins, ph in zip(orders, where, phase):
+        mu = abs(m)
+        first = (mu + 1) // 2  # ring k resolves mu iff 4k + 1 >= 2mu + 1
+        positions = _sh_position(np.arange(mu + mu % 2, bandlimit, 2), m)  # even l, mu <= l < L
+        walk.append((rows[mu], first, positions, bins, ph, ph[first:].conj()))
     return AngularScheme(
         bandlimit=bandlimit,
         thetas=thetas,
@@ -217,8 +205,8 @@ def make_angular_scheme(bandlimit: int, thetas=None, phi_offsets=None) -> Angula
         theta=theta,
         phi=phi,
         points=points,
-        condition=worst,
-        order_systems=systems,
+        condition=conditions.max(),
+        order_conditions=conditions,
         walk=tuple(walk),
     )
 
@@ -245,7 +233,7 @@ def forward_sht(values, scheme: AngularScheme) -> ShCoefficients:
         )
     if not np.all(np.isfinite(values)):
         raise ValueError("samples must be finite")
-    if not scheme.condition < SOLVE_COND_LIMIT:
+    if not scheme.condition < COND_LIMIT:
         raise ConditioningError(
             "angular scheme is too ill-conditioned for a trustworthy transform",
             scheme.condition,
@@ -255,12 +243,11 @@ def forward_sht(values, scheme: AngularScheme) -> ShCoefficients:
         [np.fft.fft(ring, norm="forward") for ring in np.split(values, scheme.ring_starts[1:])]
     )
     coeffs = ShCoefficients.zeros(scheme.bandlimit)
-    for sys, sign, positions, where, phase in scheme.walk:
-        rhs = bins[where[sys.rings]] * np.conj(phase[sys.rings])
-        solved = sign * np.linalg.solve(sys.matrix, rhs)
+    for rows, first, positions, where, phase, conj_phase in scheme.walk:
+        solved = np.linalg.solve(rows[first:], bins[where[first:]] * conj_phase)
         coeffs.values[positions] = solved
         # lower orders read these bins on rings too small to separate m
-        bins[where] -= sign * (sys.eval_all @ solved) * phase
+        bins[where] -= (rows @ solved) * phase
     return coeffs
 
 
@@ -278,8 +265,8 @@ def inverse_sht(coeffs: ShCoefficients, scheme: AngularScheme) -> np.ndarray:
             f"scheme band limit {scheme.bandlimit}"
         )
     bins = np.zeros(scheme.n_points, dtype=complex)
-    for sys, sign, positions, where, phase in scheme.walk:
-        bins[where] += sign * (sys.eval_all @ coeffs.values[positions]) * phase
+    for rows, _, positions, where, phase, _ in scheme.walk:
+        bins[where] += (rows @ coeffs.values[positions]) * phase
     return np.concatenate(
         [np.fft.ifft(ring, norm="forward") for ring in np.split(bins, scheme.ring_starts[1:])]
     )
@@ -297,13 +284,15 @@ def dense_sht_oracle(values, scheme: AngularScheme) -> ShCoefficients:
         raise ValueError(
             f"expected {scheme.n_points} samples (ring-major), got shape {values.shape}"
         )
-    columns = []
-    for l in range(0, scheme.bandlimit, 2):
-        for m in range(-l, l + 1):
-            columns.append(spherical_harmonic(l, m, scheme.theta, scheme.phi))
-    matrix = np.column_stack(columns)
+    # column (l, m) is Y_l^m at every point, from one table: Y_l^{-m} = (-1)^m conj Y_l^m
+    L = scheme.bandlimit
+    l = np.repeat(np.arange(0, L, 2), np.arange(1, 2 * L, 4))
+    m = np.arange(len(l)) - _sh_position(l, 0)
+    legendre = normalized_legendre(L - 1, np.cos(scheme.theta))[l, np.abs(m)].T
+    sign = np.where((m < 0) & (m % 2 == 1), -1.0, 1.0)
+    matrix = sign * legendre * np.exp(1j * np.outer(scheme.phi, m))
     cond = np.linalg.cond(matrix)
-    if not cond < SOLVE_COND_LIMIT:
+    if not cond < COND_LIMIT:
         raise ConditioningError("dense harmonic matrix is ill-conditioned", cond)
     return ShCoefficients(scheme.bandlimit, np.linalg.solve(matrix, values.astype(complex)))
 

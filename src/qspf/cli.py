@@ -375,10 +375,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.draws < 1:
-        raise CliError(f"--draws must be >= 1, got {args.draws}")
     grid = _grid_from_args(args)
-    report = run_validation(grid=grid, seed=args.seed, n_draws=args.draws)
+    try:
+        report = run_validation(grid=grid, seed=args.seed, n_draws=args.draws)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     _write_text(json.dumps(_jsonable(report), indent=2) + "\n", args.output)
     return 0 if report["passed"] else 1
 

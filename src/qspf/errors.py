@@ -1,4 +1,7 @@
-"""Shared exception types."""
+"""Shared exception types and the conditioning policy."""
+
+# a transform refuses any linear system whose condition number is not below this
+COND_LIMIT = 1e8
 
 
 class ConditioningError(RuntimeError):

@@ -20,8 +20,9 @@ block per even degree, m-major and n-minor, plus per-entry n, l, m and
 conjugate-partner arrays; every transform walks those. Each radial
 mode's maps depend only on the grid, so build_grid makes them once: per
 degree, the output block and the map, either quadrature columns or the
-pseudo-inverse of a collocation matrix with its condition number.
-forward_spf then runs one path: check, gather, apply, write the block.
+pseudo-inverse of a collocation matrix, plus the mode's worst collocation
+condition number. forward_spf then runs one path: check that number once,
+then per degree gather, apply, write the block.
 inverse_spf, the read side, goes one azimuthal order at a time with its
 Legendre rows made by recurrence, so its memory is linear in the batch.
 """
@@ -34,14 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angular import ShCoefficients, _sh_position, forward_sht, inverse_sht, make_angular_scheme
-from .errors import ConditioningError
-from .radial import (
-    COLLOCATION_COND_LIMIT,
-    BConvention,
-    RadialScheme,
-    _basis_table,
-    make_radial_scheme,
-)
+from .errors import COND_LIMIT, ConditioningError
+from .radial import BConvention, RadialScheme, _basis_table, make_radial_scheme
 from .specfun import _legendre_by_order
 
 __all__ = [
@@ -132,10 +127,12 @@ class MultiShellGrid:
     Flat sample arrays are shell-major (all of shell 0, then shell 1, ...)
     and ring-major within each shell, matching the angular schemes' point
     order. The radial maps depend only on the grid and are built with it:
-    radial_maps takes each radial mode to (output index, steps), one step
-    (l, block, carrying shells, map, cond) per even degree. A map is the
-    carrying shells' quadrature columns w_i R_n(q_i), cond 1, or for a
-    staircase degree some shell leaves out pinv(M), cond(M), M[j, n] = R_n(q_j).
+    radial_maps takes each radial mode to (output index, steps, worst
+    condition number), one step (l, block, carrying shells, map) per even
+    degree. A map is the carrying shells' quadrature columns w_i R_n(q_i),
+    or for a staircase degree some shell leaves out pinv(M), with
+    M[j, n] = R_n(q_j). The worst condition number is the largest cond(M)
+    over the mode's collocation matrices, 1 when it has none.
     """
 
     radial: RadialScheme
@@ -219,16 +216,17 @@ def build_grid(
     bvalues = np.repeat(radial.bvalues, counts)
     quadrature = _basis_table(radial.radii, n_shells, radial.zeta) * radial.weights
     padded = staircase_index((max(bandlimits),) * n_shells)
-    staircase, zero_padded, collocation = [], [], {}
+    staircase, zero_padded, collocation, conds = [], [], {}, [1.0]
     for (l, shells, block), (_, _, padded_block) in zip(index.blocks, padded.blocks):
         # zero_padded reads the other shells' degree-l values as zero
-        quadrature_step = (quadrature[:, shells], 1.0)
-        zero_padded.append((l, padded_block, shells) + quadrature_step)
+        quadrature_map = quadrature[:, shells]
+        zero_padded.append((l, padded_block, shells, quadrature_map))
         if len(shells) < n_shells and shells not in collocation:
             # pinv never raises: an ill-conditioned grid still serves zero_padded
             matrix = _basis_table(radial.radii[list(shells)], len(shells), radial.zeta).T
-            collocation[shells] = (np.linalg.pinv(matrix), float(np.linalg.cond(matrix)))
-        staircase.append((l, block, shells) + collocation.get(shells, quadrature_step))
+            collocation[shells] = np.linalg.pinv(matrix)
+            conds.append(float(np.linalg.cond(matrix)))
+        staircase.append((l, block, shells, collocation.get(shells, quadrature_map)))
     return MultiShellGrid(
         radial=radial,
         angular=schemes,
@@ -238,7 +236,10 @@ def build_grid(
         radii=radii,
         bvalues=bvalues,
         shell_starts=shell_starts,
-        radial_maps={"staircase": (index, staircase), "zero_padded": (padded, zero_padded)},
+        radial_maps={
+            "staircase": (index, staircase, max(conds)),
+            "zero_padded": (padded, zero_padded, 1.0),
+        },
     )
 
 
@@ -323,11 +324,11 @@ def forward_spf(grid: MultiShellGrid, samples, radial_mode: str = "staircase") -
         forward_sht(values[grid.shell_slice(i)], grid.angular[i]).values
         for i in range(grid.n_shells)
     ]
-    out_index, steps = grid.radial_maps[radial_mode]
+    out_index, steps, cond = grid.radial_maps[radial_mode]
+    if not cond < COND_LIMIT:
+        raise ConditioningError("radial collocation matrix is ill-conditioned", cond)
     out = np.empty(out_index.size, dtype=complex)
-    for l, block, shells, radial_map, cond in steps:
-        if not cond < COLLOCATION_COND_LIMIT:
-            raise ConditioningError("radial collocation matrix is ill-conditioned", cond)
+    for l, block, shells, radial_map in steps:
         sh_block = slice(_sh_position(l, -l), _sh_position(l, l) + 1)
         rows = np.stack([per_shell[i][sh_block] for i in shells])
         out[block] = (radial_map @ rows).T.ravel()

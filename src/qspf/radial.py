@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError
+from .errors import COND_LIMIT, ConditioningError
 from .specfun import _laguerre_rows, laguerre_deriv, laguerre_roots
 
 __all__ = [
@@ -34,8 +34,6 @@ __all__ = [
     "radial_project",
     "radial_collocation_solve",
 ]
-
-COLLOCATION_COND_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -223,6 +221,6 @@ def radial_collocation_solve(values, shells, scheme: RadialScheme) -> np.ndarray
         raise ValueError("more collocation shells than the scheme has")
     matrix = _basis_table(scheme.radii[shells], len(shells), scheme.zeta).T
     cond = np.linalg.cond(matrix)
-    if not cond < COLLOCATION_COND_LIMIT:
+    if not cond < COND_LIMIT:
         raise ConditioningError("radial collocation matrix is ill-conditioned", cond)
     return np.linalg.solve(matrix, values)

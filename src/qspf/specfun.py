@@ -21,7 +21,7 @@ package comes from there:
   quadrature weights read all the rows they need from one pass.
 * ``_legendre_by_order`` yields the rows P-tilde_l^m, l >= m, one order m
   at a time. ``normalized_legendre`` and ``spherical_harmonic`` read their
-  values from it, as do the angular schemes' per-order systems and
+  values from it, as do the angular schemes' per-order rows and
   ``inverse_spf``. It reuses one buffer: the rows of order m are
   overwritten when order m + 1 is made, so a consumer that keeps rows past
   the next step must copy them.

@@ -47,10 +47,13 @@ def run_validation(grid: MultiShellGrid, seed: int = 0, n_draws: int = 100) -> d
 
     A ConditioningError raised by any transform marks that check failed
     rather than aborting the run. The report's top-level "passed" is the
-    conjunction of all checks. n_draws < 1 is an error: nothing would be checked.
+    conjunction of all checks. n_draws < 1 is an error, since nothing would
+    be checked, and so is seed < 0, which no random generator takes.
     """
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     radial = grid.radial
     rng = np.random.default_rng(seed)
     checks = {}
@@ -82,9 +85,7 @@ def run_validation(grid: MultiShellGrid, seed: int = 0, n_draws: int = 100) -> d
     )
 
     # per-order conditioning of every shell's angular solve
-    per_shell_cond = [
-        [float(sys.condition) for sys in scheme.order_systems] for scheme in grid.angular
-    ]
+    per_shell_cond = [scheme.order_conditions.tolist() for scheme in grid.angular]
     checks["sht_conditioning"] = _check(
         max(max(c) for c in per_shell_cond), REPORT_THRESHOLDS["sht_conditioning"]
     )

@@ -82,20 +82,42 @@ def test_explicit_latitudes_reproduce_the_chosen_layout():
         again = make_angular_scheme(L, thetas=chosen.thetas)
         assert np.array_equal(again.thetas, chosen.thetas)
         assert again.condition == chosen.condition
-        assert [s.condition for s in again.order_systems] == [
-            s.condition for s in chosen.order_systems
-        ]
+        assert np.array_equal(again.order_conditions, chosen.order_conditions)
+
+
+def signed_orders(bandlimit):
+    """The walk's order sequence: +m then -m from the highest |m| down, then 0."""
+    return [s * mu for mu in range(bandlimit - 1, 0, -1) for s in (1, -1)] + [0]
 
 
 def test_scheme_keeps_only_the_winners_legendre_rows():
-    # rows of the chosen layout, held in arrays no larger than themselves
+    # rows of the chosen layout, one array per |m| no larger than itself; the
+    # solve matrix is a view of those rows on the rings that resolve |m|
     scheme = make_angular_scheme(21)
     table = normalized_legendre(20, np.cos(scheme.thetas))
-    for mu, sys in enumerate(scheme.order_systems):
-        assert np.array_equal(sys.eval_all, table[sys.degrees, mu].T)
-        assert np.array_equal(sys.matrix, sys.eval_all[sys.rings])
-        for rows in (sys.eval_all, sys.matrix):
-            assert rows.base is None or rows.base.size == rows.size
+    assert len(scheme.walk) == 41
+    shared = {}
+    for m, (rows, first, positions, *_) in zip(signed_orders(21), scheme.walk):
+        mu = abs(m)
+        degrees = np.arange(mu + mu % 2, 21, 2)
+        assert np.array_equal(rows, table[degrees, mu].T)
+        assert rows is shared.setdefault(mu, rows)
+        assert rows.base is None or rows.base.size == rows.size
+        resolving = np.flatnonzero(scheme.ring_sizes >= 2 * mu + 1)
+        matrix = rows[first:]
+        assert np.array_equal(matrix, rows[resolving]) and np.shares_memory(matrix, rows)
+        assert list(positions) == [ShCoefficients.zeros(21).index(l, m) for l in degrees]
+    assert len(shared) == 21
+
+
+def test_walk_folds_the_bins_signs_and_phases():
+    scheme = custom_scheme()
+    assert len(scheme.walk) == 17
+    for m, (_, first, _, where, phase, conj_phase) in zip(signed_orders(9), scheme.walk):
+        assert np.array_equal(where, scheme.ring_starts + m % scheme.ring_sizes)
+        sign = -1.0 if m < 0 and m % 2 else 1.0
+        assert np.array_equal(phase, sign * np.exp(1j * m * scheme.phi_offsets))
+        assert np.array_equal(conj_phase, np.conj(phase[first:]))
 
 
 def test_round_trip_all_default_bandlimits():

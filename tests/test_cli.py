@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qspf
 from qspf import build_grid, forward_spf, inverse_spf, random_staircase_signal, synthesize_on_grid
 from qspf.cli import (
     CliError,
@@ -290,6 +295,20 @@ def test_validate_without_draws_is_an_error(tmp_path, capsys, draws):
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not report_path.exists()
+
+
+def test_validate_with_a_negative_seed_is_an_error(tmp_path):
+    # run as a process, so that an uncaught exception would show as a traceback
+    src = str(Path(qspf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "qspf.cli", "validate", "--shells", "1", "--bmax", "1000",
+         "--bandlimits", "1", "--seed", "-1", "--output", str(tmp_path / "r.json")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:") and "seed" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_physical_convention_needs_tau(capsys):

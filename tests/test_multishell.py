@@ -182,6 +182,22 @@ def test_ill_conditioned_collocation_fails_only_in_staircase_mode():
     assert np.all(np.isfinite(padded.values))
 
 
+def test_grid_stores_each_modes_worst_collocation_condition():
+    grid = build_grid(16, 8000.0, (1,) * 8 + (3,) * 8)
+    radii, zeta = grid.radial.radii, grid.radial.zeta
+    worst = max(
+        np.linalg.cond([[radial_basis_eval(n, radii[j], zeta) for n in range(len(shells))]
+                        for j in shells])
+        for _, shells, _ in grid.index.blocks
+        if len(shells) < grid.n_shells
+    )
+    assert grid.radial_maps["staircase"][2] == pytest.approx(worst, rel=1e-6)
+    assert grid.radial_maps["zero_padded"][2] == 1.0
+    with pytest.raises(ConditioningError) as excinfo:
+        forward_spf(grid, np.zeros(grid.n_samples))
+    assert excinfo.value.condition == grid.radial_maps["staircase"][2]
+
+
 def test_forward_validation(grid):
     with pytest.raises(ValueError):
         forward_spf(grid, np.ones(50))

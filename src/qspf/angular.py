@@ -17,12 +17,13 @@ candidate layouts as the one whose worst such system is best conditioned.
 
 Both transforms keep the per-ring FFT bins in one flat array in sample
 order, so order m sits at ring_starts + m mod n_k on all rings at once.
-Only the Legendre solves depend on the samples, so make_angular_scheme
-folds the rest (rows, resolving rings, bins, signed phases) into a walk
-over the signed orders, high |m| first; see AngularScheme. Per order, the
-forward transform gathers, solves, scatters and subtracts the order's
-content from every ring; the inverse only adds it. Only the per-ring FFTs
-loop over rings.
+Only the Legendre solves depend on the samples; make_angular_scheme stores
+the rest as per-order arrays and a walk over |m|, see AngularScheme. +m
+and -m share one real matrix, so the forward transform makes one real
+solve per |m|, on Re and Im of both orders as four columns; the inverse
+adds all orders at once, one batched matmul and one scatter-add. +m and -m
+share a bin on ring 0 and wherever 4k+1 divides m, so no scatter uses a
+fancy-indexed += over both signs, which would drop one of the two terms.
 """
 
 from __future__ import annotations
@@ -92,14 +93,16 @@ class ShCoefficients:
 class AngularScheme:
     """Iso-latitude hemisphere sampling scheme and its transform walk.
 
-    walk has one step (rows, first, positions, bins, phase, conj_phase) per
-    signed order m, highest |m| first. rows are the (ring, degree) Legendre
-    rows of |m|, one array for +m and -m (Y_l^{-m} = (-1)^m conj Y_l^m); the
-    rings from first = (|m|+1)//2 on resolve |m|, so the view rows[first:]
-    is the solve matrix. bins is m's flat FFT bin on every ring, phase is
-    exp(i m phi_k) negated for negative odd m, and conj_phase its conjugate
-    from ring first on. order_conditions[mu] is cond(rows[first:]) of
-    order mu; condition is their maximum.
+    rows[mu, k, j] = P_{2j}^mu(cos theta_k), zero for 2j < mu, serves +mu
+    and -mu (Y_l^{-m} = (-1)^m conj Y_l^m). Along the last axis (+mu, -mu),
+    bins is m's flat FFT bin on each ring, phase is exp(i m phi_k) negated
+    for negative odd m, and positions[mu, j] the place of (2j, m) in
+    ShCoefficients.values, or one past the end for 2j < mu and for -0.
+    rings slices each ring's samples. walk has one step (first, rows, bins,
+    phase, conj_phase, positions) per |m|, highest first, of views of these;
+    rings from first = (mu+1)//2 on resolve mu, so rows[first:, first:] is
+    the solve matrix, and conj_phase and positions start there too.
+    order_conditions[mu] is its condition number; condition their maximum.
     """
 
     bandlimit: int
@@ -112,6 +115,11 @@ class AngularScheme:
     points: np.ndarray
     condition: float
     order_conditions: np.ndarray = field(repr=False)
+    rings: tuple = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    bins: np.ndarray = field(repr=False)
+    phase: np.ndarray = field(repr=False)
+    positions: np.ndarray = field(repr=False)
     walk: tuple = field(repr=False)
 
     @property
@@ -126,7 +134,7 @@ def _order_rows(bandlimit: int, layouts: np.ndarray):
     the rings from (mu + 1) // 2 on; one condition number call per order
     covers every candidate, and the row whose worst order is best
     conditioned wins, the first of equal rows. Returns (thetas, the
-    (ring, degree) rows of each order, per-order condition numbers).
+    (order, ring, degree) rows of the winner, per-order condition numbers).
     """
     legendre = _legendre_by_order(bandlimit - 1, np.cos(layouts).ravel())
     # per order, all candidates: (candidate, degree, ring) values; even degree l is row l - mu
@@ -138,7 +146,9 @@ def _order_rows(bandlimit: int, layouts: np.ndarray):
         [np.linalg.cond(ev.swapaxes(1, 2)[:, (mu + 1) // 2 :]) for mu, ev in enumerate(evals)]
     )
     best = np.argmin(conds.max(axis=0))
-    rows = [ev[best].copy().T for ev in evals]  # not a view of all candidates
+    rows = np.zeros((bandlimit,) + layouts.shape[1:] * 2)  # P_l^mu = 0 at l = 2j < mu
+    for mu, ev in enumerate(evals):
+        rows[mu, :, (mu + 1) // 2 :] = ev[best].T
     return layouts[best], rows, conds[:, best]
 
 
@@ -186,16 +196,16 @@ def make_angular_scheme(bandlimit: int, thetas=None, phi_offsets=None) -> Angula
     points = np.column_stack(
         [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
     )
-    orders = np.array([s * mu for mu in range(bandlimit - 1, 0, -1) for s in (1, -1)] + [0])
-    where = ring_starts + orders[:, None] % ring_sizes
-    phase = np.exp(1j * orders[:, None] * phi_offsets)
-    phase = np.where(((orders < 0) & (orders % 2 == 1))[:, None], -phase, phase)
-    walk = []
-    for m, bins, ph in zip(orders, where, phase):
-        mu = abs(m)
-        first = (mu + 1) // 2  # ring k resolves mu iff 4k + 1 >= 2mu + 1
-        positions = _sh_position(np.arange(mu + mu % 2, bandlimit, 2), m)  # even l, mu <= l < L
-        walk.append((rows[mu], first, positions, bins, ph, ph[first:].conj()))
+    # (order mu, ring or degree, sign): m = +mu, -mu; -0 and l < mu point past the coefficients
+    mu, sign = np.arange(bandlimit)[:, None, None], np.array([1, -1])
+    m = mu * sign
+    bins = ring_starts[:, None] + m % ring_sizes[:, None]
+    phase = np.where((m < 0) & (m % 2 == 1), -1.0, 1.0) * np.exp(1j * m * phi_offsets[:, None])
+    l = 2 * np.arange(n_rings)[:, None]
+    positions = np.where((l >= mu) & ((mu > 0) | (sign > 0)), _sh_position(l, m), len(theta))
+    first = (np.arange(bandlimit) + 1) // 2  # ring k resolves mu iff 4k + 1 >= 2mu + 1
+    walk = [(f, rows[i], bins[i], phase[i], phase[i, f:].conj(), positions[i, f:])
+            for i, f in reversed(list(enumerate(first)))]
     return AngularScheme(
         bandlimit=bandlimit,
         thetas=thetas,
@@ -207,6 +217,11 @@ def make_angular_scheme(bandlimit: int, thetas=None, phi_offsets=None) -> Angula
         points=points,
         condition=conditions.max(),
         order_conditions=conditions,
+        rings=tuple(slice(s, s + n) for s, n in zip(ring_starts, ring_sizes)),
+        rows=rows,
+        bins=bins,
+        phase=phase,
+        positions=positions,
         walk=tuple(walk),
     )
 
@@ -239,16 +254,17 @@ def forward_sht(values, scheme: AngularScheme) -> ShCoefficients:
             scheme.condition,
         )
     # norm="forward" puts the 1/n_k on the FFT, so a bin holds its order's amplitude
-    bins = np.concatenate(
-        [np.fft.fft(ring, norm="forward") for ring in np.split(values, scheme.ring_starts[1:])]
-    )
-    coeffs = ShCoefficients.zeros(scheme.bandlimit)
-    for rows, first, positions, where, phase, conj_phase in scheme.walk:
-        solved = np.linalg.solve(rows[first:], bins[where[first:]] * conj_phase)
-        coeffs.values[positions] = solved
-        # lower orders read these bins on rings too small to separate m
-        bins[where] -= (rows @ solved) * phase
-    return coeffs
+    bins = np.concatenate([np.fft.fft(values[ring], norm="forward") for ring in scheme.rings])
+    out = np.zeros(scheme.n_points + 1, dtype=complex)  # one coefficient per point; -0 at the end
+    for first, rows, where, phase, conj_phase, positions in scheme.walk:
+        rhs = (bins[where[first:]] * conj_phase).view(float)  # Re, Im of +mu, then of -mu
+        solved = np.linalg.solve(rows[first:, first:], rhs)
+        out[positions] = solved.view(complex)
+        # lower orders read these bins on rings too small to separate mu; one statement per sign
+        spill = (rows[:first, first:] @ solved).view(complex) * phase[:first]
+        bins[where[:first, 0]] -= spill[:, 0]
+        bins[where[:first, 1]] -= spill[:, 1]
+    return ShCoefficients(scheme.bandlimit, out[:-1])
 
 
 def inverse_sht(coeffs: ShCoefficients, scheme: AngularScheme) -> np.ndarray:
@@ -264,12 +280,12 @@ def inverse_sht(coeffs: ShCoefficients, scheme: AngularScheme) -> np.ndarray:
             f"coefficient band limit {coeffs.bandlimit} does not match "
             f"scheme band limit {scheme.bandlimit}"
         )
-    bins = np.zeros(scheme.n_points, dtype=complex)
-    for rows, _, positions, where, phase, _ in scheme.walk:
-        bins[where] += (rows @ coeffs.values[positions]) * phase
-    return np.concatenate(
-        [np.fft.ifft(ring, norm="forward") for ring in np.split(bins, scheme.ring_starts[1:])]
-    )
+    # (order, ring, sign) content of every order at once; bincount adds up repeated bins
+    padded = np.append(coeffs.values, 0.0)[scheme.positions]
+    content = (scheme.rows @ padded.view(float)).view(complex) * scheme.phase
+    where = (2 * scheme.bins[..., None] + (0, 1)).ravel()  # real, imaginary part
+    bins = np.bincount(where, content.view(float).ravel(), 2 * scheme.n_points).view(complex)
+    return np.concatenate([np.fft.ifft(bins[ring], norm="forward") for ring in scheme.rings])
 
 
 def dense_sht_oracle(values, scheme: AngularScheme) -> ShCoefficients:

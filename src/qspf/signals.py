@@ -80,9 +80,10 @@ def two_tensor_crossing(
 def multi_tensor_eval(mixture, b, directions):
     """Normalized attenuation of a Gaussian mixture, E = sum_j f_j e^{-b u'D_j u}.
 
-    b is in s/mm^2 and must be non-negative; directions must be unit
-    vectors. Scalars and arrays broadcast the same way everywhere else in
-    the package: one b with many directions, matched arrays, or scalars.
+    b is in s/mm^2 and must be non-negative, not NaN (b = inf gives 0, its
+    limit); directions must be unit vectors. Scalars and arrays broadcast
+    the same way everywhere else in the package: one b with many
+    directions, matched arrays, or scalars.
     """
     mixture = list(mixture)
     if not mixture:
@@ -91,8 +92,8 @@ def multi_tensor_eval(mixture, b, directions):
     if abs(total - 1.0) > 1e-8:
         raise ValueError(f"volume fractions must sum to 1, got {total}")
     b = np.asarray(b, dtype=float)
-    if np.any(b < 0):
-        raise ValueError("b-values must be non-negative")
+    if not np.all(b >= 0):  # written so that NaN fails too; b = inf gives 0
+        raise ValueError("b-values must be non-negative, not NaN")
     dirs, one_direction = _unit_directions(directions)
     scalar = one_direction and b.ndim == 0
     out = np.zeros(len(dirs))
@@ -116,8 +117,8 @@ def random_staircase_signal(
     conjugation constraint of real-valued signals, c_{n,l,-m} =
     (-1)^m conj(c_{n,l,m}), so the synthesized samples are real.
     """
-    if decay < 0:
-        raise ValueError(f"decay must be non-negative, got {decay}")
+    if not 0 <= decay < np.inf:  # written so that NaN fails too
+        raise ValueError(f"decay must be finite and non-negative, got {decay}")
     bandlimits = tuple(int(L) for L in bandlimits)
     if len(bandlimits) != n_shells:
         raise ValueError(f"{n_shells} shells need {n_shells} band limits")
@@ -136,11 +137,13 @@ def add_rician_noise(values, sigma: float, seed: int):
     """Magnitude of the signal after complex Gaussian noise.
 
     Returns |v + eta_1 + i eta_2| with independent eta ~ N(0, sigma^2).
-    sigma = 0 reduces to |v|.
+    sigma = 0 reduces to |v|. sigma and values must be finite.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
+    if not 0 <= sigma < np.inf:  # written so that NaN fails too
+        raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
     values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
     rng = np.random.default_rng(seed)
     real = values + sigma * rng.standard_normal(values.shape)
     imag = sigma * rng.standard_normal(values.shape)

@@ -85,39 +85,43 @@ def test_explicit_latitudes_reproduce_the_chosen_layout():
         assert np.array_equal(again.order_conditions, chosen.order_conditions)
 
 
-def signed_orders(bandlimit):
-    """The walk's order sequence: +m then -m from the highest |m| down, then 0."""
-    return [s * mu for mu in range(bandlimit - 1, 0, -1) for s in (1, -1)] + [0]
-
-
 def test_scheme_keeps_only_the_winners_legendre_rows():
-    # rows of the chosen layout, one array per |m| no larger than itself; the
+    # one (ring, degree) rows array per |m|, shared by +m and -m, degree j holding l = 2j; the
     # solve matrix is a view of those rows on the rings that resolve |m|
     scheme = make_angular_scheme(21)
     table = normalized_legendre(20, np.cos(scheme.thetas))
-    assert len(scheme.walk) == 41
-    shared = {}
-    for m, (rows, first, positions, *_) in zip(signed_orders(21), scheme.walk):
-        mu = abs(m)
-        degrees = np.arange(mu + mu % 2, 21, 2)
-        assert np.array_equal(rows, table[degrees, mu].T)
-        assert rows is shared.setdefault(mu, rows)
-        assert rows.base is None or rows.base.size == rows.size
+    assert len(scheme.walk) == 21
+    index = ShCoefficients.zeros(21).index
+    end = scheme.n_points  # one coefficient per point
+    for mu, (first, rows, _, _, _, positions) in zip(range(20, -1, -1), scheme.walk):
+        assert np.array_equal(rows, table[0::2, mu].T)
+        assert rows.base is scheme.rows and np.array_equal(rows, scheme.rows[mu])
         resolving = np.flatnonzero(scheme.ring_sizes >= 2 * mu + 1)
-        matrix = rows[first:]
-        assert np.array_equal(matrix, rows[resolving]) and np.shares_memory(matrix, rows)
-        assert list(positions) == [ShCoefficients.zeros(21).index(l, m) for l in degrees]
-    assert len(shared) == 21
+        degrees = np.arange(mu + mu % 2, 21, 2)
+        matrix = rows[first:, first:]
+        assert np.array_equal(matrix, rows[resolving][:, degrees // 2])
+        assert np.shares_memory(matrix, rows) and matrix.shape == (len(degrees),) * 2
+        assert list(positions[:, 0]) == [index(l, mu) for l in degrees]
+        # -0 is +0; its column points past the coefficients
+        assert list(positions[:, 1]) == [index(l, -mu) if mu else end for l in degrees]
+    # below the order's first degree there is no coefficient: rows are zero, positions past the end
+    for mu in range(21):
+        assert not scheme.rows[mu, :, : (mu + 1) // 2].any()
+        assert np.all(scheme.positions[mu, : (mu + 1) // 2] == end)
 
 
 def test_walk_folds_the_bins_signs_and_phases():
     scheme = custom_scheme()
-    assert len(scheme.walk) == 17
-    for m, (_, first, _, where, phase, conj_phase) in zip(signed_orders(9), scheme.walk):
-        assert np.array_equal(where, scheme.ring_starts + m % scheme.ring_sizes)
-        sign = -1.0 if m < 0 and m % 2 else 1.0
-        assert np.array_equal(phase, sign * np.exp(1j * m * scheme.phi_offsets))
+    assert len(scheme.walk) == 9
+    for mu, (first, _, where, phase, conj_phase, _) in zip(range(8, -1, -1), scheme.walk):
+        for column, m in enumerate((mu, -mu)):
+            assert np.array_equal(where[:, column], scheme.ring_starts + m % scheme.ring_sizes)
+            sign = -1.0 if m < 0 and m % 2 else 1.0
+            assert np.array_equal(phase[:, column], sign * np.exp(1j * m * scheme.phi_offsets))
         assert np.array_equal(conj_phase, np.conj(phase[first:]))
+    # +m and -m share a bin on ring 0 and on every ring whose size divides m
+    shared = scheme.bins[..., 0] == scheme.bins[..., 1]
+    assert np.array_equal(shared, np.arange(9)[:, None] % scheme.ring_sizes == 0)
 
 
 def test_round_trip_all_default_bandlimits():

@@ -55,8 +55,11 @@ def test_mixture_validation():
         multi_tensor_eval([], 1000.0, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         multi_tensor_eval([TensorComponent(good, 0.4)], 1000.0, np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        multi_tensor_eval([TensorComponent(good, 1.0)], -5.0, np.array([1.0, 0.0, 0.0]))
+    for bad_b in (-5.0, np.nan, [1000.0, np.nan]):
+        with pytest.raises(ValueError):
+            multi_tensor_eval([TensorComponent(good, 1.0)], bad_b, np.array([1.0, 0.0, 0.0]))
+    # b = inf is the limit of the decay, not an error
+    assert multi_tensor_eval([TensorComponent(good, 1.0)], np.inf, np.array([1.0, 0.0, 0.0])) == 0.0
     with pytest.raises(ValueError):
         multi_tensor_eval([TensorComponent(good, 1.0)], 10.0, np.array([1.0, 1.0, 0.0]))
     with pytest.raises(ValueError):
@@ -150,8 +153,9 @@ def test_strong_decay_leaves_only_monopole_rows():
 def test_random_staircase_signal_validation():
     with pytest.raises(ValueError):
         random_staircase_signal(1, (3, 5), 4, 700.0)
-    with pytest.raises(ValueError):
-        random_staircase_signal(1, (3, 5, 9, 11), 4, 700.0, decay=-1.0)
+    for decay in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            random_staircase_signal(1, (3, 5, 9, 11), 4, 700.0, decay=decay)
 
 
 def test_rician_noise_zero_sigma_is_magnitude():
@@ -171,8 +175,12 @@ def test_rician_noise_rayleigh_mean():
     draws = add_rician_noise(np.zeros(100_000), sigma, 11)
     expected = sigma * np.sqrt(np.pi / 2.0)
     assert abs(draws.mean() - expected) / expected < 0.02
-    with pytest.raises(ValueError):
-        add_rician_noise(np.zeros(3), -0.1, 0)
+    for sigma in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            add_rician_noise(np.zeros(3), sigma, 0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            add_rician_noise(np.array([1.0, bad, 0.0]), 0.1, 0)
 
 
 def test_crossing_phantom_reconstruction_quality():

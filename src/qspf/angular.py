@@ -18,12 +18,12 @@ candidate layouts as the one whose worst such system is best conditioned.
 Both transforms keep the per-ring FFT bins in one flat array in sample
 order, so order m sits at ring_starts + m mod n_k on all rings at once.
 Only the Legendre solves depend on the samples; make_angular_scheme stores
-the rest as per-order arrays and a walk over |m|, see AngularScheme. +m
-and -m share one real matrix, so the forward transform makes one real
-solve per |m|, on Re and Im of both orders as four columns; the inverse
-adds all orders at once, one batched matmul and one scatter-add. +m and -m
-share a bin on ring 0 and wherever 4k+1 divides m, so no scatter uses a
-fancy-indexed += over both signs, which would drop one of the two terms.
+the rest as arrays indexed by |m| (see AngularScheme), which both
+transforms read directly. +m and -m share one real matrix, so the forward
+transform makes one real solve per |m|, on Re and Im of both orders as
+four columns; the inverse adds all orders at once, one batched matmul and
+one scatter-add. Every scatter is a ufunc.at, which adds up the bins +m
+and -m share on ring 0 and wherever 4k+1 divides m.
 """
 
 from __future__ import annotations
@@ -91,18 +91,18 @@ class ShCoefficients:
 
 @dataclass(frozen=True, eq=False)
 class AngularScheme:
-    """Iso-latitude hemisphere sampling scheme and its transform walk.
+    """Iso-latitude hemisphere sampling scheme and the arrays its transforms apply.
 
-    rows[mu, k, j] = P_{2j}^mu(cos theta_k), zero for 2j < mu, serves +mu
-    and -mu (Y_l^{-m} = (-1)^m conj Y_l^m). Along the last axis (+mu, -mu),
-    bins is m's flat FFT bin on each ring, phase is exp(i m phi_k) negated
-    for negative odd m, and positions[mu, j] the place of (2j, m) in
+    Every array below is indexed by |m| = mu first. rows[mu, k, j] =
+    P_{2j}^mu(cos theta_k), zero for 2j < mu, serves +mu and -mu
+    (Y_l^{-m} = (-1)^m conj Y_l^m). Along the last axis (+mu, -mu), bins
+    is m's flat FFT bin on each ring, phase is exp(i m phi_k) negated for
+    negative odd m, and positions[mu, j] the place of (2j, m) in
     ShCoefficients.values, or one past the end for 2j < mu and for -0.
-    rings slices each ring's samples. walk has one step (first, rows, bins,
-    phase, conj_phase, positions) per |m|, highest first, of views of these;
-    rings from first = (mu+1)//2 on resolve mu, so rows[first:, first:] is
-    the solve matrix, and conj_phase and positions start there too.
-    order_conditions[mu] is its condition number; condition their maximum.
+    rings slices each ring's samples. Rings from first = (mu+1)//2 on
+    resolve mu, so rows[mu, first:, first:] is its solve matrix;
+    order_conditions[mu] is that matrix's condition number, and condition
+    their maximum.
     """
 
     bandlimit: int
@@ -120,7 +120,6 @@ class AngularScheme:
     bins: np.ndarray = field(repr=False)
     phase: np.ndarray = field(repr=False)
     positions: np.ndarray = field(repr=False)
-    walk: tuple = field(repr=False)
 
     @property
     def n_points(self) -> int:
@@ -203,9 +202,6 @@ def make_angular_scheme(bandlimit: int, thetas=None, phi_offsets=None) -> Angula
     phase = np.where((m < 0) & (m % 2 == 1), -1.0, 1.0) * np.exp(1j * m * phi_offsets[:, None])
     l = 2 * np.arange(n_rings)[:, None]
     positions = np.where((l >= mu) & ((mu > 0) | (sign > 0)), _sh_position(l, m), len(theta))
-    first = (np.arange(bandlimit) + 1) // 2  # ring k resolves mu iff 4k + 1 >= 2mu + 1
-    walk = [(f, rows[i], bins[i], phase[i], phase[i, f:].conj(), positions[i, f:])
-            for i, f in reversed(list(enumerate(first)))]
     return AngularScheme(
         bandlimit=bandlimit,
         thetas=thetas,
@@ -222,7 +218,6 @@ def make_angular_scheme(bandlimit: int, thetas=None, phi_offsets=None) -> Angula
         bins=bins,
         phase=phase,
         positions=positions,
-        walk=tuple(walk),
     )
 
 
@@ -256,14 +251,15 @@ def forward_sht(values, scheme: AngularScheme) -> ShCoefficients:
     # norm="forward" puts the 1/n_k on the FFT, so a bin holds its order's amplitude
     bins = np.concatenate([np.fft.fft(values[ring], norm="forward") for ring in scheme.rings])
     out = np.zeros(scheme.n_points + 1, dtype=complex)  # one coefficient per point; -0 at the end
-    for first, rows, where, phase, conj_phase, positions in scheme.walk:
-        rhs = (bins[where[first:]] * conj_phase).view(float)  # Re, Im of +mu, then of -mu
+    for mu in reversed(range(scheme.bandlimit)):
+        first = (mu + 1) // 2  # ring k resolves mu iff 4k + 1 >= 2mu + 1
+        rows, where, phase = scheme.rows[mu], scheme.bins[mu], scheme.phase[mu]
+        rhs = (bins[where[first:]] * phase[first:].conj()).view(float)  # Re, Im of +mu, -mu
         solved = np.linalg.solve(rows[first:, first:], rhs)
-        out[positions] = solved.view(complex)
-        # lower orders read these bins on rings too small to separate mu; one statement per sign
+        out[scheme.positions[mu, first:]] = solved.view(complex)
+        # lower orders read these bins on rings too small to separate mu
         spill = (rows[:first, first:] @ solved).view(complex) * phase[:first]
-        bins[where[:first, 0]] -= spill[:, 0]
-        bins[where[:first, 1]] -= spill[:, 1]
+        np.subtract.at(bins, where[:first], spill)
     return ShCoefficients(scheme.bandlimit, out[:-1])
 
 
@@ -280,11 +276,11 @@ def inverse_sht(coeffs: ShCoefficients, scheme: AngularScheme) -> np.ndarray:
             f"coefficient band limit {coeffs.bandlimit} does not match "
             f"scheme band limit {scheme.bandlimit}"
         )
-    # (order, ring, sign) content of every order at once; bincount adds up repeated bins
+    # (order, ring, sign) content of every order at once
     padded = np.append(coeffs.values, 0.0)[scheme.positions]
     content = (scheme.rows @ padded.view(float)).view(complex) * scheme.phase
-    where = (2 * scheme.bins[..., None] + (0, 1)).ravel()  # real, imaginary part
-    bins = np.bincount(where, content.view(float).ravel(), 2 * scheme.n_points).view(complex)
+    bins = np.zeros(scheme.n_points, dtype=complex)
+    np.add.at(bins, scheme.bins, content)
     return np.concatenate([np.fft.ifft(bins[ring], norm="forward") for ring in scheme.rings])
 
 

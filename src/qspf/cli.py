@@ -324,10 +324,8 @@ def _grid_from_args(args) -> MultiShellGrid:
         bandlimits = tuple(int(t) for t in args.bandlimits.split(","))
     except ValueError:
         raise CliError(f"cannot parse band limits {args.bandlimits!r}") from None
-    if args.convention == "physical" and args.tau is None:
-        raise CliError("physical convention requires --tau (seconds)")
     try:
-        convention = BConvention(args.convention, args.tau if args.convention == "physical" else None)
+        convention = BConvention(args.convention, args.tau)
         return build_grid(args.shells, args.bmax, bandlimits, convention)
     except ValueError as exc:
         raise CliError(str(exc)) from None

@@ -16,13 +16,11 @@ see them. Signals with energy at degree l on shells whose band limit is
 simply cannot represent that content.
 
 staircase_index owns the table layout: one (l, carrying shells, slice)
-block per even degree, m-major and n-minor, plus per-entry n, l, m and
-conjugate-partner arrays; every transform walks those. Each radial
-mode's maps depend only on the grid, so build_grid makes them once: per
-degree, the output block and the map, either quadrature columns or the
-pseudo-inverse of a collocation matrix, plus the mode's worst collocation
-condition number. forward_spf then runs one path: check that number once,
-then per degree gather, apply, write the block.
+block per even degree, m-major and n-minor, per-entry n, l, m and
+partner arrays, and runs of adjacent degrees carried by the same shells.
+build_grid makes each radial mode's maps once, one per run; forward_spf
+and synthesize_on_grid make one matrix product per run against an
+(l, m) x shell table of per-shell harmonic coefficients.
 inverse_spf, the read side, goes one azimuthal order at a time with its
 Legendre rows made by recurrence, so its memory is linear in the batch.
 """
@@ -34,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angular import ShCoefficients, _sh_position, forward_sht, inverse_sht, make_angular_scheme
+from .angular import ShCoefficients, forward_sht, inverse_sht, make_angular_scheme
 from .errors import COND_LIMIT, ConditioningError
 from .radial import BConvention, RadialScheme, _basis_table, make_radial_scheme
 from .specfun import _legendre_by_order
@@ -59,12 +57,16 @@ class StaircaseIndex:
     to l, then radial order n. Degree l appears with n < N_l, where N_l
     is the number of shells whose band limit exceeds l. blocks holds one
     (l, carrying shells, slice) per even degree; a block is m-major,
-    n-minor. Entry k is (radial_orders[k], degrees[k], orders[k]), and
-    partner[k] is the position of its (n, l, -m) entry.
+    n-minor. runs holds one (carrying shells, entry slice, row slice) per
+    stretch of degrees with equal N_l: read as (l, m) rows by n, its
+    entries are the row slice of one shell's ShCoefficients.values. Entry
+    k is (radial_orders[k], degrees[k], orders[k]), and partner[k] is the
+    position of its (n, l, -m) entry.
     """
 
     bandlimits: tuple
     blocks: tuple = field(repr=False)
+    runs: tuple = field(repr=False)
     radial_orders: np.ndarray = field(repr=False)
     degrees: np.ndarray = field(repr=False)
     orders: np.ndarray = field(repr=False)
@@ -112,12 +114,19 @@ def staircase_index(bandlimits) -> StaircaseIndex:
         (int(l), tuple(np.flatnonzero(limits > l).tolist()), slice(int(a), int(a + k)))
         for l, a, k in zip(degrees, starts, sizes)
     )
+    # runs start where N_l drops; the rows of even degree l = 2a start at l (l - 1) / 2 = a (2a - 1)
+    cuts = np.flatnonzero(np.diff(n_l, prepend=0)).tolist() + [len(degrees)]
+    runs = tuple(
+        (blocks[a][1], slice(blocks[a][2].start, blocks[b - 1][2].stop),
+         slice(a * (2 * a - 1), b * (2 * b - 1)))
+        for a, b in zip(cuts, cuts[1:])
+    )
     n_of, l_of = np.repeat(n_l, sizes), np.repeat(degrees, sizes)
     offset = np.arange(sizes.sum()) - np.repeat(starts, sizes)
     orders = offset // n_of - l_of
     # the block is m-major, so (n, l, -m) sits 2 m N_l positions before (n, l, m)
     partner = np.arange(sizes.sum()) - 2 * orders * n_of
-    return StaircaseIndex(bandlimits, blocks, offset % n_of, l_of, orders, partner)
+    return StaircaseIndex(bandlimits, blocks, runs, offset % n_of, l_of, orders, partner)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,11 +137,11 @@ class MultiShellGrid:
     and ring-major within each shell, matching the angular schemes' point
     order. The radial maps depend only on the grid and are built with it:
     radial_maps takes each radial mode to (output index, steps, worst
-    condition number), one step (l, block, carrying shells, map) per even
-    degree. A map is the carrying shells' quadrature columns w_i R_n(q_i),
-    or for a staircase degree some shell leaves out pinv(M), with
-    M[j, n] = R_n(q_j). The worst condition number is the largest cond(M)
-    over the mode's collocation matrices, 1 when it has none.
+    condition number), one step (shells, entries, rows, map) per run of
+    the output index, so zero_padded has one. A map is the quadrature
+    Q[n, i] = w_i R_n(q_i) on a run all shells carry, else pinv(M), with
+    M[j, n] = R_n(q_j) on the run's shells. The worst condition number is
+    the largest cond(M), 1 when the mode has no collocation matrix.
     """
 
     radial: RadialScheme
@@ -215,18 +224,18 @@ def build_grid(
     radii = np.repeat(radial.radii, counts)
     bvalues = np.repeat(radial.bvalues, counts)
     quadrature = _basis_table(radial.radii, n_shells, radial.zeta) * radial.weights
-    padded = staircase_index((max(bandlimits),) * n_shells)
-    staircase, zero_padded, collocation, conds = [], [], {}, [1.0]
-    for (l, shells, block), (_, _, padded_block) in zip(index.blocks, padded.blocks):
-        # zero_padded reads the other shells' degree-l values as zero
-        quadrature_map = quadrature[:, shells]
-        zero_padded.append((l, padded_block, shells, quadrature_map))
-        if len(shells) < n_shells and shells not in collocation:
-            # pinv never raises: an ill-conditioned grid still serves zero_padded
-            matrix = _basis_table(radial.radii[list(shells)], len(shells), radial.zeta).T
-            collocation[shells] = np.linalg.pinv(matrix)
-            conds.append(float(np.linalg.cond(matrix)))
-        staircase.append((l, block, shells, collocation.get(shells, quadrature_map)))
+    padded, radial_maps = staircase_index((max(bandlimits),) * n_shells), {}
+    for mode, mode_index in (("staircase", index), ("zero_padded", padded)):
+        steps, conds = [], [1.0]
+        for shells, entries, rows in mode_index.runs:
+            radial_map = quadrature
+            if len(shells) < n_shells:
+                # pinv never raises: an ill-conditioned grid still serves zero_padded
+                matrix = _basis_table(radial.radii[list(shells)], len(shells), radial.zeta).T
+                radial_map = np.linalg.pinv(matrix)
+                conds.append(float(np.linalg.cond(matrix)))
+            steps.append((shells, entries, rows, radial_map))
+        radial_maps[mode] = (mode_index, tuple(steps), max(conds))
     return MultiShellGrid(
         radial=radial,
         angular=schemes,
@@ -236,10 +245,7 @@ def build_grid(
         radii=radii,
         bvalues=bvalues,
         shell_starts=shell_starts,
-        radial_maps={
-            "staircase": (index, staircase, max(conds)),
-            "zero_padded": (padded, zero_padded, 1.0),
-        },
+        radial_maps=radial_maps,
     )
 
 
@@ -294,10 +300,10 @@ class SpfCoefficients:
 def forward_spf(grid: MultiShellGrid, samples, radial_mode: str = "staircase") -> SpfCoefficients:
     """Transform grid samples to coefficients, shell by shell then radially.
 
-    Each shell goes through its exact angular transform; each degree l
-    then goes through the mode's radial map from the grid: the exact
-    radial quadrature when every shell carries degree l, or the inverse
-    of the collocation matrix on the shells that do.
+    Each shell's exact angular transform fills one column of an (l, m) x
+    shell table, zero above its band limit; each run of degrees then takes
+    one product with the mode's radial map: the exact radial quadrature
+    when every shell carries the run, else the inverse collocation matrix.
 
     radial_mode "staircase" (default) returns the bijective coefficient
     set. Mode "zero_padded" instead treats degrees above a shell's band
@@ -312,7 +318,7 @@ def forward_spf(grid: MultiShellGrid, samples, radial_mode: str = "staircase") -
         If the samples are the wrong shape or not all finite.
     ConditioningError
         Propagated from the angular transform, or raised in staircase
-        mode when a degree's collocation matrix has condition number
+        mode when a run's collocation matrix has condition number
         above 1e8.
     """
     if radial_mode not in ("staircase", "zero_padded"):
@@ -320,18 +326,15 @@ def forward_spf(grid: MultiShellGrid, samples, radial_mode: str = "staircase") -
     values = np.asarray(samples)
     if values.shape != (grid.n_samples,):
         raise ValueError(f"grid has {grid.n_samples} samples, got values of shape {values.shape}")
-    per_shell = [
-        forward_sht(values[grid.shell_slice(i)], grid.angular[i]).values
-        for i in range(grid.n_shells)
-    ]
+    table = np.zeros((max(s.n_points for s in grid.angular), grid.n_shells), dtype=complex)
+    for i, scheme in enumerate(grid.angular):
+        table[: scheme.n_points, i] = forward_sht(values[grid.shell_slice(i)], scheme).values
     out_index, steps, cond = grid.radial_maps[radial_mode]
     if not cond < COND_LIMIT:
         raise ConditioningError("radial collocation matrix is ill-conditioned", cond)
     out = np.empty(out_index.size, dtype=complex)
-    for l, block, shells, radial_map in steps:
-        sh_block = slice(_sh_position(l, -l), _sh_position(l, l) + 1)
-        rows = np.stack([per_shell[i][sh_block] for i in shells])
-        out[block] = (radial_map @ rows).T.ravel()
+    for shells, entries, rows, radial_map in steps:
+        out[entries] = (table[rows, shells] @ radial_map.T).ravel()
     return SpfCoefficients(out_index, grid.radial.zeta, grid.radial.convention, out)
 
 
@@ -417,12 +420,10 @@ def synthesize_on_grid(coeffs: SpfCoefficients, grid: MultiShellGrid) -> np.ndar
     if abs(coeffs.zeta - grid.radial.zeta) > 1e-9 * max(coeffs.zeta, grid.radial.zeta):
         raise ValueError("coefficient table and grid use different radial scales")
     rtab = _basis_table(grid.radial.radii, len(coeffs.index.bandlimits), coeffs.zeta)
-    per_shell = [ShCoefficients.zeros(L) for L in grid.bandlimits]
-    # both block lists run over even degrees from 0, so zip pairs equal degrees and
-    # drops the table's degrees above the grid's top one
-    for (l, shells, block), (_, carried, _) in zip(coeffs.index.blocks, grid.index.blocks):
-        # row m, column i: sum_n c_{n,l,m} R_n(q_i)
-        on_shells = coeffs.values[block].reshape(2 * l + 1, len(shells)) @ rtab[: len(shells)]
-        for i in carried:
-            per_shell[i].values[_sh_position(l, -l) : _sh_position(l, l) + 1] = on_shells[:, i]
-    return np.concatenate([inverse_sht(c, s) for c, s in zip(per_shell, grid.angular)])
+    # row (l, m), column i: sum_n c_{n,l,m} R_n(q_i); shell i reads its leading rows only
+    top = max(coeffs.index.bandlimits + grid.bandlimits)
+    table = np.zeros((top * (top + 1) // 2, grid.n_shells), dtype=complex)
+    for shells, entries, rows in coeffs.index.runs:
+        table[rows] = coeffs.values[entries].reshape(-1, len(shells)) @ rtab[: len(shells)]
+    return np.concatenate([inverse_sht(ShCoefficients(s.bandlimit, table[: s.n_points, i]), s)
+                           for i, s in enumerate(grid.angular)])

@@ -49,6 +49,8 @@ class BConvention:
         if self.mode == "physical":
             if self.tau is None or not 0 < self.tau < math.inf:
                 raise ValueError("physical convention requires a finite tau > 0 (seconds)")
+        elif self.tau is not None:
+            raise ValueError("tau applies only to the physical convention")
 
     @property
     def b_per_q2(self) -> float:

@@ -87,38 +87,39 @@ def test_explicit_latitudes_reproduce_the_chosen_layout():
 
 def test_scheme_keeps_only_the_winners_legendre_rows():
     # one (ring, degree) rows array per |m|, shared by +m and -m, degree j holding l = 2j; the
-    # solve matrix is a view of those rows on the rings that resolve |m|
+    # solve matrix is those rows on the rings that resolve |m|
     scheme = make_angular_scheme(21)
     table = normalized_legendre(20, np.cos(scheme.thetas))
-    assert len(scheme.walk) == 21
+    assert scheme.rows.shape == (21, 11, 11) and scheme.positions.shape == (21, 11, 2)
     index = ShCoefficients.zeros(21).index
     end = scheme.n_points  # one coefficient per point
-    for mu, (first, rows, _, _, _, positions) in zip(range(20, -1, -1), scheme.walk):
+    for mu in range(21):
+        rows, first = scheme.rows[mu], (mu + 1) // 2
         assert np.array_equal(rows, table[0::2, mu].T)
-        assert rows.base is scheme.rows and np.array_equal(rows, scheme.rows[mu])
         resolving = np.flatnonzero(scheme.ring_sizes >= 2 * mu + 1)
         degrees = np.arange(mu + mu % 2, 21, 2)
+        assert np.array_equal(resolving, np.arange(first, 11))
         matrix = rows[first:, first:]
         assert np.array_equal(matrix, rows[resolving][:, degrees // 2])
-        assert np.shares_memory(matrix, rows) and matrix.shape == (len(degrees),) * 2
+        assert matrix.shape == (len(degrees),) * 2
+        positions = scheme.positions[mu, first:]
         assert list(positions[:, 0]) == [index(l, mu) for l in degrees]
         # -0 is +0; its column points past the coefficients
         assert list(positions[:, 1]) == [index(l, -mu) if mu else end for l in degrees]
-    # below the order's first degree there is no coefficient: rows are zero, positions past the end
-    for mu in range(21):
-        assert not scheme.rows[mu, :, : (mu + 1) // 2].any()
-        assert np.all(scheme.positions[mu, : (mu + 1) // 2] == end)
+        # below the order's first degree there is no coefficient: rows zero, positions past the end
+        assert not rows[:, :first].any()
+        assert np.all(scheme.positions[mu, :first] == end)
 
 
 def test_walk_folds_the_bins_signs_and_phases():
     scheme = custom_scheme()
-    assert len(scheme.walk) == 9
-    for mu, (first, _, where, phase, conj_phase, _) in zip(range(8, -1, -1), scheme.walk):
+    assert scheme.bins.shape == scheme.phase.shape == (9, 5, 2)
+    for mu in range(9):
         for column, m in enumerate((mu, -mu)):
-            assert np.array_equal(where[:, column], scheme.ring_starts + m % scheme.ring_sizes)
+            where, phase = scheme.bins[mu, :, column], scheme.phase[mu, :, column]
+            assert np.array_equal(where, scheme.ring_starts + m % scheme.ring_sizes)
             sign = -1.0 if m < 0 and m % 2 else 1.0
-            assert np.array_equal(phase[:, column], sign * np.exp(1j * m * scheme.phi_offsets))
-        assert np.array_equal(conj_phase, np.conj(phase[first:]))
+            assert np.array_equal(phase, sign * np.exp(1j * m * scheme.phi_offsets))
     # +m and -m share a bin on ring 0 and on every ring whose size divides m
     shared = scheme.bins[..., 0] == scheme.bins[..., 1]
     assert np.array_equal(shared, np.arange(9)[:, None] % scheme.ring_sizes == 0)

@@ -316,6 +316,10 @@ def test_physical_convention_needs_tau(capsys):
     assert "tau" in capsys.readouterr().err
     assert main(["grid", "--convention", "physical", "--tau", "-1"]) == 1
     assert "tau" in capsys.readouterr().err
+    # a diffusion time means nothing to the normalized convention
+    assert main(["grid", "--tau", "0.02", "--format", "json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "tau" in err
 
 
 def test_cli_outputs_are_deterministic(tmp_path, grid):

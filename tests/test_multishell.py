@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from qspf.multishell import (
     staircase_index,
     synthesize_on_grid,
 )
+from qspf.angular import ShCoefficients
 from qspf.errors import ConditioningError
 from qspf.radial import radial_basis_eval
 from qspf.signals import random_staircase_signal
@@ -168,6 +170,28 @@ def test_synthesis_inverts_forward_on_white_noise(grid, mode):
     samples = np.random.default_rng(21).standard_normal(132)
     back = synthesize_on_grid(forward_spf(grid, samples, radial_mode=mode), grid)
     assert np.max(np.abs(back - samples)) / np.max(np.abs(samples)) < 1e-9
+
+
+@pytest.mark.parametrize("bandlimits, n_runs", [((11, 9, 5, 3), 4), ((3, 3, 11, 11), 2)])
+def test_synthesis_inverts_forward_run_by_run(bandlimits, n_runs):
+    # runs other than the default's: decreasing limits, and two shells to each limit
+    decreasing = bandlimits[0] > bandlimits[-1]
+    with pytest.warns(UserWarning) if decreasing else contextlib.nullcontext():
+        g = build_grid(4, 8000.0, bandlimits)
+    index = g.index
+    assert len(index.runs) == n_runs
+    assert len(g.radial_maps["staircase"][1]) == n_runs
+    assert len(g.radial_maps["zero_padded"][1]) == 1
+    # a run's entries, read as (l, m) rows by n, are one shell's ShCoefficients rows
+    for shells, entries, rows in index.runs:
+        layout = ShCoefficients.zeros(max(bandlimits))
+        for k, (n, l, m) in enumerate(index.entries[entries]):
+            assert (rows.start + k // len(shells), n) == (layout.index(l, m), k % len(shells))
+        assert shells == index.blocks[index.degrees[entries.start] // 2][1]
+    samples = np.random.default_rng(23).standard_normal(g.n_samples)
+    for mode in ("staircase", "zero_padded"):
+        back = synthesize_on_grid(forward_spf(g, samples, radial_mode=mode), g)
+        assert np.max(np.abs(back - samples)) / np.max(np.abs(samples)) <= 1e-12
 
 
 def test_ill_conditioned_collocation_fails_only_in_staircase_mode():

@@ -188,6 +188,8 @@ def test_bconvention_round_trip():
         BConvention("physical")
     with pytest.raises(ValueError):
         BConvention("bogus")
+    with pytest.raises(ValueError, match="tau"):
+        BConvention("normalized", tau=0.02)
 
 
 def test_shell_ratios_independent_of_convention_and_bmax():

@@ -24,10 +24,16 @@ transform makes one real solve per |m|, on Re and Im of both orders as
 four columns; the inverse adds all orders at once, one batched matmul and
 one scatter-add. Every scatter is a ufunc.at, which adds up the bins +m
 and -m share on ring 0 and wherever 4k+1 divides m.
+
+A scheme with the built-in layout depends on its band limit alone, so
+make_angular_scheme builds it once per process and hands every caller the
+same object, its arrays read-only; the most recent 32 band limits are
+kept. Schemes with explicit latitudes or offsets are built fresh each call.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,6 +157,18 @@ def _order_rows(bandlimit: int, layouts: np.ndarray):
     return layouts[best], rows, conds[:, best]
 
 
+def _odd_bandlimit(bandlimit) -> int:
+    """The band limit as an int; ValueError unless it is an odd positive integer.
+
+    Integral floats such as 11.0 pass and map to 11; 11.5 is refused rather
+    than truncated.
+    """
+    L = int(bandlimit) if np.isfinite(bandlimit) else 0
+    if L != bandlimit or L < 1 or L % 2 == 0:
+        raise ValueError(f"band limit must be an odd positive integer, got {bandlimit!r}")
+    return L
+
+
 def make_angular_scheme(bandlimit: int, thetas=None, phi_offsets=None) -> AngularScheme:
     """Build the hemisphere sampling scheme for an odd band limit.
 
@@ -160,9 +178,28 @@ def make_angular_scheme(bandlimit: int, thetas=None, phi_offsets=None) -> Angula
     the first winning ties. Explicit thetas are the only candidate, so they
     are taken as given, poorly conditioned ones included; the transform
     itself guards against those.
+
+    With thetas and phi_offsets both omitted the scheme is memoised: every
+    call for the same band limit returns the same object, and its arrays
+    are read-only. Explicit latitudes or offsets build a new scheme.
     """
-    if bandlimit < 1 or bandlimit % 2 == 0:
-        raise ValueError(f"band limit must be odd and positive, got {bandlimit}")
+    bandlimit = _odd_bandlimit(bandlimit)
+    if thetas is None and phi_offsets is None:
+        return _default_scheme(bandlimit)
+    return _build_scheme(bandlimit, thetas, phi_offsets)
+
+
+@functools.lru_cache(maxsize=32)
+def _default_scheme(bandlimit: int) -> AngularScheme:
+    """The built-in layout's scheme, built once per band limit and shared read-only."""
+    scheme = _build_scheme(bandlimit, None, None)
+    for value in vars(scheme).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return scheme
+
+
+def _build_scheme(bandlimit: int, thetas, phi_offsets) -> AngularScheme:
     n_rings = (bandlimit + 1) // 2
 
     if thetas is None:

@@ -23,16 +23,24 @@ and synthesize_on_grid make one matrix product per run against an
 (l, m) x shell table of per-shell harmonic coefficients.
 inverse_spf, the read side, goes one azimuthal order at a time with its
 Legendre rows made by recurrence, so its memory is linear in the batch.
+
+An index depends on its band limits alone, so staircase_index builds it
+once per process and returns the same read-only object to every caller
+(the most recent 64 band-limit tuples are kept); build_grid takes its
+angular schemes from make_angular_scheme's per-band-limit memo the same
+way, so grids with equal band limits share both.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angular import ShCoefficients, forward_sht, inverse_sht, make_angular_scheme
+from .angular import (ShCoefficients, _odd_bandlimit, forward_sht, inverse_sht,
+                      make_angular_scheme)
 from .errors import COND_LIMIT, ConditioningError
 from .radial import BConvention, RadialScheme, _basis_table, make_radial_scheme
 from .specfun import _legendre_by_order
@@ -93,18 +101,24 @@ class StaircaseIndex:
 
 
 def _checked_bandlimits(bandlimits) -> tuple:
-    bandlimits = tuple(int(L) for L in bandlimits)
+    """Band limits as a tuple of ints, each an odd positive integer (11.0 passes, 11.5 not)."""
+    bandlimits = tuple(_odd_bandlimit(L) for L in bandlimits)
     if not bandlimits:
         raise ValueError("need at least one band limit")
-    for L in bandlimits:
-        if L < 1 or L % 2 == 0:
-            raise ValueError(f"band limits must be odd and positive, got {L}")
     return bandlimits
 
 
 def staircase_index(bandlimits) -> StaircaseIndex:
-    """Enumerate the recoverable (n, l, m) set for per-shell band limits."""
-    bandlimits = _checked_bandlimits(bandlimits)
+    """Enumerate the recoverable (n, l, m) set for per-shell band limits.
+
+    Memoised: any iterable of the same band limits returns the same
+    object, whose arrays are read-only.
+    """
+    return _staircase_index(_checked_bandlimits(bandlimits))
+
+
+@functools.lru_cache(maxsize=64)
+def _staircase_index(bandlimits: tuple) -> StaircaseIndex:
     limits = np.array(bandlimits)
     degrees = np.arange(0, limits.max(), 2)
     n_l = np.count_nonzero(limits > degrees[:, None], axis=1)
@@ -126,7 +140,10 @@ def staircase_index(bandlimits) -> StaircaseIndex:
     orders = offset // n_of - l_of
     # the block is m-major, so (n, l, -m) sits 2 m N_l positions before (n, l, m)
     partner = np.arange(sizes.sum()) - 2 * orders * n_of
-    return StaircaseIndex(bandlimits, blocks, runs, offset % n_of, l_of, orders, partner)
+    arrays = (offset % n_of, l_of, orders, partner)
+    for array in arrays:
+        array.flags.writeable = False
+    return StaircaseIndex(bandlimits, blocks, runs, *arrays)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,8 +206,12 @@ def build_grid(
     of explicit ring placements (None entries keep the built-in layout
     for that shell); they exist so a serialized scheme can be rebuilt
     exactly, custom layouts included.
+
+    The staircase indexes and the built-in-layout angular schemes come
+    from per-process memos, so every grid with the same band limits shares
+    them; their arrays are read-only. Explicit placements build new schemes.
     """
-    bandlimits = tuple(int(L) for L in bandlimits)
+    bandlimits = _checked_bandlimits(bandlimits)
     if len(bandlimits) != n_shells:
         raise ValueError(f"{n_shells} shells need {n_shells} band limits, got {len(bandlimits)}")
     index = staircase_index(bandlimits)
@@ -207,16 +228,10 @@ def build_grid(
     if len(ring_latitudes) != n_shells or len(ring_offsets) != n_shells:
         raise ValueError("ring overrides must supply one entry (or None) per shell")
     radial = make_radial_scheme(n_shells, b_max, convention)
-    cache = {}
-    schemes = []
-    for L, lat, off in zip(bandlimits, ring_latitudes, ring_offsets):
-        if lat is None and off is None:
-            if L not in cache:
-                cache[L] = make_angular_scheme(L)
-            schemes.append(cache[L])
-        else:
-            schemes.append(make_angular_scheme(L, thetas=lat, phi_offsets=off))
-    schemes = tuple(schemes)
+    schemes = tuple(
+        make_angular_scheme(L, thetas=lat, phi_offsets=off)
+        for L, lat, off in zip(bandlimits, ring_latitudes, ring_offsets)
+    )
     counts = np.array([s.n_points for s in schemes])
     shell_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
     shell_of = np.repeat(np.arange(n_shells), counts)

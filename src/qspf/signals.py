@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multishell import SpfCoefficients, _unit_directions, staircase_index
+from .multishell import (SpfCoefficients, _checked_bandlimits, _unit_directions,
+                         staircase_index)
 from .radial import BConvention
 
 __all__ = [
@@ -119,7 +120,7 @@ def random_staircase_signal(
     """
     if not 0 <= decay < np.inf:  # written so that NaN fails too
         raise ValueError(f"decay must be finite and non-negative, got {decay}")
-    bandlimits = tuple(int(L) for L in bandlimits)
+    bandlimits = _checked_bandlimits(bandlimits)
     if len(bandlimits) != n_shells:
         raise ValueError(f"{n_shells} shells need {n_shells} band limits")
     index = staircase_index(bandlimits)

@@ -85,6 +85,35 @@ def test_explicit_latitudes_reproduce_the_chosen_layout():
         assert np.array_equal(again.order_conditions, chosen.order_conditions)
 
 
+def test_default_schemes_are_memoised_and_read_only():
+    scheme = make_angular_scheme(11)
+    assert make_angular_scheme(11) is scheme
+    assert make_angular_scheme(11.0) is scheme
+    arrays = {name: v for name, v in vars(scheme).items() if isinstance(v, np.ndarray)}
+    assert {"thetas", "phi_offsets", "points", "rows", "bins", "phase", "positions"} <= set(arrays)
+    for array in arrays.values():
+        with pytest.raises(ValueError):
+            array[...] = array
+
+
+def test_explicit_layouts_are_built_fresh():
+    default = make_angular_scheme(11)
+    again = make_angular_scheme(11, thetas=default.thetas)
+    assert again is not default
+    assert make_angular_scheme(11, thetas=default.thetas) is not again
+    assert make_angular_scheme(11, phi_offsets=default.phi_offsets) is not default
+    for name, value in vars(default).items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(getattr(again, name), value), name
+
+
+def test_refused_band_limits_raise_on_every_call():
+    # failures are not memoised; a fractional band limit is refused, not truncated
+    for bandlimit in (4, 4, 11.5, 11.5):
+        with pytest.raises(ValueError):
+            make_angular_scheme(bandlimit)
+
+
 def test_scheme_keeps_only_the_winners_legendre_rows():
     # one (ring, degree) rows array per |m|, shared by +m and -m, degree j holding l = 2j; the
     # solve matrix is those rows on the rings that resolve |m|

@@ -391,11 +391,16 @@ def _sample_line(lineno, text):
         ("evaluate", "queries.txt", lambda text: "1000 0 inf 1\n", "line 1"),
         ("evaluate", "coeffs.csv", _sample_line(7, "0,0,0,nan,0.0"), "line 7"),
         ("evaluate", "coeffs.csv", _sample_line(2, "# zeta=nan"), "zeta"),
+        # both entries agree, so only the band limit rule can refuse it (it used to build L = 11)
+        ("forward", "scheme.json",
+         _descriptor_edit(lambda d: [_set_path(d, path, 11.5)
+                                     for path in (("bandlimits", 3), ("shells", 3, "bandlimit"))]),
+         "odd positive integer, got 11.5"),
     ],
     ids=["not-json", "no-bmax", "ring-count", "shell-bandlimit", "nan", "inf", "convention",
          "equal-latitudes", "inf-offset", "nan-offset-grid", "nan-latitude", "convention-string",
          "query-b-nan", "query-b-inf", "query-b-overflow", "query-dir-nan", "query-dir-inf",
-         "coeff-nan", "zeta-nan"],
+         "coeff-nan", "zeta-nan", "fractional-bandlimit"],
 )
 def test_malformed_inputs_exit_with_error(tmp_path, grid, capsys, command, bad_file, transform,
                                           message):

@@ -89,6 +89,33 @@ def test_staircase_edge_cases():
         staircase_index((4, 5))
     with pytest.raises(ValueError):
         staircase_index(())
+    with pytest.raises(ValueError):
+        staircase_index((3.9,))
+
+
+def test_staircase_index_is_memoised_and_read_only():
+    index = staircase_index(DEFAULTS)
+    assert staircase_index(list(DEFAULTS)) is index
+    assert staircase_index(L for L in DEFAULTS) is index
+    assert staircase_index((3.0, 5, 9, 11)) is index
+    for array in (index.radial_orders, index.degrees, index.orders, index.partner):
+        with pytest.raises(ValueError):
+            array[...] = array
+    # a refused input is not remembered: it raises again
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            staircase_index((3, 4))
+
+
+def test_grids_share_memoised_schemes_and_indexes():
+    first, second = build_grid(4, 8000.0, DEFAULTS), build_grid(4, 16000.0, list(DEFAULTS))
+    assert second is not first
+    assert second.index is first.index
+    assert second.radial_maps["zero_padded"][0] is first.radial_maps["zero_padded"][0]
+    assert all(a is b for a, b in zip(second.angular, first.angular))
+    # shells with equal band limits share one scheme too
+    uniform = build_grid(4, 8000.0, (11,) * 4)
+    assert all(scheme is first.angular[3] for scheme in uniform.angular)
 
 
 def test_default_grid_shape(grid):

@@ -164,6 +164,35 @@ def test_sample_parse_accepts_comments_and_complex():
         parse_samples("1.0\nnope\n")
 
 
+_COEFFS_TEXT = format_coefficients_csv(random_staircase_signal(0, (3,), 1, 1.0))
+_NOT_FINITE = ["nan", "inf", "1e400", "1x"]
+
+
+@pytest.mark.parametrize(
+    "parse, text, lineno, sep, field, tokens",
+    [
+        (parse_samples, "# c\n1.5\n\n2.5\n", 4, ",", 0, _NOT_FINITE + ["1+nanj"]),
+        *[(parse_queries, "1000 0 0 1\n# c\n2500,0.6,0.8,0\n", 3, ",", field, _NOT_FINITE)
+          for field in range(4)],
+        *[(parse_coefficients_csv, _COEFFS_TEXT, 8, ",", field, _NOT_FINITE + ["1.5"])
+          for field in range(3)],
+        *[(parse_coefficients_csv, _COEFFS_TEXT, 8, ",", field, _NOT_FINITE)
+          for field in (3, 4)],
+    ],
+    ids=["sample", "query-b", "query-ux", "query-uy", "query-uz",
+         "coeff-n", "coeff-l", "coeff-m", "coeff-re", "coeff-im"],
+)
+def test_every_numeric_field_names_its_line(parse, text, lineno, sep, field, tokens):
+    parse(text)
+    lines = text.splitlines()
+    for token in tokens:
+        fields = lines[lineno - 1].split(sep)
+        fields[field] = token
+        bad = lines[: lineno - 1] + [sep.join(fields)] + lines[lineno:]
+        with pytest.raises(CliError, match=rf"line {lineno}\b"):
+            parse("\n".join(bad) + "\n")
+
+
 def test_coefficients_csv_round_trip(grid):
     coeffs = random_staircase_signal(9, grid.bandlimits, 4, grid.radial.zeta)
     text = format_coefficients_csv(coeffs)

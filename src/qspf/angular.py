@@ -206,7 +206,7 @@ def _build_scheme(bandlimit: int, thetas, phi_offsets) -> AngularScheme:
         base = np.pi * (2 * np.arange(n_rings) + 1) / (2 * (bandlimit + 1))
         layouts = base * np.array([[1.0], [0.96], [0.98], [1.02], [1.04]])
     else:
-        thetas = np.asarray(thetas, dtype=float)
+        thetas = np.array(thetas, dtype=float)
         if thetas.shape != (n_rings,):
             raise ValueError(f"band limit {bandlimit} needs {n_rings} ring latitudes")
         if not np.all((thetas > 0) & (thetas < np.pi)):
@@ -217,7 +217,7 @@ def _build_scheme(bandlimit: int, thetas, phi_offsets) -> AngularScheme:
     if phi_offsets is None:
         phi_offsets = np.zeros(n_rings)
     else:
-        phi_offsets = np.asarray(phi_offsets, dtype=float)
+        phi_offsets = np.array(phi_offsets, dtype=float)
         if phi_offsets.shape != (n_rings,):
             raise ValueError(f"band limit {bandlimit} needs {n_rings} azimuth offsets")
         if not np.all(np.isfinite(phi_offsets)):

@@ -14,8 +14,12 @@ Owns every file format the package reads or writes:
 * Samples file: one value per line in grid sample order.
 * Queries file: `b ux uy uz` per line (whitespace or commas).
 
-Lines starting with `#` are ignored in all text inputs. Output is
-deterministic: identical invocations produce byte-identical files.
+Every input is UTF-8 text. The line-based inputs (samples, coefficients,
+queries) skip blank lines and `#` comments, every number must be finite,
+and a malformed line raises CliError naming its line; `main` prints any
+CliError, ConditioningError or library ValueError as `error: ...` and
+returns 1. Output is deterministic: identical invocations produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -157,35 +161,44 @@ def format_coefficients_csv(coeffs: SpfCoefficients) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_coefficients_csv(text: str) -> SpfCoefficients:
-    meta = {}
-    rows = []
-    header_seen = False
+def _records(text: str):
+    """Yield (line number, stripped line) for each line that is neither blank nor a # comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if "=" in body:
-                key, _, val = body.partition("=")
-                meta[key.strip()] = val.strip()
-            continue
-        if not header_seen:
-            if line.replace(" ", "") != "n,l,m,re,im":
-                raise CliError(f"line {lineno}: expected header 'n,l,m,re,im', got {line!r}")
-            header_seen = True
-            continue
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def _numbers(lineno: int, fields, kind) -> list:
+    """Each field converted by kind (int, float or complex); CliError names the line and field."""
+    values = []
+    for field in fields:
+        try:
+            value = kind(field)
+        except ValueError:
+            kind_name = "an integer" if kind is int else "a number"
+            raise CliError(f"line {lineno}: {field!r} is not {kind_name}") from None
+        # ints are exact, and np.isfinite raises TypeError on one wider than 64 bits
+        if kind is not int and not np.isfinite(value):
+            raise CliError(f"line {lineno}: {field!r} is not finite")
+        values.append(value)
+    return values
+
+
+def parse_coefficients_csv(text: str) -> SpfCoefficients:
+    comments = [line.lstrip("#") for line in map(str.strip, text.splitlines())
+                if line.startswith("#")]
+    meta = {key.strip(): val.strip() for key, eq, val in (c.partition("=") for c in comments) if eq}
+    records = list(_records(text))
+    for lineno, line in records[:1]:  # the header, if the file has any record
+        if line.replace(" ", "") != "n,l,m,re,im":
+            raise CliError(f"line {lineno}: expected header 'n,l,m,re,im', got {line!r}")
+    rows = []
+    for lineno, line in records[1:]:
         parts = line.split(",")
         if len(parts) != 5:
             raise CliError(f"line {lineno}: expected 5 fields, got {len(parts)}")
-        try:
-            rows.append((int(parts[0]), int(parts[1]), int(parts[2]),
-                         float(parts[3]), float(parts[4])))
-        except ValueError as exc:
-            raise CliError(f"line {lineno}: {exc}") from None
-        if not np.all(np.isfinite(rows[-1][3:])):
-            raise CliError(f"line {lineno}: coefficient value is not finite")
+        rows.append((lineno, _numbers(lineno, parts[:3], int), _numbers(lineno, parts[3:], float)))
     for key in ("zeta", "convention", "bandlimits"):
         if key not in meta:
             raise CliError(f"coefficients file is missing '# {key}=' metadata")
@@ -205,57 +218,36 @@ def parse_coefficients_csv(text: str) -> SpfCoefficients:
     index = staircase_index(bandlimits)
     values = np.zeros(index.size, dtype=complex)
     seen = np.zeros(index.size, dtype=bool)
-    for n, l, m, re, im in rows:
+    for lineno, (n, l, m), (re, im) in rows:
         try:
             pos = index.locate(n, l, m)
         except ValueError as exc:
-            raise CliError(str(exc)) from None
+            raise CliError(f"line {lineno}: {exc}") from None
         if seen[pos]:
-            raise CliError(f"duplicate coefficient row for (n={n}, l={l}, m={m})")
+            raise CliError(f"line {lineno}: duplicate coefficient row for (n={n}, l={l}, m={m})")
         seen[pos] = True
         values[pos] = re + 1j * im
     return SpfCoefficients(index, zeta, convention, values)
 
 
 def parse_samples(text: str) -> np.ndarray:
-    """One finite value per line in grid sample order; complex accepted as 'a+bj'."""
-    values = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            value = float(line)
-        except ValueError:
-            try:
-                value = complex(line.replace(" ", ""))
-            except ValueError:
-                raise CliError(f"line {lineno}: cannot parse sample value {line!r}") from None
-        if not np.isfinite(value):
-            raise CliError(f"line {lineno}: sample value {line!r} is not finite")
-        values.append(value)
-    arr = np.asarray(values)
-    if np.isrealobj(arr) or np.all(arr.imag == 0):
-        arr = arr.real.astype(float) if arr.size else np.asarray([], dtype=float)
-    return arr
+    """One finite value per line in grid sample order; complex accepted as 'a+bj'.
+
+    Real (float) unless some value has a non-zero imaginary part.
+    """
+    values = np.array([_numbers(lineno, [line.replace(" ", "")], complex)[0]
+                       for lineno, line in _records(text)], dtype=complex)
+    return values.real.copy() if np.all(values.imag == 0) else values
 
 
 def parse_queries(text: str):
     """Rows of b-value and direction; returns (b array, unit directions)."""
     bvals, dirs = [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _records(text):
         parts = line.replace(",", " ").split()
         if len(parts) != 4:
             raise CliError(f"line {lineno}: expected 'b ux uy uz', got {len(parts)} fields")
-        try:
-            b, ux, uy, uz = (float(p) for p in parts)
-        except ValueError as exc:
-            raise CliError(f"line {lineno}: {exc}") from None
-        if not np.all(np.isfinite([b, ux, uy, uz])):
-            raise CliError(f"line {lineno}: query values must be finite")
+        b, ux, uy, uz = _numbers(lineno, parts, float)
         if b < 0:
             raise CliError(f"line {lineno}: b-value must be non-negative")
         norm = math.hypot(ux, uy, uz)
@@ -283,7 +275,7 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
 
 
@@ -324,11 +316,7 @@ def _grid_from_args(args) -> MultiShellGrid:
         bandlimits = tuple(int(t) for t in args.bandlimits.split(","))
     except ValueError:
         raise CliError(f"cannot parse band limits {args.bandlimits!r}") from None
-    try:
-        convention = BConvention(args.convention, args.tau)
-        return build_grid(args.shells, args.bmax, bandlimits, convention)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return build_grid(args.shells, args.bmax, bandlimits, BConvention(args.convention, args.tau))
 
 
 def cmd_grid(args) -> int:
@@ -374,10 +362,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_validate(args) -> int:
     grid = _grid_from_args(args)
-    try:
-        report = run_validation(grid=grid, seed=args.seed, n_draws=args.draws)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    report = run_validation(grid=grid, seed=args.seed, n_draws=args.draws)
     _write_text(json.dumps(_jsonable(report), indent=2) + "\n", args.output)
     return 0 if report["passed"] else 1
 
@@ -444,9 +429,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "grid" and args.mirror and args.format != "csv":
         parser.error("--mirror applies only to --format csv")
+    # ValueError is the error the library documents for bad input
     try:
         return args.func(args)
-    except (CliError, ConditioningError) as exc:
+    except (CliError, ConditioningError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,6 +107,19 @@ def test_explicit_layouts_are_built_fresh():
     for name, value in vars(default).items():
         if isinstance(value, np.ndarray):
             assert np.array_equal(getattr(again, name), value), name
+
+
+def test_explicit_layouts_copy_the_callers_arrays():
+    thetas, offsets = make_angular_scheme(11).thetas.copy(), np.linspace(0.0, 0.5, 6)
+    scheme = make_angular_scheme(11, thetas=thetas, phi_offsets=offsets)
+    before = copy.deepcopy(vars(scheme))
+    thetas[:] = 0.5
+    offsets[:] = 0.3
+    for name, value in vars(scheme).items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(value, before[name]), name
+        else:
+            assert value == before[name], name
 
 
 def test_refused_band_limits_raise_on_every_call():

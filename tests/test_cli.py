@@ -174,7 +174,8 @@ _NOT_FINITE = ["nan", "inf", "1e400", "1x"]
         (parse_samples, "# c\n1.5\n\n2.5\n", 4, ",", 0, _NOT_FINITE + ["1+nanj"]),
         *[(parse_queries, "1000 0 0 1\n# c\n2500,0.6,0.8,0\n", 3, ",", field, _NOT_FINITE)
           for field in range(4)],
-        *[(parse_coefficients_csv, _COEFFS_TEXT, 8, ",", field, _NOT_FINITE + ["1.5"])
+        # a 30-digit integer is exact, so only the coefficient set can refuse it
+        *[(parse_coefficients_csv, _COEFFS_TEXT, 8, ",", field, _NOT_FINITE + ["1.5", "1" * 30])
           for field in range(3)],
         *[(parse_coefficients_csv, _COEFFS_TEXT, 8, ",", field, _NOT_FINITE)
           for field in (3, 4)],
@@ -204,6 +205,9 @@ def test_coefficients_csv_round_trip(grid):
         parse_coefficients_csv("n,l,m,re,im\n")
     with pytest.raises(CliError, match="rows"):
         parse_coefficients_csv(text.rsplit("\n", 2)[0] + "\n")
+    lines = text.splitlines()
+    with pytest.raises(CliError, match=r"line 9: duplicate coefficient row for \(n=1, l=0, m=0\)"):
+        parse_coefficients_csv("\n".join(lines[:8] + lines[7:8] + lines[9:]) + "\n")
 
 
 def test_coefficient_row_count_is_checked_before_the_index_is_built(grid, monkeypatch):
@@ -326,17 +330,29 @@ def test_validate_without_draws_is_an_error(tmp_path, capsys, draws):
     assert not report_path.exists()
 
 
-def test_validate_with_a_negative_seed_is_an_error(tmp_path):
-    # run as a process, so that an uncaught exception would show as a traceback
+def _run_qspf(*argv):
+    """Run the CLI as a process, so that an uncaught exception would show as a traceback."""
     src = str(Path(qspf.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-m", "qspf.cli", "validate", "--shells", "1", "--bmax", "1000",
-         "--bandlimits", "1", "--seed", "-1", "--output", str(tmp_path / "r.json")],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    return subprocess.run([sys.executable, "-m", "qspf.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_validate_with_a_negative_seed_is_an_error(tmp_path):
+    done = _run_qspf("validate", "--shells", "1", "--bmax", "1000", "--bandlimits", "1",
+                     "--seed", "-1", "--output", str(tmp_path / "r.json"))
     assert done.returncode == 1
     assert done.stderr.startswith("error:") and "seed" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_a_file_that_is_not_utf8_is_an_error(tmp_path, grid):
+    scheme = write_default_descriptor(tmp_path, grid)
+    samples = tmp_path / "samples.txt"
+    samples.write_bytes(b"\xff1.0\n" * 132)
+    done = _run_qspf("forward", "--scheme", str(scheme), "--samples", str(samples))
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:") and str(samples) in done.stderr
     assert "Traceback" not in done.stderr
 
 
@@ -463,7 +479,7 @@ def test_malformed_inputs_exit_with_error(tmp_path, grid, capsys, command, bad_f
 _TOKENS = st.one_of(
     st.floats().map(repr),
     st.integers(-100, 100).map(str),
-    st.sampled_from(["nan", "-inf", "1e400", "Infinity", "1+2j", "nanj", "#", ""]),
+    st.sampled_from(["nan", "-inf", "1e400", "Infinity", "1+2j", "nanj", "#", "", "1" * 30]),
     st.text(max_size=4),
 )
 

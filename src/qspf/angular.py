@@ -7,23 +7,24 @@ spaced azimuths, giving L(L+1)/2 points, exactly the number of even-degree
 coefficients below L. Equal counts make the forward transform a sequence
 of small square solves rather than a least-squares fit.
 
-The forward transform runs per azimuthal order, highest |m| first. An FFT
-along ring k separates orders modulo 4k+1; a ring resolves order m without
+The forward transform runs one step per ring, largest first. An FFT along
+ring k separates orders modulo 4k+1; a ring resolves order m without
 interference iff 4k+1 >= 2|m|+1, and any order aliased into the same bin
 on such a ring has strictly larger |m|, so its contribution is already
 known and can be subtracted. Each order then reduces to a square Legendre
-system over its usable rings. The ring latitudes are chosen from a few
-candidate layouts as the one whose worst such system is best conditioned.
+system over its usable rings, and ring f's step solves |m| = 2f and 2f-1.
+The ring latitudes are chosen from a few candidate layouts as the one
+whose worst such system is best conditioned.
 
 Both transforms keep the per-ring FFT bins in one flat array in sample
 order, so order m sits at ring_starts + m mod n_k on all rings at once.
 Only the Legendre solves depend on the samples; make_angular_scheme stores
 the rest as arrays indexed by |m| (see AngularScheme), which both
 transforms read directly. +m and -m share one real matrix, so the forward
-transform makes one real solve per |m|, on Re and Im of both orders as
-four columns; the inverse adds all orders at once, one batched matmul and
-one scatter-add. Every scatter is a ufunc.at, which adds up the bins +m
-and -m share on ring 0 and wherever 4k+1 divides m.
+transform makes one stacked real solve per ring, Re and Im of +-|m| as four
+columns per order; the inverse adds all orders at once, one batched matmul
+and one scatter-add. Every scatter is a ufunc.at, which adds up the bins
++m and -m share on ring 0 and wherever 4k+1 divides m.
 
 A scheme with the built-in layout depends on its band limit alone, so
 make_angular_scheme builds it once per process and hands every caller the
@@ -262,9 +263,10 @@ def forward_sht(values, scheme: AngularScheme) -> ShCoefficients:
     """Exact forward transform of hemisphere samples to coefficients.
 
     Exact (to rounding) for any signal band-limited to even degrees below
-    scheme.bandlimit. Orders are recovered from high |m| to low, with each
-    solved order's ring content subtracted from the FFT bins it aliases
-    into on the remaining rings.
+    scheme.bandlimit. One step per ring f, largest first, recovers orders
+    |m| = 2f and 2f-1 with one stacked solve and subtracts their content
+    from the FFT bins they alias into on smaller rings: 2f first, so the
+    result is bit-identical to solving one order at a time.
 
     Raises
     ------
@@ -288,15 +290,16 @@ def forward_sht(values, scheme: AngularScheme) -> ShCoefficients:
     # norm="forward" puts the 1/n_k on the FFT, so a bin holds its order's amplitude
     bins = np.concatenate([np.fft.fft(values[ring], norm="forward") for ring in scheme.rings])
     out = np.zeros(scheme.n_points + 1, dtype=complex)  # one coefficient per point; -0 at the end
-    for mu in reversed(range(scheme.bandlimit)):
-        first = (mu + 1) // 2  # ring k resolves mu iff 4k + 1 >= 2mu + 1
-        rows, where, phase = scheme.rows[mu], scheme.bins[mu], scheme.phase[mu]
-        rhs = (bins[where[first:]] * phase[first:].conj()).view(float)  # Re, Im of +mu, -mu
-        solved = np.linalg.solve(rows[first:, first:], rhs)
-        out[scheme.positions[mu, first:]] = solved.view(complex)
-        # lower orders read these bins on rings too small to separate mu
-        spill = (rows[:first, first:] @ solved).view(complex) * phase[:first]
-        np.subtract.at(bins, where[:first], spill)
+    for f in reversed(range(len(scheme.rings))):
+        # ring f first resolves |m| = 2f, 2f - 1 (ring 0: just 0); neither reads the other's spill
+        pair = slice(2 * f, 2 * f - 2 if f else None, -1)
+        rows, where, phase = scheme.rows[pair], scheme.bins[pair], scheme.phase[pair]
+        rhs = (bins[where[:, f:]] * phase[:, f:].conj()).view(float)  # Re, Im of +mu, -mu
+        solved = np.linalg.solve(rows[:, f:, f:], rhs)
+        out[scheme.positions[pair, f:]] = solved.view(complex)
+        # lower orders read these bins on rings too small to separate the pair
+        spill = (rows[:, :f, f:] @ solved).view(complex) * phase[:, :f]
+        np.subtract.at(bins, where[:, :f], spill)
     return ShCoefficients(scheme.bandlimit, out[:-1])
 
 

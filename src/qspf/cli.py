@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -231,11 +232,11 @@ def parse_coefficients_csv(text: str) -> SpfCoefficients:
 
 
 def parse_samples(text: str) -> np.ndarray:
-    """One finite value per line in grid sample order; complex accepted as 'a+bj'.
+    """One finite value per line in grid sample order; complex as 'a+bj' or 'a + bj'.
 
-    Real (float) unless some value has a non-zero imaginary part.
+    Real (float) unless some value has a non-zero imaginary part; '1 2' is an error.
     """
-    values = np.array([_numbers(lineno, [line.replace(" ", "")], complex)[0]
+    values = np.array([_numbers(lineno, [re.sub(r"\s*([+-])\s*", r"\1", line)], complex)[0]
                        for lineno, line in _records(text)], dtype=complex)
     return values.real.copy() if np.all(values.imag == 0) else values
 
@@ -250,8 +251,11 @@ def parse_queries(text: str):
         b, ux, uy, uz = _numbers(lineno, parts, float)
         if b < 0:
             raise CliError(f"line {lineno}: b-value must be non-negative")
+        # scaled by a power of two, hypot neither overflows nor underflows and the ratios are exact
+        exponent = math.frexp(max(abs(ux), abs(uy), abs(uz)))[1]
+        ux, uy, uz = (math.ldexp(c, -exponent) for c in (ux, uy, uz))
         norm = math.hypot(ux, uy, uz)
-        if norm < 1e-12:
+        if norm == 0.0:
             raise CliError(f"line {lineno}: direction has zero length")
         bvals.append(b)
         dirs.append((ux / norm, uy / norm, uz / norm))

@@ -28,7 +28,9 @@ An index depends on its band limits alone, so staircase_index builds it
 once per process and returns the same read-only object to every caller
 (the most recent 64 band-limit tuples are kept); build_grid takes its
 angular schemes from make_angular_scheme's per-band-limit memo the same
-way, so grids with equal band limits share both.
+way, so grids with equal band limits share both. build_grid memoises a
+grid of built-in layouts on (n_shells, b_max, convention, band limits),
+the most recent 16, all read-only; explicit ring placements never are.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -169,7 +172,7 @@ class MultiShellGrid:
     radii: np.ndarray
     bvalues: np.ndarray
     shell_starts: np.ndarray
-    radial_maps: dict = field(repr=False)
+    radial_maps: MappingProxyType = field(repr=False)
 
     @property
     def n_shells(self) -> int:
@@ -207,31 +210,45 @@ def build_grid(
     for that shell); they exist so a serialized scheme can be rebuilt
     exactly, custom layouts included.
 
-    The staircase indexes and the built-in-layout angular schemes come
-    from per-process memos, so every grid with the same band limits shares
-    them; their arrays are read-only. Explicit placements build new schemes.
+    Without ring placements the grid is memoised (the most recent 16): the
+    same shell count, b_max, convention and band limits give the same
+    read-only grid, though the checks and the warning run on every call.
+    With them it is built fresh, sharing only the memoised parts below it.
     """
     bandlimits = _checked_bandlimits(bandlimits)
     if len(bandlimits) != n_shells:
         raise ValueError(f"{n_shells} shells need {n_shells} band limits, got {len(bandlimits)}")
-    index = staircase_index(bandlimits)
     if any(b > a for a, b in zip(bandlimits[1:], bandlimits)):
-        warnings.warn(
-            "band limits decrease with b; inner shells will carry more angular "
-            "detail than outer ones",
-            stacklevel=2,
-        )
-    if ring_latitudes is None:
-        ring_latitudes = [None] * n_shells
-    if ring_offsets is None:
-        ring_offsets = [None] * n_shells
+        warnings.warn("band limits decrease with b; inner shells will carry more angular "
+                      "detail than outer ones", stacklevel=2)
+    indexes = staircase_index(bandlimits), staircase_index((max(bandlimits),) * n_shells)
+    if ring_latitudes is None and ring_offsets is None:
+        # keyed on the shared parts, so a grid never keeps a scheme its memo has since replaced
+        schemes = tuple(map(make_angular_scheme, bandlimits))
+        return _default_grid(float(b_max), convention, *indexes, schemes)
+    ring_latitudes = [None] * n_shells if ring_latitudes is None else ring_latitudes
+    ring_offsets = [None] * n_shells if ring_offsets is None else ring_offsets
     if len(ring_latitudes) != n_shells or len(ring_offsets) != n_shells:
         raise ValueError("ring overrides must supply one entry (or None) per shell")
+    schemes = tuple(make_angular_scheme(L, thetas=lat, phi_offsets=off)
+                    for L, lat, off in zip(bandlimits, ring_latitudes, ring_offsets))
+    return _make_grid(b_max, convention, *indexes, schemes)
+
+
+@functools.lru_cache(maxsize=16)
+def _default_grid(*parts) -> MultiShellGrid:
+    """A grid of built-in layouts, built once per set of parts and shared read-only."""
+    grid = _make_grid(*parts)
+    maps = [step[-1] for _, steps, _ in grid.radial_maps.values() for step in steps]
+    for value in [*vars(grid).values(), *vars(grid.radial).values(), *maps]:
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return grid
+
+
+def _make_grid(b_max, convention, index, padded, schemes) -> MultiShellGrid:
+    n_shells = len(schemes)
     radial = make_radial_scheme(n_shells, b_max, convention)
-    schemes = tuple(
-        make_angular_scheme(L, thetas=lat, phi_offsets=off)
-        for L, lat, off in zip(bandlimits, ring_latitudes, ring_offsets)
-    )
     counts = np.array([s.n_points for s in schemes])
     shell_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
     shell_of = np.repeat(np.arange(n_shells), counts)
@@ -239,7 +256,7 @@ def build_grid(
     radii = np.repeat(radial.radii, counts)
     bvalues = np.repeat(radial.bvalues, counts)
     quadrature = _basis_table(radial.radii, n_shells, radial.zeta) * radial.weights
-    padded, radial_maps = staircase_index((max(bandlimits),) * n_shells), {}
+    radial_maps = {}
     for mode, mode_index in (("staircase", index), ("zero_padded", padded)):
         steps, conds = [], [1.0]
         for shells, entries, rows in mode_index.runs:
@@ -251,17 +268,8 @@ def build_grid(
                 conds.append(float(np.linalg.cond(matrix)))
             steps.append((shells, entries, rows, radial_map))
         radial_maps[mode] = (mode_index, tuple(steps), max(conds))
-    return MultiShellGrid(
-        radial=radial,
-        angular=schemes,
-        index=index,
-        shell_of=shell_of,
-        points=points,
-        radii=radii,
-        bvalues=bvalues,
-        shell_starts=shell_starts,
-        radial_maps=radial_maps,
-    )
+    return MultiShellGrid(radial, schemes, index, shell_of, points, radii, bvalues, shell_starts,
+                          MappingProxyType(radial_maps))
 
 
 @dataclass

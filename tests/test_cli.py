@@ -154,6 +154,16 @@ def test_query_parse_errors_carry_line_numbers():
         parse_queries("# only comments\n")
 
 
+def test_query_directions_at_the_ends_of_the_float_range():
+    # hypot of the raw components would overflow to inf or underflow to 0
+    _, dirs = parse_queries("1 1.7e308 1.7e308 1.7e308\n1 1e-200 1e-200 0\n2 -5e-324 0 0\n")
+    assert np.allclose(dirs, [[3**-0.5] * 3, [2**-0.5, 2**-0.5, 0.0], [-1.0, 0.0, 0.0]],
+                       rtol=0, atol=1e-15)
+    for zero in ("1 0 0 0\n", "1 -0.0 0 0.0\n"):
+        with pytest.raises(CliError, match="line 1: direction has zero length"):
+            parse_queries(zero)
+
+
 def test_sample_parse_accepts_comments_and_complex():
     values = parse_samples("# header\n1.5\n\n2.5+0.5j\n")
     assert values.dtype == complex
@@ -162,6 +172,14 @@ def test_sample_parse_accepts_comments_and_complex():
     assert real.dtype == float
     with pytest.raises(CliError, match="line 2"):
         parse_samples("1.0\nnope\n")
+
+
+def test_sample_parse_joins_a_spaced_complex_but_not_two_numbers():
+    assert parse_samples("2.5 + 0.5j\n2.5+0.5j\n1 -2j\n").tolist() == [2.5 + 0.5j] * 2 + [1 - 2j]
+    for text in ("1 2\n3\n", "3\n1.5 -2\n", "0\n1\n2.5 0.5j\n"):
+        lineno = text.count("\n", 0, text.index(" ")) + 1
+        with pytest.raises(CliError, match=f"line {lineno}: '.*' is not a number"):
+            parse_samples(text)
 
 
 _COEFFS_TEXT = format_coefficients_csv(random_staircase_signal(0, (3,), 1, 1.0))

@@ -26,10 +26,11 @@ columns per order; the inverse adds all orders at once, one batched matmul
 and one scatter-add. Every scatter is a ufunc.at, which adds up the bins
 +m and -m share on ring 0 and wherever 4k+1 divides m.
 
-A scheme with the built-in layout depends on its band limit alone, so
-make_angular_scheme builds it once per process and hands every caller the
-same object, its arrays read-only; the most recent 32 band limits are
-kept. Schemes with explicit latitudes or offsets are built fresh each call.
+A scheme depends on its band limit and ring placements alone, so
+make_angular_scheme builds each once per process and hands every caller
+the same object, its arrays read-only. Explicit placements are matched
+bit for bit, shape included, so -0.0 and 0.0 make two schemes; the most
+recent 32 schemes are kept.
 """
 
 from __future__ import annotations
@@ -178,36 +179,40 @@ def make_angular_scheme(bandlimit: int, thetas=None, phi_offsets=None) -> Angula
     theta_k = pi (2k+1) / (2(L+1)) scaled by 1, 0.96, 0.98, 1.02 and 1.04,
     the first winning ties. Explicit thetas are the only candidate, so they
     are taken as given, poorly conditioned ones included; the transform
-    itself guards against those.
+    itself guards against those. Omitted phi_offsets are all zero.
 
-    With thetas and phi_offsets both omitted the scheme is memoised: every
-    call for the same band limit returns the same object, and its arrays
-    are read-only. Explicit latitudes or offsets build a new scheme.
+    Memoised: every call with the same band limit and the same placements,
+    bit for bit, returns the same object, and its arrays are read-only.
     """
-    bandlimit = _odd_bandlimit(bandlimit)
-    if thetas is None and phi_offsets is None:
-        return _default_scheme(bandlimit)
-    return _build_scheme(bandlimit, thetas, phi_offsets)
+    return _scheme(_odd_bandlimit(bandlimit), _exact_key(thetas), _exact_key(phi_offsets))
+
+
+def _exact_key(values):
+    """None for None, else the shape and float64 bytes of values: equal only for equal bits."""
+    if values is None:
+        return None
+    values = np.array(values, dtype=float)
+    return values.shape, values.tobytes()
+
+
+def _read_only(obj, *arrays):
+    """obj, with every ndarray among its attributes and among arrays made read-only."""
+    for value in (*vars(obj).values(), *arrays):
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return obj
 
 
 @functools.lru_cache(maxsize=32)
-def _default_scheme(bandlimit: int) -> AngularScheme:
-    """The built-in layout's scheme, built once per band limit and shared read-only."""
-    scheme = _build_scheme(bandlimit, None, None)
-    for value in vars(scheme).values():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-    return scheme
-
-
-def _build_scheme(bandlimit: int, thetas, phi_offsets) -> AngularScheme:
+def _scheme(bandlimit: int, thetas, phi_offsets) -> AngularScheme:
+    """The scheme for make_angular_scheme's checked band limit and exact placement keys."""
     n_rings = (bandlimit + 1) // 2
 
     if thetas is None:
         base = np.pi * (2 * np.arange(n_rings) + 1) / (2 * (bandlimit + 1))
         layouts = base * np.array([[1.0], [0.96], [0.98], [1.02], [1.04]])
     else:
-        thetas = np.array(thetas, dtype=float)
+        thetas = np.frombuffer(thetas[1]).reshape(thetas[0])
         if thetas.shape != (n_rings,):
             raise ValueError(f"band limit {bandlimit} needs {n_rings} ring latitudes")
         if not np.all((thetas > 0) & (thetas < np.pi)):
@@ -218,7 +223,7 @@ def _build_scheme(bandlimit: int, thetas, phi_offsets) -> AngularScheme:
     if phi_offsets is None:
         phi_offsets = np.zeros(n_rings)
     else:
-        phi_offsets = np.array(phi_offsets, dtype=float)
+        phi_offsets = np.frombuffer(phi_offsets[1]).reshape(phi_offsets[0])
         if phi_offsets.shape != (n_rings,):
             raise ValueError(f"band limit {bandlimit} needs {n_rings} azimuth offsets")
         if not np.all(np.isfinite(phi_offsets)):
@@ -240,7 +245,7 @@ def _build_scheme(bandlimit: int, thetas, phi_offsets) -> AngularScheme:
     phase = np.where((m < 0) & (m % 2 == 1), -1.0, 1.0) * np.exp(1j * m * phi_offsets[:, None])
     l = 2 * np.arange(n_rings)[:, None]
     positions = np.where((l >= mu) & ((mu > 0) | (sign > 0)), _sh_position(l, m), len(theta))
-    return AngularScheme(
+    return _read_only(AngularScheme(
         bandlimit=bandlimit,
         thetas=thetas,
         phi_offsets=phi_offsets,
@@ -256,7 +261,7 @@ def _build_scheme(bandlimit: int, thetas, phi_offsets) -> AngularScheme:
         bins=bins,
         phase=phase,
         positions=positions,
-    )
+    ))
 
 
 def forward_sht(values, scheme: AngularScheme) -> ShCoefficients:

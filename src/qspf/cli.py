@@ -4,8 +4,9 @@ Owns every file format the package reads or writes:
 
 * FSL-style gradient tables: a `bvals` line (b-values to 0.1 s/mm^2) and
   three `bvecs` lines (unit-vector components, 6 significant digits).
-* JSON scheme descriptor: lossless, self-contained record of a grid;
-  rebuilding from it reproduces the grid exactly.
+* JSON scheme descriptor: lossless, self-contained record of a grid,
+  b_max as requested; rebuilding from it reproduces the grid exactly, and
+  the rebuilt grid writes the same descriptor.
 * Points CSV: plot-ready `shell,b,x,y,z` rows, optionally mirrored to the
   full sphere.
 * Coefficients CSV: `n,l,m,re,im` rows in coefficient-table order, with
@@ -68,7 +69,7 @@ def descriptor_from_grid(grid: MultiShellGrid) -> dict:
     return {
         "version": DESCRIPTOR_VERSION,
         "n_shells": grid.n_shells,
-        "b_max": float(radial.bvalues[-1]),
+        "b_max": radial.b_max,
         "convention": {"mode": radial.convention.mode, "tau": radial.convention.tau},
         "bandlimits": list(grid.bandlimits),
         "zeta": float(radial.zeta),
@@ -117,7 +118,7 @@ def grid_from_descriptor(desc: dict) -> MultiShellGrid:
         )
     except KeyError as exc:
         raise CliError(f"descriptor is missing {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # JSON ints have no size limit
         raise CliError(f"bad descriptor: {exc}") from None
 
 

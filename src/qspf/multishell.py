@@ -26,11 +26,11 @@ Legendre rows made by recurrence, so its memory is linear in the batch.
 
 An index depends on its band limits alone, so staircase_index builds it
 once per process and returns the same read-only object to every caller
-(the most recent 64 band-limit tuples are kept); build_grid takes its
-angular schemes from make_angular_scheme's per-band-limit memo the same
-way, so grids with equal band limits share both. build_grid memoises a
-grid of built-in layouts on (n_shells, b_max, convention, band limits),
-the most recent 16, all read-only; explicit ring placements never are.
+(the most recent 64 band-limit tuples are kept). build_grid takes its
+angular schemes from make_angular_scheme's memo the same way, so grids
+with equal band limits and ring placements share both, and memoises the
+grid itself on b_max, convention, indexes and schemes (the most recent
+16), read-only too, explicit placements included.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .angular import (ShCoefficients, _odd_bandlimit, forward_sht, inverse_sht,
+from .angular import (ShCoefficients, _odd_bandlimit, _read_only, forward_sht, inverse_sht,
                       make_angular_scheme)
 from .errors import COND_LIMIT, ConditioningError
 from .radial import BConvention, RadialScheme, _basis_table, make_radial_scheme
@@ -143,10 +143,8 @@ def _staircase_index(bandlimits: tuple) -> StaircaseIndex:
     orders = offset // n_of - l_of
     # the block is m-major, so (n, l, -m) sits 2 m N_l positions before (n, l, m)
     partner = np.arange(sizes.sum()) - 2 * orders * n_of
-    arrays = (offset % n_of, l_of, orders, partner)
-    for array in arrays:
-        array.flags.writeable = False
-    return StaircaseIndex(bandlimits, blocks, runs, *arrays)
+    return _read_only(StaircaseIndex(bandlimits, blocks, runs, offset % n_of, l_of, orders,
+                                     partner))
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,10 +208,9 @@ def build_grid(
     for that shell); they exist so a serialized scheme can be rebuilt
     exactly, custom layouts included.
 
-    Without ring placements the grid is memoised (the most recent 16): the
-    same shell count, b_max, convention and band limits give the same
+    Memoised (the most recent 16): the same shell count, b_max as a float,
+    convention, band limits and ring placements, bit for bit, give the same
     read-only grid, though the checks and the warning run on every call.
-    With them it is built fresh, sharing only the memoised parts below it.
     """
     bandlimits = _checked_bandlimits(bandlimits)
     if len(bandlimits) != n_shells:
@@ -221,34 +218,21 @@ def build_grid(
     if any(b > a for a, b in zip(bandlimits[1:], bandlimits)):
         warnings.warn("band limits decrease with b; inner shells will carry more angular "
                       "detail than outer ones", stacklevel=2)
-    indexes = staircase_index(bandlimits), staircase_index((max(bandlimits),) * n_shells)
-    if ring_latitudes is None and ring_offsets is None:
-        # keyed on the shared parts, so a grid never keeps a scheme its memo has since replaced
-        schemes = tuple(map(make_angular_scheme, bandlimits))
-        return _default_grid(float(b_max), convention, *indexes, schemes)
     ring_latitudes = [None] * n_shells if ring_latitudes is None else ring_latitudes
     ring_offsets = [None] * n_shells if ring_offsets is None else ring_offsets
     if len(ring_latitudes) != n_shells or len(ring_offsets) != n_shells:
         raise ValueError("ring overrides must supply one entry (or None) per shell")
-    schemes = tuple(make_angular_scheme(L, thetas=lat, phi_offsets=off)
-                    for L, lat, off in zip(bandlimits, ring_latitudes, ring_offsets))
-    return _make_grid(b_max, convention, *indexes, schemes)
+    # keyed on the memoised schemes, so a grid never keeps a scheme its memo has since replaced
+    schemes = tuple(map(make_angular_scheme, bandlimits, ring_latitudes, ring_offsets))
+    indexes = staircase_index(bandlimits), staircase_index((max(bandlimits),) * n_shells)
+    return _grid(float(b_max), convention, *indexes, schemes)
 
 
 @functools.lru_cache(maxsize=16)
-def _default_grid(*parts) -> MultiShellGrid:
-    """A grid of built-in layouts, built once per set of parts and shared read-only."""
-    grid = _make_grid(*parts)
-    maps = [step[-1] for _, steps, _ in grid.radial_maps.values() for step in steps]
-    for value in [*vars(grid).values(), *vars(grid.radial).values(), *maps]:
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-    return grid
-
-
-def _make_grid(b_max, convention, index, padded, schemes) -> MultiShellGrid:
+def _grid(b_max, convention, index, padded, schemes) -> MultiShellGrid:
+    """The grid for build_grid's checked arguments and memoised parts."""
     n_shells = len(schemes)
-    radial = make_radial_scheme(n_shells, b_max, convention)
+    radial = _read_only(make_radial_scheme(n_shells, b_max, convention))
     counts = np.array([s.n_points for s in schemes])
     shell_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
     shell_of = np.repeat(np.arange(n_shells), counts)
@@ -268,8 +252,9 @@ def _make_grid(b_max, convention, index, padded, schemes) -> MultiShellGrid:
                 conds.append(float(np.linalg.cond(matrix)))
             steps.append((shells, entries, rows, radial_map))
         radial_maps[mode] = (mode_index, tuple(steps), max(conds))
-    return MultiShellGrid(radial, schemes, index, shell_of, points, radii, bvalues, shell_starts,
+    grid = MultiShellGrid(radial, schemes, index, shell_of, points, radii, bvalues, shell_starts,
                           MappingProxyType(radial_maps))
+    return _read_only(grid, *(step[-1] for _, steps, _ in radial_maps.values() for step in steps))
 
 
 @dataclass

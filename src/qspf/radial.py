@@ -71,11 +71,13 @@ class BConvention:
 class RadialScheme:
     """Immutable radial sampling scheme.
 
-    roots are in the dimensionless variable x = q^2/zeta; radii are in
-    q-units, bvalues in s/mm^2, weights in units of zeta^(3/2).
+    b_max is the b-value requested for the outer shell, which bvalues[-1]
+    meets to rounding. roots are in the dimensionless variable x = q^2/zeta;
+    radii are in q-units, bvalues in s/mm^2, weights in units of zeta^(3/2).
     """
 
     n_shells: int
+    b_max: float
     zeta: float
     roots: np.ndarray
     radii: np.ndarray
@@ -96,7 +98,8 @@ def make_radial_scheme(
     n_shells : int
         Number of shells N >= 1 (4 is the recommended default elsewhere).
     b_max : float
-        b-value of the outermost shell, s/mm^2, > 0.
+        b-value of the outermost shell, s/mm^2, > 0; ValueError if a
+        quadrature weight then overflows or underflows.
     convention : BConvention
         b <-> q mapping; the default absorbs the diffusion-time constant.
     """
@@ -110,8 +113,11 @@ def make_radial_scheme(
     radii = np.sqrt(zeta * roots)
     bvalues = convention.b_from_q(radii)
     weights = quadrature_weights(roots, n_shells, zeta)
+    if not np.all((weights > 0) & (weights < math.inf)):
+        raise ValueError(f"b_max = {b_max} puts a quadrature weight outside the float range")
     return RadialScheme(
         n_shells=n_shells,
+        b_max=float(b_max),
         zeta=zeta,
         roots=roots,
         radii=radii,
@@ -168,7 +174,8 @@ def quadrature_weights(roots: np.ndarray, n_shells: int, zeta: float) -> np.ndar
         - 2.0 * math.log(n_shells + 1.0)
         - 2.0 * np.log(np.abs(following))
     )
-    return np.exp(log_w)
+    with np.errstate(over="ignore"):  # an infinite weight is make_radial_scheme's to refuse
+        return np.exp(log_w)
 
 
 def _basis_table(q, n_orders: int, zeta: float) -> np.ndarray:

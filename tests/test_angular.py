@@ -98,15 +98,26 @@ def test_default_schemes_are_memoised_and_read_only():
             array[...] = array
 
 
-def test_explicit_layouts_are_built_fresh():
+def test_explicit_layouts_are_memoised_by_their_exact_bits():
     default = make_angular_scheme(11)
     again = make_angular_scheme(11, thetas=default.thetas)
-    assert again is not default
-    assert make_angular_scheme(11, thetas=default.thetas) is not again
-    assert make_angular_scheme(11, phi_offsets=default.phi_offsets) is not default
+    offsets = make_angular_scheme(11, phi_offsets=default.phi_offsets)
+    assert again is not default and offsets is not default and offsets is not again
+    assert make_angular_scheme(11.0, thetas=list(default.thetas)) is again
+    assert make_angular_scheme(11, None, np.zeros(6)) is offsets
     for name, value in vars(default).items():
         if isinstance(value, np.ndarray):
-            assert np.array_equal(getattr(again, name), value), name
+            for scheme in (again, offsets):
+                assert np.array_equal(getattr(scheme, name), value), name
+                with pytest.raises(ValueError):
+                    getattr(scheme, name)[...] = value
+    # -0.0 is not 0.0, and a latitude one ulp away is another layout
+    signed = make_angular_scheme(11, phi_offsets=-np.zeros(6))
+    assert signed is not offsets and make_angular_scheme(11, phi_offsets=[-0.0] * 6) is signed
+    nudged = default.thetas.copy()
+    nudged[2] = np.nextafter(nudged[2], np.pi)
+    assert make_angular_scheme(11, thetas=nudged) is not again
+    assert np.array_equal(make_angular_scheme(11, thetas=nudged).thetas, nudged)
 
 
 def test_explicit_layouts_copy_the_callers_arrays():
@@ -127,6 +138,16 @@ def test_refused_band_limits_raise_on_every_call():
     for bandlimit in (4, 4, 11.5, 11.5):
         with pytest.raises(ValueError):
             make_angular_scheme(bandlimit)
+
+
+def test_refused_placements_raise_on_every_call():
+    thetas = make_angular_scheme(11).thetas
+    # the memo key keeps the shape, so six latitudes as a (2, 3) array are still refused
+    for refused in ({"thetas": thetas.reshape(2, 3)}, {"phi_offsets": np.zeros((2, 3))},
+                    {"thetas": np.append(thetas[:-1], np.pi)}, {"phi_offsets": [0.0] * 5}):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                make_angular_scheme(11, **refused)
 
 
 def test_scheme_keeps_only_the_winners_legendre_rows():

@@ -60,9 +60,18 @@ def test_descriptor_regenerates_byte_identical_files(tmp_path, grid):
     assert first.with_suffix(".bvecs").read_bytes() == second.with_suffix(".bvecs").read_bytes()
 
 
-def test_descriptor_round_trip_rebuilds_grid(grid):
+@pytest.mark.parametrize(
+    "n_shells, b_max, bandlimits",
+    [(4, 8000.0, (3, 5, 9, 11)), (1, 3925.284601749901, (3,)), (3, 15822.821163919247, (3, 3, 3))],
+    ids=["defaults", "one-shell", "three-shells"],
+)
+def test_descriptor_round_trip_rebuilds_grid(n_shells, b_max, bandlimits):
+    # b -> q -> b does not return these two b_max values, so the descriptor stores the request
+    grid = build_grid(n_shells, b_max, bandlimits)
     desc = json.loads(json.dumps(descriptor_from_grid(grid)))
+    assert desc["b_max"] == b_max
     rebuilt = grid_from_descriptor(desc)
+    assert descriptor_from_grid(rebuilt) == desc
     assert np.array_equal(rebuilt.points, grid.points)
     assert np.array_equal(rebuilt.bvalues, grid.bvalues)
     assert rebuilt.radial.zeta == grid.radial.zeta
@@ -374,6 +383,18 @@ def test_a_file_that_is_not_utf8_is_an_error(tmp_path, grid):
     assert "Traceback" not in done.stderr
 
 
+def test_extreme_b_max_is_refused_or_validated_without_overflow():
+    done = _run_qspf("grid", "--bmax", "1e300", "--format", "json")
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error:") and "b_max" in done.stderr
+    assert "Traceback" not in done.stderr
+    done = _run_qspf("validate", "--bmax", "1e60", "--draws", "3")
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["b_max"] == 1e60 and report["passed"]
+    assert report["checks"]["gaussian_moments"]["value"] < 1e-13
+
+
 def test_physical_convention_needs_tau(capsys):
     assert main(["grid", "--convention", "physical"]) == 1
     assert "tau" in capsys.readouterr().err
@@ -447,6 +468,8 @@ def _sample_line(lineno, text):
         ("forward", "scheme.json", _set_field(("shells", 0, "ring_latitudes", 0), float("nan")),
          "ring latitudes"),
         ("forward", "scheme.json", _set_field(("convention",), "normalized"), "convention"),
+        ("forward", "scheme.json", _set_field(("b_max",), 1e300), "float range"),
+        ("forward", "scheme.json", _set_field(("b_max",), 10**400), "too large"),
         ("evaluate", "queries.txt", lambda text: "nan 0 0 1\n", "line 1"),
         ("evaluate", "queries.txt", lambda text: "inf 0 0 1\n", "line 1"),
         ("evaluate", "queries.txt", lambda text: "1e400 0 0 1\n", "line 1"),
@@ -462,6 +485,7 @@ def _sample_line(lineno, text):
     ],
     ids=["not-json", "no-bmax", "ring-count", "shell-bandlimit", "nan", "inf", "convention",
          "equal-latitudes", "inf-offset", "nan-offset-grid", "nan-latitude", "convention-string",
+         "huge-bmax", "bmax-overflow",
          "query-b-nan", "query-b-inf", "query-b-overflow", "query-dir-nan", "query-dir-inf",
          "coeff-nan", "zeta-nan", "fractional-bandlimit"],
 )

@@ -14,7 +14,7 @@ from qspf.multishell import (
     staircase_index,
     synthesize_on_grid,
 )
-from qspf.angular import ShCoefficients, _default_scheme, make_angular_scheme
+from qspf.angular import ShCoefficients, _scheme, make_angular_scheme
 from qspf.errors import ConditioningError
 from qspf.radial import BConvention, radial_basis_eval
 from qspf.signals import random_staircase_signal
@@ -118,13 +118,7 @@ def test_grids_share_memoised_schemes_and_indexes():
     assert all(scheme is first.angular[3] for scheme in uniform.angular)
 
 
-def test_default_grids_are_memoised_and_read_only():
-    grid = build_grid(4, 8000.0, DEFAULTS)
-    assert build_grid(4, 8000, list(DEFAULTS)) is grid
-    assert build_grid(4, np.float64(8000), (3.0, 5, 9, 11.0)) is grid
-    assert build_grid(4, 8000.0, DEFAULTS, BConvention()) is grid
-    assert build_grid(4, 8001.0, DEFAULTS) is not grid
-    assert build_grid(4, 8000.0, DEFAULTS, BConvention("physical", 0.02)) is not grid
+def _assert_read_only(grid):
     arrays = [value for part in (grid, grid.radial) for value in vars(part).values()
               if isinstance(value, np.ndarray)]
     arrays += [step[-1] for _, steps, _ in grid.radial_maps.values() for step in steps]
@@ -136,21 +130,41 @@ def test_default_grids_are_memoised_and_read_only():
         grid.radial_maps["staircase"] = grid.radial_maps["zero_padded"]
 
 
-def test_explicit_placements_build_a_fresh_grid_on_every_call():
+def test_default_grids_are_memoised_and_read_only():
     grid = build_grid(4, 8000.0, DEFAULTS)
-    placements = {"ring_latitudes": [s.thetas for s in grid.angular],
-                  "ring_offsets": [s.phi_offsets for s in grid.angular]}
-    for kwargs in ({"ring_latitudes": placements["ring_latitudes"]},
-                   {"ring_offsets": placements["ring_offsets"]}, placements):
-        first, second = (build_grid(4, 8000.0, DEFAULTS, **kwargs) for _ in range(2))
-        assert first is not grid and second is not first
+    assert build_grid(4, 8000, list(DEFAULTS)) is grid
+    assert build_grid(4, np.float64(8000), (3.0, 5, 9, 11.0)) is grid
+    assert build_grid(4, 8000.0, DEFAULTS, BConvention()) is grid
+    assert build_grid(4, 8001.0, DEFAULTS) is not grid
+    assert build_grid(4, 8000.0, DEFAULTS, BConvention("physical", 0.02)) is not grid
+    _assert_read_only(grid)
+
+
+def test_explicit_placements_are_memoised_and_read_only():
+    grid = build_grid(4, 8000.0, DEFAULTS)
+    latitudes, offsets = [s.thetas for s in grid.angular], [s.phi_offsets for s in grid.angular]
+    for kwargs in ({"ring_latitudes": latitudes}, {"ring_offsets": offsets},
+                   {"ring_latitudes": latitudes, "ring_offsets": offsets}):
+        first = build_grid(4, 8000.0, DEFAULTS, **kwargs)
+        assert first is not grid
+        as_lists = {key: [value.tolist() for value in values] for key, values in kwargs.items()}
+        assert build_grid(4, 8000, list(DEFAULTS), **as_lists) is first
+        assert build_grid(4, np.float64(8000), DEFAULTS, **kwargs) is first
+        assert build_grid(4, 8001.0, DEFAULTS, **kwargs) is not first
         assert np.array_equal(first.points, grid.points)
-        assert first.points.flags.writeable
+        _assert_read_only(first)
+    # -0.0 is not 0.0, and a latitude one ulp away is another layout
+    rebuilt = build_grid(4, 8000.0, DEFAULTS, BConvention(), latitudes, offsets)
+    signed = build_grid(4, 8000.0, DEFAULTS, BConvention(), latitudes,
+                        offsets[:3] + [-offsets[3]])
+    assert signed is not rebuilt and signed.angular[:3] == rebuilt.angular[:3]
+    nudged = latitudes[:3] + [np.nextafter(latitudes[3], 0.0)]
+    assert build_grid(4, 8000.0, DEFAULTS, BConvention(), nudged, offsets) is not rebuilt
 
 
 def test_grid_memo_takes_the_schemes_the_scheme_memo_holds_now():
     grid = build_grid(4, 8000.0, DEFAULTS)
-    _default_scheme.cache_clear()  # as if the scheme memo had dropped them
+    _scheme.cache_clear()  # as if the scheme memo had dropped them
     again = build_grid(4, 8000.0, DEFAULTS)
     assert again is not grid
     assert all(s is make_angular_scheme(L) for s, L in zip(again.angular, DEFAULTS))
@@ -161,8 +175,12 @@ def test_grid_arguments_are_checked_on_every_call():
     for _ in range(2):
         with pytest.warns(UserWarning, match="decrease"):
             build_grid(4, 8000.0, (11, 9, 5, 3))
+    latitudes = [None, None, None, make_angular_scheme(11).thetas]
     refused = [(3, 8000.0, DEFAULTS), (4, -1.0, DEFAULTS), (4, float("inf"), DEFAULTS),
-               (4, 8000.0, (3, 4, 9, 11)), (4.0, 8000.0, DEFAULTS)]
+               (4, 8000.0, (3, 4, 9, 11)), (4.0, 8000.0, DEFAULTS), (4, 1e300, DEFAULTS),
+               (4, 8000.0, DEFAULTS, BConvention(), latitudes[:3]),
+               (4, 8000.0, DEFAULTS, BConvention(), latitudes[:3] + [latitudes[3].reshape(2, 3)]),
+               (4, 8000.0, DEFAULTS, BConvention(), latitudes, [None] * 3 + [[np.nan] * 6])]
     for args in refused:
         for _ in range(2):
             with pytest.raises((TypeError, ValueError)):

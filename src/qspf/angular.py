@@ -31,6 +31,9 @@ make_angular_scheme builds each once per process and hands every caller
 the same object, its arrays read-only. Explicit placements are matched
 bit for bit, shape included, so -0.0 and 0.0 make two schemes; the most
 recent 32 schemes are kept.
+
+The transforms' coefficients are one flat complex array of length L(L+1)/2,
+even degree l ascending, then m from -l to l: (l, m) sits at l(l+1)/2 + m.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .specfun import _legendre_by_order, normalized_legendre
 
 __all__ = [
     "AngularScheme",
-    "ShCoefficients",
     "make_angular_scheme",
     "forward_sht",
     "inverse_sht",
@@ -55,46 +57,8 @@ __all__ = [
 
 
 def _sh_position(l, m):
-    """Flat index of (l, m) in ShCoefficients.values; l may be an array of even degrees."""
+    """Flat index of (l, m) in a coefficient array; l may be an array of even degrees."""
     return l * (l + 1) // 2 + m
-
-
-@dataclass
-class ShCoefficients:
-    """Even-degree spherical harmonic coefficients below a band limit.
-
-    values is a flat complex array ordered by ascending even degree l,
-    then ascending order m from -l to l.
-    """
-
-    bandlimit: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        expected = self.bandlimit * (self.bandlimit + 1) // 2
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (expected,):
-            raise ValueError(
-                f"band limit {self.bandlimit} needs {expected} coefficients, "
-                f"got shape {self.values.shape}"
-            )
-
-    def index(self, l: int, m: int) -> int:
-        if l % 2 or not 0 <= l < self.bandlimit:
-            raise ValueError(f"degree {l} outside the even band below {self.bandlimit}")
-        if abs(m) > l:
-            raise ValueError(f"|m| = {abs(m)} exceeds degree {l}")
-        return _sh_position(l, m)
-
-    def get(self, l: int, m: int) -> complex:
-        return complex(self.values[self.index(l, m)])
-
-    def set(self, l: int, m: int, value) -> None:
-        self.values[self.index(l, m)] = value
-
-    @classmethod
-    def zeros(cls, bandlimit: int) -> "ShCoefficients":
-        return cls(bandlimit, np.zeros(bandlimit * (bandlimit + 1) // 2, dtype=complex))
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,8 +69,8 @@ class AngularScheme:
     P_{2j}^mu(cos theta_k), zero for 2j < mu, serves +mu and -mu
     (Y_l^{-m} = (-1)^m conj Y_l^m). Along the last axis (+mu, -mu), bins
     is m's flat FFT bin on each ring, phase is exp(i m phi_k) negated for
-    negative odd m, and positions[mu, j] the place of (2j, m) in
-    ShCoefficients.values, or one past the end for 2j < mu and for -0.
+    negative odd m, and positions[mu, j] the place of (2j, m) in the
+    coefficient array, or one past the end for 2j < mu and for -0.
     rings slices each ring's samples. Rings from first = (mu+1)//2 on
     resolve mu, so rows[mu, first:, first:] is its solve matrix;
     order_conditions[mu] is that matrix's condition number, and condition
@@ -169,6 +133,16 @@ def _odd_bandlimit(bandlimit) -> int:
     if L != bandlimit or L < 1 or L % 2 == 0:
         raise ValueError(f"band limit must be an odd positive integer, got {bandlimit!r}")
     return L
+
+
+def _flat(values, scheme: AngularScheme, what: str) -> np.ndarray:
+    """values as an array; ValueError unless it holds scheme.n_points finite entries."""
+    values = np.asarray(values)
+    if values.shape != (scheme.n_points,):
+        raise ValueError(f"expected {scheme.n_points} {what}, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} must be finite")
+    return values
 
 
 def make_angular_scheme(bandlimit: int, thetas=None, phi_offsets=None) -> AngularScheme:
@@ -264,8 +238,8 @@ def _scheme(bandlimit: int, thetas, phi_offsets) -> AngularScheme:
     ))
 
 
-def forward_sht(values, scheme: AngularScheme) -> ShCoefficients:
-    """Exact forward transform of hemisphere samples to coefficients.
+def forward_sht(values, scheme: AngularScheme) -> np.ndarray:
+    """Exact forward transform of ring-major hemisphere samples to coefficients.
 
     Exact (to rounding) for any signal band-limited to even degrees below
     scheme.bandlimit. One step per ring f, largest first, recovers orders
@@ -280,13 +254,7 @@ def forward_sht(values, scheme: AngularScheme) -> ShCoefficients:
     ConditioningError
         If any per-order system has condition number above 1e8.
     """
-    values = np.asarray(values)
-    if values.shape != (scheme.n_points,):
-        raise ValueError(
-            f"expected {scheme.n_points} samples (ring-major), got shape {values.shape}"
-        )
-    if not np.all(np.isfinite(values)):
-        raise ValueError("samples must be finite")
+    values = _flat(values, scheme, "samples")
     if not scheme.condition < COND_LIMIT:
         raise ConditioningError(
             "angular scheme is too ill-conditioned for a trustworthy transform",
@@ -305,42 +273,35 @@ def forward_sht(values, scheme: AngularScheme) -> ShCoefficients:
         # lower orders read these bins on rings too small to separate the pair
         spill = (rows[:, :f, f:] @ solved).view(complex) * phase[:, :f]
         np.subtract.at(bins, where[:, :f], spill)
-    return ShCoefficients(scheme.bandlimit, out[:-1])
+    return out[:-1]
 
 
-def inverse_sht(coeffs: ShCoefficients, scheme: AngularScheme) -> np.ndarray:
-    """Evaluate coefficients on the scheme's sample points.
+def inverse_sht(coeffs, scheme: AngularScheme) -> np.ndarray:
+    """Evaluate a coefficient array on the scheme's sample points.
 
     Returns a complex array in ring-major point order; real-signal
     coefficient sets come back real up to rounding. Runs through folded
     per-ring inverse FFTs, which reproduce the direct harmonic sum exactly
-    for band-limited coefficients.
+    for band-limited coefficients. ValueError unless coeffs holds
+    scheme.n_points finite values.
     """
-    if coeffs.bandlimit != scheme.bandlimit:
-        raise ValueError(
-            f"coefficient band limit {coeffs.bandlimit} does not match "
-            f"scheme band limit {scheme.bandlimit}"
-        )
+    coeffs = _flat(coeffs, scheme, "coefficients")
     # (order, ring, sign) content of every order at once
-    padded = np.append(coeffs.values, 0.0)[scheme.positions]
+    padded = np.append(coeffs, 0j)[scheme.positions]
     content = (scheme.rows @ padded.view(float)).view(complex) * scheme.phase
     bins = np.zeros(scheme.n_points, dtype=complex)
     np.add.at(bins, scheme.bins, content)
     return np.concatenate([np.fft.ifft(bins[ring], norm="forward") for ring in scheme.rings])
 
 
-def dense_sht_oracle(values, scheme: AngularScheme) -> ShCoefficients:
+def dense_sht_oracle(values, scheme: AngularScheme) -> np.ndarray:
     """Forward transform by one dense square solve, for cross-checking.
 
     Builds the full point-by-coefficient harmonic matrix and solves it
     directly. Cubic in the point count, so only sensible at small band
     limits; the FFT path should agree with this to rounding.
     """
-    values = np.asarray(values)
-    if values.shape != (scheme.n_points,):
-        raise ValueError(
-            f"expected {scheme.n_points} samples (ring-major), got shape {values.shape}"
-        )
+    values = _flat(values, scheme, "samples")
     # column (l, m) is Y_l^m at every point, from one table: Y_l^{-m} = (-1)^m conj Y_l^m
     L = scheme.bandlimit
     l = np.repeat(np.arange(0, L, 2), np.arange(1, 2 * L, 4))
@@ -351,7 +312,7 @@ def dense_sht_oracle(values, scheme: AngularScheme) -> ShCoefficients:
     cond = np.linalg.cond(matrix)
     if not cond < COND_LIMIT:
         raise ConditioningError("dense harmonic matrix is ill-conditioned", cond)
-    return ShCoefficients(scheme.bandlimit, np.linalg.solve(matrix, values.astype(complex)))
+    return np.linalg.solve(matrix, values.astype(complex))
 
 
 def mirror_to_full_sphere(points: np.ndarray) -> np.ndarray:

@@ -42,8 +42,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .angular import (ShCoefficients, _odd_bandlimit, _read_only, forward_sht, inverse_sht,
-                      make_angular_scheme)
+from .angular import _odd_bandlimit, _read_only, forward_sht, inverse_sht, make_angular_scheme
 from .errors import COND_LIMIT, ConditioningError
 from .radial import BConvention, RadialScheme, _basis_table, make_radial_scheme
 from .specfun import _legendre_by_order
@@ -70,7 +69,7 @@ class StaircaseIndex:
     (l, carrying shells, slice) per even degree; a block is m-major,
     n-minor. runs holds one (carrying shells, entry slice, row slice) per
     stretch of degrees with equal N_l: read as (l, m) rows by n, its
-    entries are the row slice of one shell's ShCoefficients.values. Entry
+    entries are the row slice of one shell's angular coefficients. Entry
     k is (radial_orders[k], degrees[k], orders[k]), and partner[k] is the
     position of its (n, l, -m) entry.
     """
@@ -261,8 +260,10 @@ def _grid(b_max, convention, index, padded, schemes) -> MultiShellGrid:
 class SpfCoefficients:
     """Coefficient table over a staircase index set.
 
-    values[k] holds the coefficient for index.entries[k]; zeta and the
-    b convention pin down the radial basis the table refers to.
+    values[k] holds the coefficient for index.entries[k], so (n, l, m)
+    sits at values[index.locate(n, l, m)]; zeta and the b convention pin
+    down the radial basis the table refers to. zeta must be positive and
+    finite, and every value finite.
     """
 
     index: StaircaseIndex
@@ -276,16 +277,10 @@ class SpfCoefficients:
             raise ValueError(
                 f"index has {self.index.size} entries, values have shape {self.values.shape}"
             )
-
-    @classmethod
-    def zeros(cls, index: StaircaseIndex, zeta: float, convention: BConvention):
-        return cls(index, zeta, convention, np.zeros(index.size, dtype=complex))
-
-    def get(self, n: int, l: int, m: int) -> complex:
-        return complex(self.values[self.index.locate(n, l, m)])
-
-    def set(self, n: int, l: int, m: int, value) -> None:
-        self.values[self.index.locate(n, l, m)] = value
+        if not 0 < self.zeta < np.inf:  # written so that NaN fails too
+            raise ValueError(f"zeta must be positive and finite, got {self.zeta}")
+        if not np.isfinite(self.values).all():
+            raise ValueError("coefficient values must be finite")
 
     def to_real_basis(self) -> np.ndarray:
         """Coefficients in the real spherical harmonic basis.
@@ -336,7 +331,7 @@ def forward_spf(grid: MultiShellGrid, samples, radial_mode: str = "staircase") -
         raise ValueError(f"grid has {grid.n_samples} samples, got values of shape {values.shape}")
     table = np.zeros((max(s.n_points for s in grid.angular), grid.n_shells), dtype=complex)
     for i, scheme in enumerate(grid.angular):
-        table[: scheme.n_points, i] = forward_sht(values[grid.shell_slice(i)], scheme).values
+        table[: scheme.n_points, i] = forward_sht(values[grid.shell_slice(i)], scheme)
     out_index, steps, cond = grid.radial_maps[radial_mode]
     if not cond < COND_LIMIT:
         raise ConditioningError("radial collocation matrix is ill-conditioned", cond)
@@ -433,5 +428,5 @@ def synthesize_on_grid(coeffs: SpfCoefficients, grid: MultiShellGrid) -> np.ndar
     table = np.zeros((top * (top + 1) // 2, grid.n_shells), dtype=complex)
     for shells, entries, rows in coeffs.index.runs:
         table[rows] = coeffs.values[entries].reshape(-1, len(shells)) @ rtab[: len(shells)]
-    return np.concatenate([inverse_sht(ShCoefficients(s.bandlimit, table[: s.n_points, i]), s)
+    return np.concatenate([inverse_sht(table[: s.n_points, i], s)
                            for i, s in enumerate(grid.angular)])

@@ -116,7 +116,8 @@ def random_staircase_signal(
 
     Coefficient magnitudes are damped by exp(-decay * l) and obey the
     conjugation constraint of real-valued signals, c_{n,l,-m} =
-    (-1)^m conj(c_{n,l,m}), so the synthesized samples are real.
+    (-1)^m conj(c_{n,l,m}), so the synthesized samples are real. seed is
+    anything numpy's default_rng takes, an int or a SeedSequence.
     """
     if not 0 <= decay < np.inf:  # written so that NaN fails too
         raise ValueError(f"decay must be finite and non-negative, got {decay}")

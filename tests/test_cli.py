@@ -291,7 +291,7 @@ def test_evaluate_at_huge_physical_b_gives_zero(tmp_path, capsys):
 
 def test_evaluate_prints_complex_for_non_real_tables(tmp_path, grid, capsys):
     coeffs = random_staircase_signal(9, grid.bandlimits, 4, grid.radial.zeta)
-    coeffs.set(0, 2, 0, 1.0 + 0.7j)
+    coeffs.values[coeffs.index.locate(0, 2, 0)] = 1.0 + 0.7j
     coeffs_path = tmp_path / "c.csv"
     coeffs_path.write_text(format_coefficients_csv(coeffs))
     queries_path = tmp_path / "q.txt"

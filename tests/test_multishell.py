@@ -14,7 +14,7 @@ from qspf.multishell import (
     staircase_index,
     synthesize_on_grid,
 )
-from qspf.angular import ShCoefficients, _scheme, make_angular_scheme
+from qspf.angular import _scheme, _sh_position, make_angular_scheme
 from qspf.errors import ConditioningError
 from qspf.radial import BConvention, radial_basis_eval
 from qspf.signals import random_staircase_signal
@@ -219,7 +219,7 @@ def test_forward_of_pure_basis_element(grid):
         [s.n_points for s in grid.angular],
     ) / np.sqrt(4.0 * np.pi)
     coeffs = forward_spf(grid, values)
-    assert coeffs.get(0, 0, 0) == pytest.approx(1.0, abs=1e-12)
+    assert coeffs.values[coeffs.index.locate(0, 0, 0)] == pytest.approx(1.0, abs=1e-12)
     others = np.abs(coeffs.values[coeffs.index.locate(0, 0, 0) != np.arange(coeffs.index.size)])
     assert np.max(others) < 1e-9
 
@@ -278,11 +278,10 @@ def test_synthesis_inverts_forward_run_by_run(bandlimits, n_runs):
     assert len(index.runs) == n_runs
     assert len(g.radial_maps["staircase"][1]) == n_runs
     assert len(g.radial_maps["zero_padded"][1]) == 1
-    # a run's entries, read as (l, m) rows by n, are one shell's ShCoefficients rows
+    # a run's entries, read as (l, m) rows by n, are rows of one shell's angular coefficients
     for shells, entries, rows in index.runs:
-        layout = ShCoefficients.zeros(max(bandlimits))
         for k, (n, l, m) in enumerate(index.entries[entries]):
-            assert (rows.start + k // len(shells), n) == (layout.index(l, m), k % len(shells))
+            assert (rows.start + k // len(shells), n) == (_sh_position(l, m), k % len(shells))
         assert shells == index.blocks[index.degrees[entries.start] // 2][1]
     samples = np.random.default_rng(23).standard_normal(g.n_samples)
     for mode in ("staircase", "zero_padded"):
@@ -333,9 +332,10 @@ def test_forward_validation(grid):
 
 def test_inverse_spf_basics(grid):
     index = grid.index
-    coeffs = SpfCoefficients.zeros(index, grid.radial.zeta, grid.radial.convention)
+    coeffs = SpfCoefficients(index, grid.radial.zeta, grid.radial.convention,
+                             np.zeros(index.size))
     assert inverse_spf(coeffs, np.array([0.0, 0.0, 1.0]), b=1000.0) == 0.0
-    coeffs.set(0, 0, 0, 1.0)
+    coeffs.values[index.locate(0, 0, 0)] = 1.0
     q0 = grid.radial.radii[0]
     expected = radial_basis_eval(0, q0, grid.radial.zeta) / np.sqrt(4.0 * np.pi)
     got = inverse_spf(coeffs, np.array([0.0, 0.0, 1.0]), q=q0)
@@ -437,9 +437,9 @@ def test_synthesis_drops_degrees_above_the_grid(grid):
     # no shell of the default grid carries degree 12 of a (13,)*4 table
     coeffs = random_staircase_signal(31, (13,) * 4, 4, grid.radial.zeta)
     assert np.all(coeffs.values[coeffs.index.degrees == 12] != 0)
-    restricted = SpfCoefficients.zeros(staircase_index((11,) * 4), coeffs.zeta, coeffs.convention)
-    for k, (n, l, m) in enumerate(restricted.index.entries):
-        restricted.values[k] = coeffs.get(n, l, m)
+    index = staircase_index((11,) * 4)
+    kept = [coeffs.index.locate(n, l, m) for n, l, m in index.entries]
+    restricted = SpfCoefficients(index, coeffs.zeta, coeffs.convention, coeffs.values[kept])
     assert np.array_equal(synthesize_on_grid(coeffs, grid), synthesize_on_grid(restricted, grid))
 
 
@@ -447,6 +447,22 @@ def test_synthesis_rejects_mismatched_radial_scale(grid):
     coeffs = random_staircase_signal(5, DEFAULTS, 4, grid.radial.zeta * 2.0)
     with pytest.raises(ValueError):
         synthesize_on_grid(coeffs, grid)
+
+
+@pytest.mark.parametrize("zeta", [np.nan, np.inf, 0.0, -1.0])
+def test_coefficient_table_refuses_a_bad_radial_scale(grid, zeta):
+    # NaN once passed the scale check and synthesized NaN; inf gave zeros
+    values = random_staircase_signal(5, DEFAULTS, 4, grid.radial.zeta).values
+    with pytest.raises(ValueError, match="zeta"):
+        SpfCoefficients(grid.index, zeta, grid.radial.convention, values)
+
+
+def test_coefficient_table_refuses_non_finite_values(grid):
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        values = np.ones(grid.index.size, dtype=complex)
+        values[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SpfCoefficients(grid.index, grid.radial.zeta, grid.radial.convention, values)
 
 
 def test_zero_padded_mode_on_default_grid(grid):
@@ -459,9 +475,9 @@ def test_zero_padded_mode_on_default_grid(grid):
     samples = inverse_spf(coeffs, grid.points, q=grid.radii)
     padded = forward_spf(grid, samples, radial_mode="zero_padded")
     assert padded.index.size == 264
-    for n, l, m in padded.index.entries:
-        want = coeffs.get(n, l, m) if l < 3 else 0.0
-        assert padded.get(n, l, m) == pytest.approx(want, abs=1e-10)
+    for k, (n, l, m) in enumerate(padded.index.entries):
+        want = coeffs.values[low.locate(n, l, m)] if l < 3 else 0.0
+        assert padded.values[k] == pytest.approx(want, abs=1e-10)
 
 
 def test_energy_identity_against_dense_quadrature(uniform_grid):

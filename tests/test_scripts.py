@@ -27,12 +27,5 @@ def test_conditioning_sweep():
         assert swept <= plain, row  # the plain layout is one of the search's candidates
 
 
-def test_export_default_grid(tmp_path):
-    run_script("export_default_grid.py", "--outdir", str(tmp_path))
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "points_full_sphere.csv", "scheme.bvals", "scheme.bvecs", "scheme.json",
-    ]
-
-
 def test_phantom_recon():
     assert "zero_padded" in run_script("phantom_recon.py", "--holdout", "50")

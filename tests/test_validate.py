@@ -1,5 +1,7 @@
 import pytest
 
+import qspf.signals
+import qspf.validate
 from qspf import build_grid
 from qspf.validate import run_validation
 
@@ -25,3 +27,20 @@ def test_conditioning_report_lists_every_order_of_every_shell():
         assert len(conditions) == scheme.bandlimit
         assert conditions == scheme.order_conditions.tolist()
     assert check["value"] == max(max(c) for c in check["per_shell"])
+
+
+def test_full_transform_draws_differ_across_seeds(monkeypatch):
+    # seeds s and s + 1 once shared all but one of their draws
+    drawn = []
+
+    def recording(*args, **kwargs):
+        coeffs = qspf.signals.random_staircase_signal(*args, **kwargs)
+        drawn.append(coeffs.values)
+        return coeffs
+
+    monkeypatch.setattr(qspf.validate, "random_staircase_signal", recording)
+    grid = build_grid(2, 1000.0, (3, 5))
+    for seed in (0, 1):
+        run_validation(grid, seed=seed, n_draws=3)
+    assert len(drawn) == 6
+    assert len({values.tobytes() for values in drawn}) == 6

@@ -18,13 +18,14 @@ whose worst such system is best conditioned.
 
 Both transforms keep the per-ring FFT bins in one flat array in sample
 order, so order m sits at ring_starts + m mod n_k on all rings at once.
-Only the Legendre solves depend on the samples; make_angular_scheme stores
-the rest as arrays indexed by |m| (see AngularScheme), which both
-transforms read directly. +m and -m share one real matrix, so the forward
-transform makes one stacked real solve per ring, Re and Im of +-|m| as four
-columns per order; the inverse adds all orders at once, one batched matmul
-and one scatter-add. Every scatter is a ufunc.at, which adds up the bins
-+m and -m share on ring 0 and wherever 4k+1 divides m.
+Only the FFT bins depend on the samples. make_angular_scheme stores the
+rest as arrays indexed by |m| (see AngularScheme), with each ring's
+Legendre systems QR-factored once, and both transforms read them directly.
++m and -m share one real matrix, so per ring the forward transform applies
+the stored Q^T, then R^-1, to Re and Im of +-|m| as four columns per
+order; the inverse adds all orders at once, one batched matmul and one
+scatter-add. Every scatter is a ufunc.at, which adds up the bins +m and
+-m share on ring 0 and wherever 4k+1 divides m.
 
 A scheme depends on its band limit and ring placements alone, so
 make_angular_scheme builds each once per process and hands every caller
@@ -74,7 +75,9 @@ class AngularScheme:
     rings slices each ring's samples. Rings from first = (mu+1)//2 on
     resolve mu, so rows[mu, first:, first:] is its solve matrix;
     order_conditions[mu] is that matrix's condition number, and condition
-    their maximum.
+    their maximum. factors[f] is ring f's step, (Q^T, R^-1) of the QR
+    factors of the solve matrices of |m| = 2f and 2f-1, stacked in that
+    order; it is empty unless condition is below 1e8.
     """
 
     bandlimit: int
@@ -92,6 +95,7 @@ class AngularScheme:
     bins: np.ndarray = field(repr=False)
     phase: np.ndarray = field(repr=False)
     positions: np.ndarray = field(repr=False)
+    factors: tuple = field(repr=False)
 
     @property
     def n_points(self) -> int:
@@ -193,6 +197,11 @@ def _scheme(bandlimit: int, thetas, phi_offsets) -> AngularScheme:
             raise ValueError("ring latitudes must lie strictly inside (0, pi)")
         layouts = thetas[None]
     thetas, rows, conditions = _order_rows(bandlimit, layouts)
+    factors = []
+    if conditions.max() < COND_LIMIT:  # else forward_sht refuses the scheme before any step
+        for f in range(n_rings):  # ring f's step stacks |m| = 2f, 2f - 1 (ring 0: just 0)
+            q, r = np.linalg.qr(rows[2 * f :: -1][:2, f:, f:])
+            factors.append((q.swapaxes(1, 2).copy(), np.linalg.inv(r)))
 
     if phi_offsets is None:
         phi_offsets = np.zeros(n_rings)
@@ -235,7 +244,8 @@ def _scheme(bandlimit: int, thetas, phi_offsets) -> AngularScheme:
         bins=bins,
         phase=phase,
         positions=positions,
-    ))
+        factors=tuple(factors),
+    ), *(array for step in factors for array in step))
 
 
 def forward_sht(values, scheme: AngularScheme) -> np.ndarray:
@@ -243,9 +253,10 @@ def forward_sht(values, scheme: AngularScheme) -> np.ndarray:
 
     Exact (to rounding) for any signal band-limited to even degrees below
     scheme.bandlimit. One step per ring f, largest first, recovers orders
-    |m| = 2f and 2f-1 with one stacked solve and subtracts their content
-    from the FFT bins they alias into on smaller rings: 2f first, so the
-    result is bit-identical to solving one order at a time.
+    |m| = 2f and 2f-1 by applying the scheme's stored factors of their
+    Legendre systems, R^-1 (Q^T rhs), and subtracts their content from the
+    FFT bins they alias into on smaller rings: 2f first, so the result is
+    bit-identical to stepping one order at a time.
 
     Raises
     ------
@@ -265,10 +276,10 @@ def forward_sht(values, scheme: AngularScheme) -> np.ndarray:
     out = np.zeros(scheme.n_points + 1, dtype=complex)  # one coefficient per point; -0 at the end
     for f in reversed(range(len(scheme.rings))):
         # ring f first resolves |m| = 2f, 2f - 1 (ring 0: just 0); neither reads the other's spill
-        pair = slice(2 * f, 2 * f - 2 if f else None, -1)
+        pair, (qt, rinv) = slice(2 * f, 2 * f - 2 if f else None, -1), scheme.factors[f]
         rows, where, phase = scheme.rows[pair], scheme.bins[pair], scheme.phase[pair]
         rhs = (bins[where[:, f:]] * phase[:, f:].conj()).view(float)  # Re, Im of +mu, -mu
-        solved = np.linalg.solve(rows[:, f:, f:], rhs)
+        solved = rinv @ (qt @ rhs)
         out[scheme.positions[pair, f:]] = solved.view(complex)
         # lower orders read these bins on rings too small to separate the pair
         spill = (rows[:, :f, f:] @ solved).view(complex) * phase[:, :f]

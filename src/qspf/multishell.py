@@ -256,14 +256,15 @@ def _grid(b_max, convention, index, padded, schemes) -> MultiShellGrid:
     return _read_only(grid, *(step[-1] for _, steps, _ in radial_maps.values() for step in steps))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SpfCoefficients:
     """Coefficient table over a staircase index set.
 
     values[k] holds the coefficient for index.entries[k], so (n, l, m)
     sits at values[index.locate(n, l, m)]; zeta and the b convention pin
     down the radial basis the table refers to. zeta must be positive and
-    finite, and every value finite.
+    finite, and every value finite. The table is frozen and copies values,
+    which inverse_spf checks again, as the array stays writable.
     """
 
     index: StaircaseIndex
@@ -272,7 +273,7 @@ class SpfCoefficients:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
+        object.__setattr__(self, "values", np.array(self.values, dtype=complex))
         if self.values.shape != (self.index.size,):
             raise ValueError(
                 f"index has {self.index.size} entries, values have shape {self.values.shape}"
@@ -368,6 +369,8 @@ def inverse_spf(coeffs: SpfCoefficients, directions, q=None, b=None):
     """
     if (q is None) == (b is None):
         raise ValueError("pass exactly one of q or b")
+    if not np.isfinite(coeffs.values).all():
+        raise ValueError("coefficient values must be finite")
     radii = np.asarray(q if b is None else b, dtype=float)
     if not np.all(radii >= 0):  # written so that NaN fails too
         raise ValueError(f"{'radii' if b is None else 'b-values'} must be non-negative, not NaN")

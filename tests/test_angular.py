@@ -91,7 +91,8 @@ def test_default_schemes_are_memoised_and_read_only():
     assert make_angular_scheme(11.0) is scheme
     arrays = {name: v for name, v in vars(scheme).items() if isinstance(v, np.ndarray)}
     assert {"thetas", "phi_offsets", "points", "rows", "bins", "phase", "positions"} <= set(arrays)
-    for array in arrays.values():
+    assert len(scheme.factors) == len(scheme.rings)
+    for array in [*arrays.values(), *(array for step in scheme.factors for array in step)]:
         with pytest.raises(ValueError):
             array[...] = array
 
@@ -109,6 +110,11 @@ def test_explicit_layouts_are_memoised_by_their_exact_bits():
                 assert np.array_equal(getattr(scheme, name), value), name
                 with pytest.raises(ValueError):
                     getattr(scheme, name)[...] = value
+    # the factors of equal rows are equal bits, so a descriptor rebuild transforms identically
+    for scheme in (again, offsets):
+        for step, default_step in zip(scheme.factors, default.factors, strict=True):
+            for array, default_array in zip(step, default_step, strict=True):
+                assert np.array_equal(array, default_array)
     # -0.0 is not 0.0, and a latitude one ulp away is another layout
     signed = make_angular_scheme(11, phi_offsets=-np.zeros(6))
     assert signed is not offsets and make_angular_scheme(11, phi_offsets=[-0.0] * 6) is signed
@@ -127,6 +133,11 @@ def test_explicit_layouts_copy_the_callers_arrays():
     for name, value in vars(scheme).items():
         if isinstance(value, np.ndarray):
             assert np.array_equal(value, before[name]), name
+        elif name == "factors":
+            assert len(value) == len(before[name]) == 6
+            for step, kept in zip(value, before[name]):
+                for array, copied in zip(step, kept, strict=True):
+                    assert np.array_equal(array, copied)
         else:
             assert value == before[name], name
 
@@ -187,15 +198,24 @@ def test_walk_folds_the_bins_signs_and_phases():
     assert np.array_equal(shared, np.arange(9)[:, None] % scheme.ring_sizes == 0)
 
 
-def per_order_cascade(values, scheme):
-    """The forward cascade one |m| at a time, highest first: one solve per order."""
+def per_order_cascade(values, scheme, lapack=False):
+    """The forward cascade one |m| at a time, highest first.
+
+    Order mu applies its slice of the stored factors of ring (mu + 1) // 2, or
+    with lapack solves its own system by np.linalg.solve, refactorising it.
+    """
     bins = np.concatenate([np.fft.fft(values[ring], norm="forward") for ring in scheme.rings])
     out = np.zeros(scheme.n_points + 1, dtype=complex)
     for mu in reversed(range(scheme.bandlimit)):
         first = (mu + 1) // 2
         rows, where, phase = scheme.rows[mu], scheme.bins[mu], scheme.phase[mu]
         rhs = (bins[where[first:]] * phase[first:].conj()).view(float)
-        solved = np.linalg.solve(rows[first:, first:], rhs)
+        if lapack:
+            solved = np.linalg.solve(rows[first:, first:], rhs)
+        else:
+            # ring f stacks orders 2f, 2f - 1
+            qt, rinv = (factor[2 * first - mu] for factor in scheme.factors[first])
+            solved = rinv @ (qt @ rhs)
         out[scheme.positions[mu, first:]] = solved.view(complex)
         spill = (rows[:first, first:] @ solved).view(complex) * phase[:first]
         np.subtract.at(bins, where[:first], spill)
@@ -210,6 +230,31 @@ def test_per_ring_cascade_is_bit_identical_to_the_per_order_one():
                        inverse_sht(random_coefficients(scheme.bandlimit, rng), scheme)):
             got = forward_sht(values, scheme)
             assert np.array_equal(got, per_order_cascade(values, scheme))
+
+
+def test_stored_factors_agree_with_lapack_solves():
+    rng = np.random.default_rng(6)
+    for L in (11, 21, 41):
+        scheme = make_angular_scheme(L)
+        for values in (rng.standard_normal(scheme.n_points),
+                       inverse_sht(random_coefficients(L, rng), scheme)):
+            solved = per_order_cascade(values, scheme, lapack=True)
+            error = np.max(np.abs(forward_sht(values, scheme) - solved))
+            assert error <= 1e-12 * np.max(np.abs(solved)), L
+
+
+def test_stored_factors_keep_the_lapack_round_trip_at_the_top_rung():
+    # Q^T then R^-1 reads ~1.1x the LAPACK round trip at L = 63; R^-1 Q^T
+    # multiplied out or an inverse of the whole step matrix read 2-6x
+    rng = np.random.default_rng(7)
+    scheme = make_angular_scheme(63)
+    factored = solved = 0.0
+    for _ in range(30):
+        coeffs = random_coefficients(63, rng)
+        values = inverse_sht(coeffs, scheme)
+        factored = max(factored, np.max(np.abs(forward_sht(values, scheme) - coeffs)))
+        solved = max(solved, np.max(np.abs(per_order_cascade(values, scheme, True) - coeffs)))
+    assert factored <= 1.5 * solved
 
 
 def test_round_trip_all_default_bandlimits():
@@ -260,6 +305,16 @@ def test_degenerate_latitudes_raise_conditioning_error():
     with pytest.raises(ConditioningError) as excinfo:
         forward_sht(np.ones(scheme.n_points), scheme)
     assert excinfo.value.condition > 1e8
+
+
+def test_nearly_coincident_latitudes_build_and_raise_on_transform():
+    # a finite condition number above the limit: no factors are built, so no LinAlgError
+    scheme = make_angular_scheme(5, thetas=[0.4, 0.4 + 1e-9, 1.0])
+    assert 1e8 <= scheme.condition < np.inf
+    assert scheme.factors == ()
+    with pytest.raises(ConditioningError) as excinfo:
+        forward_sht(np.ones(scheme.n_points), scheme)
+    assert excinfo.value.condition == scheme.condition
 
 
 def test_forward_input_validation():

@@ -465,6 +465,22 @@ def test_coefficient_table_refuses_non_finite_values(grid):
             SpfCoefficients(grid.index, grid.radial.zeta, grid.radial.convention, values)
 
 
+def test_coefficient_tables_are_frozen_copies(grid):
+    # a table changed after its checks once made inverse_spf return NaN without an error
+    values = random_staircase_signal(5, DEFAULTS, 4, grid.radial.zeta).values.copy()
+    coeffs = SpfCoefficients(grid.index, grid.radial.zeta, grid.radial.convention, values)
+    values[3] = np.nan
+    assert np.isfinite(coeffs.values).all()
+    for name, value in (("zeta", np.nan), ("values", values), ("index", grid.index)):
+        with pytest.raises(AttributeError):
+            setattr(coeffs, name, value)
+    assert np.isfinite(inverse_spf(coeffs, np.array([0.0, 0.0, 1.0]), b=1000.0))
+    # the values array stays writable in place, so inverse_spf checks it again
+    coeffs.values[3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        inverse_spf(coeffs, np.array([0.0, 0.0, 1.0]), b=1000.0)
+
+
 def test_zero_padded_mode_on_default_grid(grid):
     # a signal with no content above degree 2 is seen whole by every
     # shell, so the padded quadrature recovers it and pads zeros above

@@ -4,10 +4,9 @@ For each odd band limit the forward transform reduces to one small
 Legendre system per azimuthal order; the largest condition number over
 orders bounds how much sample noise can inflate coefficients. This sweep
 prints that number for the plain uniform ring layout
-theta_k = pi (2k+1) / (2(L+1)), passed as explicit ring latitudes so it
-is the only candidate of the layout search, and for the built-in layout,
-which keeps the best of a few rescalings of it; plus the transform
-round-trip error.
+theta_k = pi (2k+1) / (2(L+1)), passed as explicit ring latitudes, and
+for the built-in layout, that layout times the factor recorded for the
+band limit; plus the transform round-trip error on the built-in layout.
 
 Run with the package importable, for example
 PYTHONPATH=src python3 scripts/conditioning_sweep.py --lmax 21
@@ -37,15 +36,15 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    print(f"{'L':>3} {'points':>7} {'cond (plain)':>13} {'cond (swept)':>13} {'round trip':>12}")
+    print(f"{'L':>3} {'points':>7} {'cond (plain)':>13} {'cond (built-in)':>16} {'round trip':>12}")
     for L in range(1, args.lmax + 1, 2):
         k = np.arange((L + 1) // 2)
         plain = make_angular_scheme(L, thetas=np.pi * (2 * k + 1) / (2 * (L + 1)))
-        swept = make_angular_scheme(L)
-        err = round_trip_error(swept, args.draws, args.seed + L)
+        built_in = make_angular_scheme(L)
+        err = round_trip_error(built_in, args.draws, args.seed + L)
         print(
-            f"{L:>3} {swept.n_points:>7} {plain.condition:>13.3f} "
-            f"{swept.condition:>13.3f} {err:>12.3e}"
+            f"{L:>3} {built_in.n_points:>7} {plain.condition:>13.3f} "
+            f"{built_in.condition:>16.3f} {err:>12.3e}"
         )
 
 

@@ -13,8 +13,8 @@ interference iff 4k+1 >= 2|m|+1, and any order aliased into the same bin
 on such a ring has strictly larger |m|, so its contribution is already
 known and can be subtracted. Each order then reduces to a square Legendre
 system over its usable rings, and ring f's step solves |m| = 2f and 2f-1.
-The ring latitudes are chosen from a few candidate layouts as the one
-whose worst such system is best conditioned.
+The built-in ring latitudes rescale a uniform layout by a factor recorded
+per band limit, the one whose worst such system is best conditioned.
 
 Both transforms keep the per-ring FFT bins in one flat array in sample
 order, so order m sits at ring_starts + m mod n_k on all rings at once.
@@ -102,33 +102,20 @@ class AngularScheme:
         return len(self.theta)
 
 
-def _order_rows(bandlimit: int, layouts: np.ndarray):
-    """Per-order Legendre rows for the best-conditioned row of layouts.
+def _default_scale(bandlimit: int) -> float:
+    """The factor on theta_k = pi (2k+1) / (2(L+1)) that gives the built-in layout.
 
-    Each row is one candidate set of ring colatitudes. Order mu is solved on
-    the rings from (mu + 1) // 2 on; one condition number call per order
-    covers every candidate, and the row whose worst order is best
-    conditioned wins, the first of equal rows. Returns (thetas, the
-    (order, ring, degree) rows of the winner, per-order condition numbers).
+    Of the scales 1, 0.96, 0.98, 1.02 and 1.04, it is the first whose worst
+    per-order condition number is lowest, as a search over them found for
+    every odd L up to 243.
     """
-    legendre = _legendre_by_order(bandlimit - 1, np.cos(layouts).ravel())
-    # per order, all candidates: (candidate, degree, ring) values; even degree l is row l - mu
-    evals = [
-        leg[mu % 2 :: 2].reshape(-1, *layouts.shape).swapaxes(0, 1).copy()
-        for mu, leg in enumerate(legendre)
-    ]
-    conds = np.array(
-        [np.linalg.cond(ev.swapaxes(1, 2)[:, (mu + 1) // 2 :]) for mu, ev in enumerate(evals)]
-    )
-    best = np.argmin(conds.max(axis=0))
-    rows = np.zeros((bandlimit,) + layouts.shape[1:] * 2)  # P_l^mu = 0 at l = 2j < mu
-    for mu, ev in enumerate(evals):
-        rows[mu, :, (mu + 1) // 2 :] = ev[best].T
-    return layouts[best], rows, conds[:, best]
+    if bandlimit == 1:
+        return 1.0
+    return 1.04 if bandlimit <= 7 else 1.02 if bandlimit <= 11 else 1.0 if bandlimit <= 17 else 0.98
 
 
 def _odd_bandlimit(bandlimit) -> int:
-    """The band limit as an int; ValueError unless it is an odd positive integer.
+    """The band limit as an int; ValueError unless it is an odd integer in [1, 133].
 
     Integral floats such as 11.0 pass and map to 11; 11.5 is refused rather
     than truncated.
@@ -136,6 +123,10 @@ def _odd_bandlimit(bandlimit) -> int:
     L = int(bandlimit) if np.isfinite(bandlimit) else 0
     if L != bandlimit or L < 1 or L % 2 == 0:
         raise ValueError(f"band limit must be an odd positive integer, got {bandlimit!r}")
+    # 133 is the largest L whose built-in layout forward_sht accepts: worst per-order condition
+    # 9.6e7 at L = 133, 1.31e8 at 135, against COND_LIMIT = 1e8; it also bounds the L^2 tables
+    if L > 133:
+        raise ValueError(f"band limit {L} is above 133, the largest the transform inverts")
     return L
 
 
@@ -152,12 +143,12 @@ def _flat(values, scheme: AngularScheme, what: str) -> np.ndarray:
 def make_angular_scheme(bandlimit: int, thetas=None, phi_offsets=None) -> AngularScheme:
     """Build the hemisphere sampling scheme for an odd band limit.
 
-    Ring colatitudes are the candidate layout with the lowest worst
-    per-order condition number. With thetas omitted the candidates are
-    theta_k = pi (2k+1) / (2(L+1)) scaled by 1, 0.96, 0.98, 1.02 and 1.04,
-    the first winning ties. Explicit thetas are the only candidate, so they
-    are taken as given, poorly conditioned ones included; the transform
-    itself guards against those. Omitted phi_offsets are all zero.
+    With thetas omitted, the ring colatitudes are the built-in layout:
+    theta_k = pi (2k+1) / (2(L+1)) times a recorded factor per band limit
+    (1.04 for L = 3 to 7, 1.02 to 11, 1 to 17, 0.98 above), the rescaling
+    whose worst per-order condition number is lowest. Explicit thetas are
+    taken as given, poorly conditioned ones included; the transform itself
+    guards against those. Omitted phi_offsets are all zero.
 
     Memoised: every call with the same band limit and the same placements,
     bit for bit, returns the same object, and its arrays are read-only.
@@ -188,15 +179,20 @@ def _scheme(bandlimit: int, thetas, phi_offsets) -> AngularScheme:
 
     if thetas is None:
         base = np.pi * (2 * np.arange(n_rings) + 1) / (2 * (bandlimit + 1))
-        layouts = base * np.array([[1.0], [0.96], [0.98], [1.02], [1.04]])
+        thetas = base * _default_scale(bandlimit)
     else:
         thetas = np.frombuffer(thetas[1]).reshape(thetas[0])
         if thetas.shape != (n_rings,):
             raise ValueError(f"band limit {bandlimit} needs {n_rings} ring latitudes")
         if not np.all((thetas > 0) & (thetas < np.pi)):
             raise ValueError("ring latitudes must lie strictly inside (0, pi)")
-        layouts = thetas[None]
-    thetas, rows, conditions = _order_rows(bandlimit, layouts)
+    # order mu is solved on the rings from (mu + 1) // 2 on; even degree l is row l - mu of leg
+    rows = np.zeros((bandlimit, n_rings, n_rings))  # P_l^mu = 0 at l = 2j < mu
+    conditions = np.empty(bandlimit)
+    for mu, leg in enumerate(_legendre_by_order(bandlimit - 1, np.cos(thetas))):
+        first = (mu + 1) // 2
+        rows[mu, :, first:] = leg[mu % 2 :: 2].T
+        conditions[mu] = np.linalg.cond(rows[mu, first:, first:])
     factors = []
     if conditions.max() < COND_LIMIT:  # else forward_sht refuses the scheme before any step
         for f in range(n_rings):  # ring f's step stacks |m| = 2f, 2f - 1 (ring 0: just 0)

@@ -35,8 +35,8 @@ import numpy as np
 
 from .angular import mirror_to_full_sphere
 from .errors import ConditioningError
-from .multishell import (MultiShellGrid, SpfCoefficients, _checked_bandlimits, build_grid,
-                         forward_spf, inverse_spf, staircase_index)
+from .multishell import (MultiShellGrid, SpfCoefficients, _checked_bandlimits, _finite_values,
+                         build_grid, forward_spf, inverse_spf, staircase_index)
 from .radial import BConvention
 from .validate import run_validation
 
@@ -158,7 +158,7 @@ def format_coefficients_csv(coeffs: SpfCoefficients) -> str:
         "# bandlimits=" + ",".join(str(L) for L in coeffs.index.bandlimits),
         "n,l,m,re,im",
     ]
-    for (n, l, m), value in zip(coeffs.index.entries, coeffs.values):
+    for (n, l, m), value in zip(coeffs.index.entries, _finite_values(coeffs)):
         lines.append(f"{n},{l},{m},{float(value.real)!r},{float(value.imag)!r}")
     return "\n".join(lines) + "\n"
 
@@ -209,8 +209,6 @@ def parse_coefficients_csv(text: str) -> SpfCoefficients:
         convention = BConvention(meta["convention"], tau)
         bandlimits = _checked_bandlimits(int(t) for t in meta["bandlimits"].split(","))
         zeta = float(meta["zeta"])
-        if not 0 < zeta < math.inf:
-            raise ValueError(f"zeta must be positive and finite, got {zeta}")
     except ValueError as exc:
         raise CliError(f"bad metadata: {exc}") from None
     # the index costs time and memory as L^2, so count the rows before building it

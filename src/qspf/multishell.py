@@ -264,7 +264,7 @@ class SpfCoefficients:
     sits at values[index.locate(n, l, m)]; zeta and the b convention pin
     down the radial basis the table refers to. zeta must be positive and
     finite, and every value finite. The table is frozen and copies values,
-    which inverse_spf checks again, as the array stays writable.
+    which every reader checks again, as the array stays writable.
     """
 
     index: StaircaseIndex
@@ -280,8 +280,7 @@ class SpfCoefficients:
             )
         if not 0 < self.zeta < np.inf:  # written so that NaN fails too
             raise ValueError(f"zeta must be positive and finite, got {self.zeta}")
-        if not np.isfinite(self.values).all():
-            raise ValueError("coefficient values must be finite")
+        _finite_values(self)
 
     def to_real_basis(self) -> np.ndarray:
         """Coefficients in the real spherical harmonic basis.
@@ -295,10 +294,17 @@ class SpfCoefficients:
         a_{n,l,-m} = -sqrt(2) (-1)^m Im c_{n,l,m}, with a_{n,l,0} =
         Re c_{n,l,0}. Entry order matches index.entries.
         """
-        m = self.index.orders
-        c = np.where(m < 0, self.values[self.index.partner], self.values)
+        m, values = self.index.orders, _finite_values(self)
+        c = np.where(m < 0, values[self.index.partner], values)
         sign = np.where(m % 2, -1.0, 1.0)
         return np.where(m == 0, c.real, np.sqrt(2.0) * sign * np.where(m > 0, c.real, -c.imag))
+
+
+def _finite_values(coeffs: SpfCoefficients) -> np.ndarray:
+    """coeffs.values, checked finite again: the array stays writable after the table's check."""
+    if not np.isfinite(coeffs.values).all():
+        raise ValueError("coefficient values must be finite")
+    return coeffs.values
 
 
 def forward_spf(grid: MultiShellGrid, samples, radial_mode: str = "staircase") -> SpfCoefficients:
@@ -342,16 +348,30 @@ def forward_spf(grid: MultiShellGrid, samples, radial_mode: str = "staircase") -
     return SpfCoefficients(out_index, grid.radial.zeta, grid.radial.convention, out)
 
 
-def _unit_directions(directions):
-    """Directions as an (n, 3) array of unit vectors, and whether one 3-vector was given."""
-    directions = np.asarray(directions, dtype=float)
-    dirs = np.atleast_2d(directions)
+def _paired(radii, directions, what: str):
+    """Non-negative radii and unit directions, one of each per point, and whether both were single.
+
+    One direction pairs with every radius, one radius with every direction,
+    else the lengths must match (empty too). what names the radii in errors.
+    """
+    radii, directions = np.asarray(radii, dtype=float), np.asarray(directions, dtype=float)
+    if not np.all(radii >= 0):  # written so that NaN fails too
+        raise ValueError(f"{what} must be non-negative, not NaN")
+    flat, dirs = np.atleast_1d(radii), np.atleast_2d(directions)
     if dirs.ndim != 2 or dirs.shape[1] != 3:
         raise ValueError(f"directions must have 3 components, got shape {directions.shape}")
     # written so that a NaN component fails too
     if not np.all(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) <= 1e-6):
         raise ValueError("directions must be unit vectors")
-    return dirs, directions.ndim == 1
+    if flat.ndim != 1:
+        raise ValueError(f"{what} must be a scalar or a flat array")
+    if len(flat) == 1:
+        flat = np.full(len(dirs), flat[0])
+    elif len(dirs) == 1:
+        dirs = np.broadcast_to(dirs, (len(flat), 3))
+    elif len(flat) != len(dirs):
+        raise ValueError(f"{len(flat)} {what} do not pair with {len(dirs)} directions")
+    return flat, dirs, directions.ndim == 1 and radii.ndim == 0
 
 
 def inverse_spf(coeffs: SpfCoefficients, directions, q=None, b=None):
@@ -369,29 +389,18 @@ def inverse_spf(coeffs: SpfCoefficients, directions, q=None, b=None):
     """
     if (q is None) == (b is None):
         raise ValueError("pass exactly one of q or b")
-    if not np.isfinite(coeffs.values).all():
-        raise ValueError("coefficient values must be finite")
-    radii = np.asarray(q if b is None else b, dtype=float)
-    if not np.all(radii >= 0):  # written so that NaN fails too
-        raise ValueError(f"{'radii' if b is None else 'b-values'} must be non-negative, not NaN")
-    q = radii if b is None else coeffs.convention.q_from_b(radii)
-    dirs, one_direction = _unit_directions(directions)
-    scalar = one_direction and q.ndim == 0
-    qv = np.atleast_1d(q)
-    if qv.ndim != 1:
-        raise ValueError("q must be a scalar or a flat array")
-    if len(qv) == 1:
-        qv = np.full(len(dirs), qv[0])
-    elif len(dirs) == 1:
-        dirs = np.broadcast_to(dirs, (len(qv), 3))
-    elif len(qv) != len(dirs):
-        raise ValueError(f"{len(qv)} radii do not pair with {len(dirs)} directions")
+    values = _finite_values(coeffs)
+    if b is None:
+        qv, dirs, scalar = _paired(q, directions, "radii")
+    else:
+        qv, dirs, scalar = _paired(b, directions, "b-values")
+        qv = coeffs.convention.q_from_b(qv)
 
     index = coeffs.index
     n_orders, l_max = len(index.bandlimits), max(index.bandlimits)
     # order mu adds c+ e^(i mu phi) + c- e^(-i mu phi), c- = (-1)^mu c_{n,l,-mu}, which is
     # (c+ + c-) cos(mu phi) + i (c+ - c-) sin(mu phi); at mu = 0, c- is c+ itself: halve order 0
-    plus, minus = coeffs.values, np.conj(index.mirrored(coeffs.values))
+    plus, minus = values, np.conj(index.mirrored(values))
     terms = np.stack([plus + minus, 1j * (plus - minus)], axis=1).view(float)
     up = index.orders >= 0
     parts = np.zeros((l_max, (l_max + 1) // 2, 4, n_orders))

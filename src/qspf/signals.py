@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multishell import (SpfCoefficients, _checked_bandlimits, _unit_directions,
-                         staircase_index)
+from .multishell import SpfCoefficients, _checked_bandlimits, _paired, staircase_index
 from .radial import BConvention
 
 __all__ = [
@@ -82,9 +81,9 @@ def multi_tensor_eval(mixture, b, directions):
     """Normalized attenuation of a Gaussian mixture, E = sum_j f_j e^{-b u'D_j u}.
 
     b is in s/mm^2 and must be non-negative, not NaN (b = inf gives 0, its
-    limit); directions must be unit vectors. Scalars and arrays broadcast
-    the same way everywhere else in the package: one b with many
-    directions, matched arrays, or scalars.
+    limit); directions must be unit vectors. b-values pair with directions
+    as in inverse_spf: one b with many directions, one direction with many
+    b-values, matched arrays, or scalars.
     """
     mixture = list(mixture)
     if not mixture:
@@ -92,11 +91,7 @@ def multi_tensor_eval(mixture, b, directions):
     total = sum(c.fraction for c in mixture)
     if abs(total - 1.0) > 1e-8:
         raise ValueError(f"volume fractions must sum to 1, got {total}")
-    b = np.asarray(b, dtype=float)
-    if not np.all(b >= 0):  # written so that NaN fails too; b = inf gives 0
-        raise ValueError("b-values must be non-negative, not NaN")
-    dirs, one_direction = _unit_directions(directions)
-    scalar = one_direction and b.ndim == 0
+    b, dirs, scalar = _paired(b, directions, "b-values")  # b = inf gives 0
     out = np.zeros(len(dirs))
     for comp in mixture:
         exponent = np.einsum("pi,ij,pj->p", dirs, comp.tensor, dirs)

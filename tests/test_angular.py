@@ -52,6 +52,10 @@ def test_make_angular_scheme_validation():
         make_angular_scheme(4)
     with pytest.raises(ValueError):
         make_angular_scheme(-3)
+    assert make_angular_scheme(133).condition < 1e8  # the largest the transform accepts
+    for above in (135, 10001):
+        with pytest.raises(ValueError, match=f"band limit {above} is above 133"):
+            make_angular_scheme(above)
     with pytest.raises(ValueError):
         make_angular_scheme(5, thetas=[0.3, 0.9])
     with pytest.raises(ValueError):
@@ -69,11 +73,14 @@ def test_conditioning_stays_small_at_default_layouts():
 
 
 def test_layout_search_keeps_the_best_rescaling():
-    # the winners of the five rescalings; at L=1 all tie and the first, unscaled, is kept
-    for L in range(1, 82, 2):
-        scale = 1.0 if L == 1 else 1.04 if L <= 7 else 1.02 if L <= 11 else 1.0 if L <= 17 else 0.98
+    # the built-in layout is the first of five rescalings with the lowest worst per-order condition
+    for L in [*range(1, 42, 2), 63, 81, 133]:
         base = np.pi * (2 * np.arange((L + 1) // 2) + 1) / (2 * (L + 1))
-        assert np.array_equal(make_angular_scheme(L).thetas, base * scale), L
+        candidates = [make_angular_scheme(L, thetas=base * s) for s in (1, 0.96, 0.98, 1.02, 1.04)]
+        best = min(candidates, key=lambda scheme: scheme.condition)
+        built_in = make_angular_scheme(L)
+        for name in ("thetas", "rows", "order_conditions"):
+            assert np.array_equal(getattr(built_in, name), getattr(best, name)), (L, name)
 
 
 def test_explicit_latitudes_reproduce_the_chosen_layout():

@@ -243,9 +243,12 @@ def test_coefficient_row_count_is_checked_before_the_index_is_built(grid, monkey
 
     monkeypatch.setattr("qspf.cli.staircase_index", fail)
     text = format_coefficients_csv(random_staircase_signal(9, grid.bandlimits, 4, grid.radial.zeta))
-    with pytest.raises(CliError, match="expected 1282401 coefficient rows, got 0"):
-        parse_coefficients_csv(text.split("n,l,m,re,im")[0].replace("3,5,9,11", "1601")
-                               + "n,l,m,re,im\n")
+    header = text.split("n,l,m,re,im")[0]
+    with pytest.raises(CliError, match="expected 8911 coefficient rows, got 0"):
+        parse_coefficients_csv(header.replace("3,5,9,11", "133") + "n,l,m,re,im\n")
+    # a band limit above 133 is refused before any row is counted
+    with pytest.raises(CliError, match="bad metadata: band limit 1601 is above 133"):
+        parse_coefficients_csv(header.replace("3,5,9,11", "1601") + "n,l,m,re,im\n")
     with pytest.raises(CliError, match="expected 132 coefficient rows, got 131"):
         parse_coefficients_csv(text.rsplit("\n", 2)[0] + "\n")
 
@@ -383,6 +386,14 @@ def test_a_file_that_is_not_utf8_is_an_error(tmp_path, grid):
     assert "Traceback" not in done.stderr
 
 
+def test_a_huge_band_limit_is_refused_before_any_table_is_built():
+    # L = 10001 once allocated 10001^2-sized tables until the process was killed
+    done = _run_qspf("grid", "--shells", "1", "--bandlimits", "10001", "--format", "json")
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error: band limit 10001 is above 133")
+    assert done.stderr.count("\n") == 1
+
+
 def test_extreme_b_max_is_refused_or_validated_without_overflow():
     done = _run_qspf("grid", "--bmax", "1e300", "--format", "json")
     assert done.returncode == 1 and done.stdout == ""
@@ -482,12 +493,16 @@ def _sample_line(lineno, text):
          _descriptor_edit(lambda d: [_set_path(d, path, 11.5)
                                      for path in (("bandlimits", 3), ("shells", 3, "bandlimit"))]),
          "odd positive integer, got 11.5"),
+        ("forward", "scheme.json",
+         _descriptor_edit(lambda d: [_set_path(d, path, 135)
+                                     for path in (("bandlimits", 3), ("shells", 3, "bandlimit"))]),
+         "band limit 135 is above 133"),
     ],
     ids=["not-json", "no-bmax", "ring-count", "shell-bandlimit", "nan", "inf", "convention",
          "equal-latitudes", "inf-offset", "nan-offset-grid", "nan-latitude", "convention-string",
          "huge-bmax", "bmax-overflow",
          "query-b-nan", "query-b-inf", "query-b-overflow", "query-dir-nan", "query-dir-inf",
-         "coeff-nan", "zeta-nan", "fractional-bandlimit"],
+         "coeff-nan", "zeta-nan", "fractional-bandlimit", "bandlimit-over-133"],
 )
 def test_malformed_inputs_exit_with_error(tmp_path, grid, capsys, command, bad_file, transform,
                                           message):

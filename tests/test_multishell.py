@@ -15,6 +15,7 @@ from qspf.multishell import (
     synthesize_on_grid,
 )
 from qspf.angular import _scheme, _sh_position, make_angular_scheme
+from qspf.cli import format_coefficients_csv
 from qspf.errors import ConditioningError
 from qspf.radial import BConvention, radial_basis_eval
 from qspf.signals import random_staircase_signal
@@ -91,6 +92,8 @@ def test_staircase_edge_cases():
         staircase_index(())
     with pytest.raises(ValueError):
         staircase_index((3.9,))
+    with pytest.raises(ValueError, match="above 133"):
+        staircase_index((10001,))
 
 
 def test_staircase_index_is_memoised_and_read_only():
@@ -475,10 +478,12 @@ def test_coefficient_tables_are_frozen_copies(grid):
         with pytest.raises(AttributeError):
             setattr(coeffs, name, value)
     assert np.isfinite(inverse_spf(coeffs, np.array([0.0, 0.0, 1.0]), b=1000.0))
-    # the values array stays writable in place, so inverse_spf checks it again
+    # the values array stays writable in place, so every reader checks it again
     coeffs.values[3] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        inverse_spf(coeffs, np.array([0.0, 0.0, 1.0]), b=1000.0)
+    for read in (lambda: inverse_spf(coeffs, np.array([0.0, 0.0, 1.0]), b=1000.0),
+                 coeffs.to_real_basis, lambda: format_coefficients_csv(coeffs)):
+        with pytest.raises(ValueError, match="coefficient values must be finite"):
+            read()
 
 
 def test_zero_padded_mode_on_default_grid(grid):

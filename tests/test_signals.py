@@ -47,6 +47,16 @@ def test_crossing_value_by_direct_matrix_arithmetic():
     assert multi_tensor_eval(mixture, b, u) == pytest.approx(expected, rel=1e-12)
 
 
+def test_b_values_pair_with_directions_like_inverse_spf():
+    mixture, u = two_tensor_crossing(), np.array([0.0, 0.6, 0.8])
+    b = np.array([0.0, 1000.0, 2000.0])
+    one_by_one = [multi_tensor_eval(mixture, value, u) for value in b]
+    for dirs in (u, [u] * 3):
+        assert np.allclose(multi_tensor_eval(mixture, b, dirs), one_by_one, rtol=1e-14, atol=0)
+    with pytest.raises(ValueError, match="3 b-values do not pair with 2 directions"):
+        multi_tensor_eval(mixture, b, [u, u])
+
+
 def test_mixture_validation():
     good = 1e-3 * np.eye(3)
     with pytest.raises(ValueError):

@@ -6,7 +6,8 @@ orders bounds how much sample noise can inflate coefficients. This sweep
 prints that number for the plain uniform ring layout
 theta_k = pi (2k+1) / (2(L+1)), passed as explicit ring latitudes, and
 for the built-in layout, that layout times the factor recorded for the
-band limit; plus the transform round-trip error on the built-in layout.
+band limit; plus the transform round-trip error on the built-in layout,
+as run_validation's sht_round_trip check on a one-shell grid reports it.
 
 Run with the package importable, for example
 PYTHONPATH=src python3 scripts/conditioning_sweep.py --lmax 21
@@ -16,17 +17,7 @@ import argparse
 
 import numpy as np
 
-from qspf import forward_sht, inverse_sht, make_angular_scheme
-
-
-def round_trip_error(scheme, n_draws, seed):
-    rng = np.random.default_rng(seed)
-    size, worst = scheme.n_points, 0.0
-    for _ in range(n_draws):
-        coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        back = forward_sht(inverse_sht(coeffs, scheme), scheme)
-        worst = max(worst, np.max(np.abs(back - coeffs)))
-    return worst
+from qspf import build_grid, make_angular_scheme, run_validation
 
 
 def main():
@@ -41,7 +32,8 @@ def main():
         k = np.arange((L + 1) // 2)
         plain = make_angular_scheme(L, thetas=np.pi * (2 * k + 1) / (2 * (L + 1)))
         built_in = make_angular_scheme(L)
-        err = round_trip_error(built_in, args.draws, args.seed + L)
+        report = run_validation(build_grid(1, 1000.0, (L,)), seed=args.seed + L, n_draws=args.draws)
+        err = report["checks"]["sht_round_trip"]["value"]
         print(
             f"{L:>3} {built_in.n_points:>7} {plain.condition:>13.3f} "
             f"{built_in.condition:>16.3f} {err:>12.3e}"

@@ -17,7 +17,8 @@ The built-in ring latitudes rescale a uniform layout by a factor recorded
 per band limit, the one whose worst such system is best conditioned.
 
 Both transforms keep the per-ring FFT bins in one flat array in sample
-order, so order m sits at ring_starts + m mod n_k on all rings at once.
+order, so order m sits at ring k's first sample + m mod n_k on all rings
+at once.
 Only the FFT bins depend on the samples. make_angular_scheme stores the
 rest as arrays indexed by |m| (see AngularScheme), with each ring's
 Legendre systems QR-factored once, and both transforms read them directly.
@@ -53,7 +54,6 @@ __all__ = [
     "forward_sht",
     "inverse_sht",
     "dense_sht_oracle",
-    "mirror_to_full_sphere",
 ]
 
 
@@ -72,19 +72,17 @@ class AngularScheme:
     is m's flat FFT bin on each ring, phase is exp(i m phi_k) negated for
     negative odd m, and positions[mu, j] the place of (2j, m) in the
     coefficient array, or one past the end for 2j < mu and for -0.
-    rings slices each ring's samples. Rings from first = (mu+1)//2 on
-    resolve mu, so rows[mu, first:, first:] is its solve matrix;
-    order_conditions[mu] is that matrix's condition number, and condition
-    their maximum. factors[f] is ring f's step, (Q^T, R^-1) of the QR
-    factors of the solve matrices of |m| = 2f and 2f-1, stacked in that
-    order; it is empty unless condition is below 1e8.
+    rings slices each ring's samples, 4k+1 on ring k. Rings from first =
+    (mu+1)//2 on resolve mu, so rows[mu, first:, first:] is its solve
+    matrix; order_conditions[mu] is that matrix's condition number, and
+    condition their maximum. factors[f] is ring f's step, (Q^T, R^-1) of
+    the QR factors of the solve matrices of |m| = 2f and 2f-1, stacked in
+    that order; it is empty unless condition is below 1e8.
     """
 
     bandlimit: int
     thetas: np.ndarray
     phi_offsets: np.ndarray
-    ring_sizes: np.ndarray
-    ring_starts: np.ndarray
     theta: np.ndarray
     phi: np.ndarray
     points: np.ndarray
@@ -228,8 +226,6 @@ def _scheme(bandlimit: int, thetas, phi_offsets) -> AngularScheme:
         bandlimit=bandlimit,
         thetas=thetas,
         phi_offsets=phi_offsets,
-        ring_sizes=ring_sizes,
-        ring_starts=ring_starts,
         theta=theta,
         phi=phi,
         points=points,
@@ -321,10 +317,3 @@ def dense_sht_oracle(values, scheme: AngularScheme) -> np.ndarray:
         raise ConditioningError("dense harmonic matrix is ill-conditioned", cond)
     return np.linalg.solve(matrix, values.astype(complex))
 
-
-def mirror_to_full_sphere(points: np.ndarray) -> np.ndarray:
-    """Append the antipode of every direction, doubling the point count."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError(f"expected an (n, 3) direction array, got shape {points.shape}")
-    return np.vstack([points, -points])

@@ -33,7 +33,6 @@ import sys
 
 import numpy as np
 
-from .angular import mirror_to_full_sphere
 from .errors import ConditioningError
 from .multishell import (MultiShellGrid, SpfCoefficients, _checked_bandlimits, _finite_values,
                          build_grid, forward_spf, inverse_spf, staircase_index)
@@ -138,7 +137,7 @@ def format_points_csv(grid: MultiShellGrid, mirror: bool = False) -> str:
     shells = grid.shell_of
     bvals = grid.bvalues
     if mirror:
-        points = mirror_to_full_sphere(points)
+        points = np.vstack([points, -points])
         shells = np.concatenate([shells, shells])
         bvals = np.concatenate([bvals, bvals])
     lines = ["shell,b,x,y,z"]

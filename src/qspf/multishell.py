@@ -15,12 +15,11 @@ see them. Signals with energy at degree l on shells whose band limit is
 <= l fall outside the model space by construction; sampling such a shell
 simply cannot represent that content.
 
-staircase_index owns the table layout: one (l, carrying shells, slice)
-block per even degree, m-major and n-minor, per-entry n, l, m and
-partner arrays, and runs of adjacent degrees carried by the same shells.
-build_grid makes each radial mode's maps once, one per run; forward_spf
-and synthesize_on_grid make one matrix product per run against an
-(l, m) x shell table of per-shell harmonic coefficients.
+staircase_index owns the table layout: runs of adjacent degrees carried
+by the same shells, each m-major and n-minor, and per-entry n, l, m and
+partner arrays. build_grid makes each radial mode's maps once, one per
+run; forward_spf and synthesize_on_grid make one matrix product per run
+against an (l, m) x shell table of per-shell harmonic coefficients.
 inverse_spf, the read side, goes one azimuthal order at a time with its
 Legendre rows made by recurrence, so its memory is linear in the batch.
 
@@ -42,7 +41,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .angular import _odd_bandlimit, _read_only, forward_sht, inverse_sht, make_angular_scheme
+from .angular import (_odd_bandlimit, _read_only, _sh_position, forward_sht, inverse_sht,
+                      make_angular_scheme)
 from .errors import COND_LIMIT, ConditioningError
 from .radial import BConvention, RadialScheme, _basis_table, make_radial_scheme
 from .specfun import _legendre_by_order
@@ -65,17 +65,16 @@ class StaircaseIndex:
 
     Entries are ordered by ascending even degree l, then order m from -l
     to l, then radial order n. Degree l appears with n < N_l, where N_l
-    is the number of shells whose band limit exceeds l. blocks holds one
-    (l, carrying shells, slice) per even degree; a block is m-major,
-    n-minor. runs holds one (carrying shells, entry slice, row slice) per
-    stretch of degrees with equal N_l: read as (l, m) rows by n, its
-    entries are the row slice of one shell's angular coefficients. Entry
-    k is (radial_orders[k], degrees[k], orders[k]), and partner[k] is the
+    is the number of shells whose band limit exceeds l. runs holds one
+    (carrying shells, entry slice, row slice) per stretch of degrees with
+    equal N_l: read as (l, m) rows by n, its entries are the row slice of
+    one shell's angular coefficients, so (n, l, m) sits at entries.start +
+    (row - rows.start) N_l + n with row = l(l+1)/2 + m. Entry k is
+    (radial_orders[k], degrees[k], orders[k]), and partner[k] is the
     position of its (n, l, -m) entry.
     """
 
     bandlimits: tuple
-    blocks: tuple = field(repr=False)
     runs: tuple = field(repr=False)
     radial_orders: np.ndarray = field(repr=False)
     degrees: np.ndarray = field(repr=False)
@@ -95,10 +94,11 @@ class StaircaseIndex:
         return np.where(self.orders % 2, -1.0, 1.0) * np.conj(values[self.partner])
 
     def locate(self, n: int, l: int, m: int) -> int:
-        if l % 2 == 0 and 0 <= l < max(self.bandlimits):
-            _, shells, block = self.blocks[l // 2]
-            if 0 <= n < len(shells) and -l <= m <= l:
-                return block.start + (m + l) * len(shells) + n
+        if l % 2 == 0 and 0 <= l < max(self.bandlimits) and -l <= m <= l:
+            row = _sh_position(l, m)
+            shells, entries, rows = next(run for run in self.runs if row < run[2].stop)
+            if 0 <= n < len(shells):
+                return entries.start + (row - rows.start) * len(shells) + n
         raise ValueError(f"(n={n}, l={l}, m={m}) is outside the coefficient set")
 
 
@@ -125,25 +125,20 @@ def _staircase_index(bandlimits: tuple) -> StaircaseIndex:
     degrees = np.arange(0, limits.max(), 2)
     n_l = np.count_nonzero(limits > degrees[:, None], axis=1)
     sizes = (2 * degrees + 1) * n_l
-    starts = np.cumsum(sizes) - sizes
-    blocks = tuple(
-        (int(l), tuple(np.flatnonzero(limits > l).tolist()), slice(int(a), int(a + k)))
-        for l, a, k in zip(degrees, starts, sizes)
-    )
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
     # runs start where N_l drops; the rows of even degree l = 2a start at l (l - 1) / 2 = a (2a - 1)
     cuts = np.flatnonzero(np.diff(n_l, prepend=0)).tolist() + [len(degrees)]
     runs = tuple(
-        (blocks[a][1], slice(blocks[a][2].start, blocks[b - 1][2].stop),
+        (tuple(np.flatnonzero(limits > 2 * a).tolist()), slice(int(bounds[a]), int(bounds[b])),
          slice(a * (2 * a - 1), b * (2 * b - 1)))
         for a, b in zip(cuts, cuts[1:])
     )
     n_of, l_of = np.repeat(n_l, sizes), np.repeat(degrees, sizes)
-    offset = np.arange(sizes.sum()) - np.repeat(starts, sizes)
+    offset = np.arange(sizes.sum()) - np.repeat(bounds[:-1], sizes)
     orders = offset // n_of - l_of
-    # the block is m-major, so (n, l, -m) sits 2 m N_l positions before (n, l, m)
+    # each degree is m-major, so (n, l, -m) sits 2 m N_l positions before (n, l, m)
     partner = np.arange(sizes.sum()) - 2 * orders * n_of
-    return _read_only(StaircaseIndex(bandlimits, blocks, runs, offset % n_of, l_of, orders,
-                                     partner))
+    return _read_only(StaircaseIndex(bandlimits, runs, offset % n_of, l_of, orders, partner))
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,9 +148,9 @@ class MultiShellGrid:
     Flat sample arrays are shell-major (all of shell 0, then shell 1, ...)
     and ring-major within each shell, matching the angular schemes' point
     order. The radial maps depend only on the grid and are built with it:
-    radial_maps takes each radial mode to (output index, steps, worst
-    condition number), one step (shells, entries, rows, map) per run of
-    the output index, so zero_padded has one. A map is the quadrature
+    radial_maps takes each radial mode to (output index, maps, worst
+    condition number), one map per run of the output index, so
+    zero_padded has one. A map is the quadrature
     Q[n, i] = w_i R_n(q_i) on a run all shells carry, else pinv(M), with
     M[j, n] = R_n(q_j) on the run's shells. The worst condition number is
     the largest cond(M), 1 when the mode has no collocation matrix.
@@ -241,19 +236,19 @@ def _grid(b_max, convention, index, padded, schemes) -> MultiShellGrid:
     quadrature = _basis_table(radial.radii, n_shells, radial.zeta) * radial.weights
     radial_maps = {}
     for mode, mode_index in (("staircase", index), ("zero_padded", padded)):
-        steps, conds = [], [1.0]
-        for shells, entries, rows in mode_index.runs:
+        maps, conds = [], [1.0]
+        for shells, _, _ in mode_index.runs:
             radial_map = quadrature
             if len(shells) < n_shells:
                 # pinv never raises: an ill-conditioned grid still serves zero_padded
                 matrix = _basis_table(radial.radii[list(shells)], len(shells), radial.zeta).T
                 radial_map = np.linalg.pinv(matrix)
                 conds.append(float(np.linalg.cond(matrix)))
-            steps.append((shells, entries, rows, radial_map))
-        radial_maps[mode] = (mode_index, tuple(steps), max(conds))
+            maps.append(radial_map)
+        radial_maps[mode] = (mode_index, tuple(maps), max(conds))
     grid = MultiShellGrid(radial, schemes, index, shell_of, points, radii, bvalues, shell_starts,
                           MappingProxyType(radial_maps))
-    return _read_only(grid, *(step[-1] for _, steps, _ in radial_maps.values() for step in steps))
+    return _read_only(grid, *(m for _, maps, _ in radial_maps.values() for m in maps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,11 +334,11 @@ def forward_spf(grid: MultiShellGrid, samples, radial_mode: str = "staircase") -
     table = np.zeros((max(s.n_points for s in grid.angular), grid.n_shells), dtype=complex)
     for i, scheme in enumerate(grid.angular):
         table[: scheme.n_points, i] = forward_sht(values[grid.shell_slice(i)], scheme)
-    out_index, steps, cond = grid.radial_maps[radial_mode]
+    out_index, maps, cond = grid.radial_maps[radial_mode]
     if not cond < COND_LIMIT:
         raise ConditioningError("radial collocation matrix is ill-conditioned", cond)
     out = np.empty(out_index.size, dtype=complex)
-    for shells, entries, rows, radial_map in steps:
+    for (shells, entries, rows), radial_map in zip(out_index.runs, maps):
         out[entries] = (table[rows, shells] @ radial_map.T).ravel()
     return SpfCoefficients(out_index, grid.radial.zeta, grid.radial.convention, out)
 

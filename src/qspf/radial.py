@@ -112,7 +112,7 @@ def make_radial_scheme(
     zeta = float(q_max**2 / roots[-1])
     radii = np.sqrt(zeta * roots)
     bvalues = convention.b_from_q(radii)
-    weights = quadrature_weights(roots, n_shells, zeta)
+    weights = quadrature_weights(roots, zeta)
     if not np.all((weights > 0) & (weights < math.inf)):
         raise ValueError(f"b_max = {b_max} puts a quadrature weight outside the float range")
     return RadialScheme(
@@ -147,17 +147,19 @@ def radial_basis_eval(n: int, q, zeta: float):
     return float(out) if out.ndim == 0 else out
 
 
-def quadrature_weights(roots: np.ndarray, n_shells: int, zeta: float) -> np.ndarray:
+def quadrature_weights(roots: np.ndarray, zeta: float) -> np.ndarray:
     """Closed-form Gauss-Laguerre weights for the q^2 dq measure.
 
     w_i = 0.5 zeta^1.5 Gamma(N+1.5) x_i e^{x_i}
           / (N! (N+1)^2 [L_{N+1}^(1/2)(x_i)]^2),
-    evaluated in log space. Requires ``roots`` to actually be the roots of
-    L_N^(1/2); this is checked through the Newton residual |L_N(x_i)/L_N'|.
+    evaluated in log space, with N = len(roots). Requires ``roots`` to
+    actually be the roots of L_N^(1/2); this is checked through the Newton
+    residual |L_N(x_i)/L_N'|.
     """
     roots = np.asarray(roots, dtype=float)
-    if len(roots) != n_shells:
-        raise ValueError(f"expected {n_shells} roots, got {len(roots)}")
+    if roots.ndim != 1 or not len(roots):
+        raise ValueError(f"expected a non-empty flat array of roots, got shape {roots.shape}")
+    n_shells = len(roots)
     if zeta <= 0:
         raise ValueError(f"zeta must be positive, got {zeta}")
     deriv = laguerre_deriv(n_shells, 0.5, roots)  # raises for non-finite roots

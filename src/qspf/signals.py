@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multishell import SpfCoefficients, _checked_bandlimits, _paired, staircase_index
-from .radial import BConvention
+from .multishell import MultiShellGrid, SpfCoefficients, _paired
 
 __all__ = [
     "TensorComponent",
@@ -99,35 +98,25 @@ def multi_tensor_eval(mixture, b, directions):
     return float(out[0]) if scalar else out
 
 
-def random_staircase_signal(
-    seed: int,
-    bandlimits,
-    n_shells: int,
-    zeta: float,
-    decay: float = 0.0,
-    convention: BConvention = BConvention(),
-) -> SpfCoefficients:
-    """Reproducible random coefficients inside the transform model space.
+def random_staircase_signal(seed, grid: MultiShellGrid) -> SpfCoefficients:
+    """Reproducible random coefficients inside a grid's model space.
 
-    Coefficient magnitudes are damped by exp(-decay * l) and obey the
+    The table is over the grid's staircase index, in its radial scale and
+    b convention. Coefficients are standard normal draws that obey the
     conjugation constraint of real-valued signals, c_{n,l,-m} =
     (-1)^m conj(c_{n,l,m}), so the synthesized samples are real. seed is
     anything numpy's default_rng takes, an int or a SeedSequence.
     """
-    if not 0 <= decay < np.inf:  # written so that NaN fails too
-        raise ValueError(f"decay must be finite and non-negative, got {decay}")
-    bandlimits = _checked_bandlimits(bandlimits)
-    if len(bandlimits) != n_shells:
-        raise ValueError(f"{n_shells} shells need {n_shells} band limits")
-    index = staircase_index(bandlimits)
+    index = grid.index
     m = index.orders
     # draws in entry order: one per m = 0 entry, (re, im) per m > 0, none (two pads) for m < 0
     counts = np.sign(m) + 1
     first = np.cumsum(counts) - counts
     draws = np.append(np.random.default_rng(seed).standard_normal(counts.sum()), [0.0, 0.0])
     imag = np.where(m > 0, draws[first + 1], 0.0)
-    values = np.exp(-decay * index.degrees) * (draws[first] + 1j * imag)
-    return SpfCoefficients(index, zeta, convention, np.where(m < 0, index.mirrored(values), values))
+    values = draws[first] + 1j * imag
+    return SpfCoefficients(index, grid.radial.zeta, grid.radial.convention,
+                           np.where(m < 0, index.mirrored(values), values))
 
 
 def add_rician_noise(values, sigma: float, seed: int):

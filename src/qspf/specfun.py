@@ -99,7 +99,9 @@ def laguerre_roots(n_poly: int, alpha: float = 0.5) -> np.ndarray:
     Roots are computed as eigenvalues of the symmetric tridiagonal Jacobi
     matrix of the Laguerre recurrence (Golub-Welsch), then polished with a
     single Newton step. The Jacobi matrix gives unconditionally stable
-    starting values for every order in scope.
+    starting values for every order in scope. From N = 363 on, the Newton
+    step's recurrence overflows at the largest roots, so those orders
+    raise ValueError.
 
     Parameters
     ----------
@@ -121,7 +123,11 @@ def laguerre_roots(n_poly: int, alpha: float = 0.5) -> np.ndarray:
         k = np.arange(1.0, n_poly)
         off = np.sqrt(k * (k + alpha))
         x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    x = x - laguerre_eval(n_poly, alpha, x) / laguerre_deriv(n_poly, alpha, x)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        x = x - laguerre_eval(n_poly, alpha, x) / laguerre_deriv(n_poly, alpha, x)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"the roots of the order-{n_poly} Laguerre polynomial overflow; "
+                         "orders up to 362 are supported")
     return np.sort(x)
 
 

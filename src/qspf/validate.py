@@ -109,13 +109,7 @@ def run_validation(grid: MultiShellGrid, seed: int = 0, n_draws: int = 100) -> d
     try:
         worst = 0.0
         for child in np.random.SeedSequence(seed).spawn(n_draws):
-            coeffs = random_staircase_signal(
-                child,
-                grid.bandlimits,
-                grid.n_shells,
-                radial.zeta,
-                convention=radial.convention,
-            )
+            coeffs = random_staircase_signal(child, grid)
             samples = synthesize_on_grid(coeffs, grid)
             back = forward_spf(grid, samples)
             worst = max(worst, np.max(np.abs(back.values - coeffs.values)))

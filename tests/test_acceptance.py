@@ -109,7 +109,7 @@ def test_criterion_5_full_transform_bijection():
     grid = build_grid(4, 8000.0, (3, 5, 9, 11))
     worst = 0.0
     for draw in range(100):
-        coeffs = random_staircase_signal(1000 + draw, grid.bandlimits, 4, grid.radial.zeta)
+        coeffs = random_staircase_signal(1000 + draw, grid)
         samples = synthesize_on_grid(coeffs, grid)
         back = forward_spf(grid, samples)
         worst = max(worst, np.max(np.abs(back.values - coeffs.values)))
@@ -117,9 +117,7 @@ def test_criterion_5_full_transform_bijection():
     uniform = build_grid(4, 8000.0, (11, 11, 11, 11))
     worst_uniform = 0.0
     for draw in range(100):
-        coeffs = random_staircase_signal(
-            2000 + draw, uniform.bandlimits, 4, uniform.radial.zeta
-        )
+        coeffs = random_staircase_signal(2000 + draw, uniform)
         samples = synthesize_on_grid(coeffs, uniform)
         back = forward_spf(uniform, samples, radial_mode="zero_padded")
         worst_uniform = max(worst_uniform, np.max(np.abs(back.values - coeffs.values)))

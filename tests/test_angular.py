@@ -10,7 +10,6 @@ from qspf.angular import (
     forward_sht,
     inverse_sht,
     make_angular_scheme,
-    mirror_to_full_sphere,
 )
 from qspf.errors import ConditioningError
 from qspf.specfun import normalized_legendre, spherical_harmonic
@@ -41,7 +40,7 @@ def test_scheme_structure():
     for L in (1, 3, 5, 9, 11):
         scheme = make_angular_scheme(L)
         assert scheme.n_points == L * (L + 1) // 2
-        assert list(scheme.ring_sizes) == [4 * k + 1 for k in range((L + 1) // 2)]
+        assert [r.stop - r.start for r in scheme.rings] == [4 * k + 1 for k in range((L + 1) // 2)]
         assert np.all(scheme.thetas > 0) and np.all(scheme.thetas < np.pi / 2)
         assert np.max(np.abs(np.linalg.norm(scheme.points, axis=1) - 1.0)) < 1e-14
         assert np.all(scheme.points[:, 2] > 0)
@@ -166,17 +165,18 @@ def test_refused_placements_raise_on_every_call():
                 make_angular_scheme(11, **refused)
 
 
-def test_scheme_keeps_only_the_winners_legendre_rows():
+def test_scheme_keeps_each_orders_legendre_rows():
     # one (ring, degree) rows array per |m|, shared by +m and -m, degree j holding l = 2j; the
     # solve matrix is those rows on the rings that resolve |m|
     scheme = make_angular_scheme(21)
     table = normalized_legendre(20, np.cos(scheme.thetas))
     assert scheme.rows.shape == (21, 11, 11) and scheme.positions.shape == (21, 11, 2)
     end = scheme.n_points  # one coefficient per point
+    sizes = np.array([r.stop - r.start for r in scheme.rings])
     for mu in range(21):
         rows, first = scheme.rows[mu], (mu + 1) // 2
         assert np.array_equal(rows, table[0::2, mu].T)
-        resolving = np.flatnonzero(scheme.ring_sizes >= 2 * mu + 1)
+        resolving = np.flatnonzero(sizes >= 2 * mu + 1)
         degrees = np.arange(mu + mu % 2, 21, 2)
         assert np.array_equal(resolving, np.arange(first, 11))
         matrix = rows[first:, first:]
@@ -191,18 +191,19 @@ def test_scheme_keeps_only_the_winners_legendre_rows():
         assert np.all(scheme.positions[mu, :first] == end)
 
 
-def test_walk_folds_the_bins_signs_and_phases():
+def test_scheme_folds_the_bins_signs_and_phases():
     scheme = custom_scheme()
+    starts, sizes = np.array([(r.start, r.stop - r.start) for r in scheme.rings]).T
     assert scheme.bins.shape == scheme.phase.shape == (9, 5, 2)
     for mu in range(9):
         for column, m in enumerate((mu, -mu)):
             where, phase = scheme.bins[mu, :, column], scheme.phase[mu, :, column]
-            assert np.array_equal(where, scheme.ring_starts + m % scheme.ring_sizes)
+            assert np.array_equal(where, starts + m % sizes)
             sign = -1.0 if m < 0 and m % 2 else 1.0
             assert np.array_equal(phase, sign * np.exp(1j * m * scheme.phi_offsets))
     # +m and -m share a bin on ring 0 and on every ring whose size divides m
     shared = scheme.bins[..., 0] == scheme.bins[..., 1]
-    assert np.array_equal(shared, np.arange(9)[:, None] % scheme.ring_sizes == 0)
+    assert np.array_equal(shared, np.arange(9)[:, None] % sizes == 0)
 
 
 def per_order_cascade(values, scheme, lapack=False):
@@ -356,15 +357,6 @@ def test_constant_signal_hits_only_the_monopole():
     assert coeffs[0] == pytest.approx(np.sqrt(4.0 * np.pi), rel=1e-13)
     rest = coeffs[1:]
     assert np.max(np.abs(rest)) < 1e-13
-
-
-def test_mirror_to_full_sphere():
-    scheme = make_angular_scheme(5)
-    full = mirror_to_full_sphere(scheme.points)
-    assert full.shape == (2 * scheme.n_points, 3)
-    assert np.max(np.abs(full[: scheme.n_points] + full[scheme.n_points :])) == 0.0
-    with pytest.raises(ValueError):
-        mirror_to_full_sphere(np.ones((4, 2)))
 
 
 @given(ring_seed=st.integers(0, 2**32 - 1), bandlimit=st.sampled_from([1, 3, 5, 7]))

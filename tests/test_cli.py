@@ -14,6 +14,7 @@ from qspf.cli import (
     CliError,
     descriptor_from_grid,
     format_coefficients_csv,
+    format_points_csv,
     grid_from_descriptor,
     main,
     parse_coefficients_csv,
@@ -91,6 +92,10 @@ def test_grid_csv_mirror(tmp_path):
     assert len(rows) == 1 + 264
     data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
     assert np.max(np.abs(data[:132, 2:] + data[132:, 2:])) == 0.0
+    # the antipodes follow every sample, each with its sample's shell and b-value
+    assert np.array_equal(data[:132, :2], data[132:, :2])
+    grid = build_grid(1, 1000.0, (5,))
+    assert format_points_csv(grid, mirror=True).startswith(format_points_csv(grid))
 
 
 def test_mirror_requires_csv_format(capsys):
@@ -100,7 +105,7 @@ def test_mirror_requires_csv_format(capsys):
 
 def test_forward_then_evaluate_round_trip(tmp_path, grid):
     desc_path = write_default_descriptor(tmp_path, grid)
-    coeffs = random_staircase_signal(3, grid.bandlimits, 4, grid.radial.zeta)
+    coeffs = random_staircase_signal(3, grid)
     values = synthesize_on_grid(coeffs, grid).real
     samples_path = tmp_path / "samples.txt"
     samples_path.write_text(
@@ -191,7 +196,7 @@ def test_sample_parse_joins_a_spaced_complex_but_not_two_numbers():
             parse_samples(text)
 
 
-_COEFFS_TEXT = format_coefficients_csv(random_staircase_signal(0, (3,), 1, 1.0))
+_COEFFS_TEXT = format_coefficients_csv(random_staircase_signal(0, build_grid(1, 1000.0, (3,))))
 _NOT_FINITE = ["nan", "inf", "1e400", "1x"]
 
 
@@ -222,7 +227,7 @@ def test_every_numeric_field_names_its_line(parse, text, lineno, sep, field, tok
 
 
 def test_coefficients_csv_round_trip(grid):
-    coeffs = random_staircase_signal(9, grid.bandlimits, 4, grid.radial.zeta)
+    coeffs = random_staircase_signal(9, grid)
     text = format_coefficients_csv(coeffs)
     parsed = parse_coefficients_csv(text)
     assert np.array_equal(parsed.values, coeffs.values)
@@ -242,7 +247,7 @@ def test_coefficient_row_count_is_checked_before_the_index_is_built(grid, monkey
         raise AssertionError("staircase_index called before the row count check")
 
     monkeypatch.setattr("qspf.cli.staircase_index", fail)
-    text = format_coefficients_csv(random_staircase_signal(9, grid.bandlimits, 4, grid.radial.zeta))
+    text = format_coefficients_csv(random_staircase_signal(9, grid))
     header = text.split("n,l,m,re,im")[0]
     with pytest.raises(CliError, match="expected 8911 coefficient rows, got 0"):
         parse_coefficients_csv(header.replace("3,5,9,11", "133") + "n,l,m,re,im\n")
@@ -254,7 +259,7 @@ def test_coefficient_row_count_is_checked_before_the_index_is_built(grid, monkey
 
 
 def test_evaluate_at_huge_b_gives_zero(tmp_path, grid, capsys):
-    coeffs = random_staircase_signal(9, grid.bandlimits, 4, grid.radial.zeta)
+    coeffs = random_staircase_signal(9, grid)
     coeffs_path = tmp_path / "c.csv"
     coeffs_path.write_text(format_coefficients_csv(coeffs))
     queries_path = tmp_path / "q.txt"
@@ -293,7 +298,7 @@ def test_evaluate_at_huge_physical_b_gives_zero(tmp_path, capsys):
 
 
 def test_evaluate_prints_complex_for_non_real_tables(tmp_path, grid, capsys):
-    coeffs = random_staircase_signal(9, grid.bandlimits, 4, grid.radial.zeta)
+    coeffs = random_staircase_signal(9, grid)
     coeffs.values[coeffs.index.locate(0, 2, 0)] = 1.0 + 0.7j
     coeffs_path = tmp_path / "c.csv"
     coeffs_path.write_text(format_coefficients_csv(coeffs))
@@ -391,6 +396,15 @@ def test_a_huge_band_limit_is_refused_before_any_table_is_built():
     done = _run_qspf("grid", "--shells", "1", "--bandlimits", "10001", "--format", "json")
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr.startswith("error: band limit 10001 is above 133")
+    assert done.stderr.count("\n") == 1
+
+
+def test_a_shell_count_whose_roots_overflow_is_one_error_line():
+    # N = 400 once printed two RuntimeWarning lines before its error
+    done = _run_qspf("grid", "--shells", "400", "--bandlimits", ",".join(["1"] * 400),
+                     "--format", "json")
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error: the roots of the order-400 Laguerre polynomial")
     assert done.stderr.count("\n") == 1
 
 
@@ -506,7 +520,7 @@ def _sample_line(lineno, text):
 )
 def test_malformed_inputs_exit_with_error(tmp_path, grid, capsys, command, bad_file, transform,
                                           message):
-    coeffs = random_staircase_signal(3, grid.bandlimits, 4, grid.radial.zeta)
+    coeffs = random_staircase_signal(3, grid)
     samples = synthesize_on_grid(coeffs, grid).real
     good = {
         "scheme.json": descriptor_from_grid(grid),
@@ -567,7 +581,7 @@ def _finite_queries(parsed):
          lambda values: np.all(np.isfinite(values))),
         (parse_queries, "1000 0 0 1\n# c\n2500,0.6,0.8,0\n0 1 0 0\n", " ", _finite_queries),
         (parse_coefficients_csv,
-         format_coefficients_csv(random_staircase_signal(0, (3,), 1, 1.0)), ",",
+         format_coefficients_csv(random_staircase_signal(0, build_grid(1, 1000.0, (3,)))), ",",
          lambda coeffs: np.all(np.isfinite(coeffs.values)) and np.isfinite(coeffs.zeta)),
     ],
     ids=["samples", "queries", "coefficients"],

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -56,12 +57,14 @@ def direct_sum(coeffs, dirs, q):
 def test_staircase_default_counts():
     index = staircase_index(DEFAULTS)
     assert index.size == 132
-    per_degree = {l: len(shells) for l, shells, _ in index.blocks}
+    per_degree = {l: len({n for n, l2, _ in index.entries if l2 == l}) for l in range(0, 11, 2)}
     assert per_degree == {0: 4, 2: 4, 4: 3, 6: 2, 8: 2, 10: 1}
     block = {l: sum(1 for (_, l2, _) in index.entries if l2 == l) for l in range(0, 11, 2)}
     assert block == {0: 4, 2: 20, 4: 27, 6: 26, 8: 34, 10: 21}
-    assert index.blocks[2][1] == (1, 2, 3)
-    assert index.blocks[5][1] == (3,)
+    assert index.runs == (((0, 1, 2, 3), slice(0, 24), slice(0, 6)),
+                          ((1, 2, 3), slice(24, 51), slice(6, 15)),
+                          ((2, 3), slice(51, 111), slice(15, 45)),
+                          ((3,), slice(111, 132), slice(45, 66)))
 
 
 def test_staircase_ordering_and_lookup():
@@ -81,11 +84,32 @@ def test_staircase_ordering_and_lookup():
             index.locate(n, l, m)
 
 
+@pytest.mark.parametrize("bandlimits", [(3, 5, 9, 11), (11, 9, 5, 3), (3, 1, 7, 1, 9), (1,),
+                                        (5, 5, 5), (15, 25, 41, 63), (133,)])
+def test_locate_inverts_entries(bandlimits):
+    index = staircase_index(bandlimits)
+    entries = index.entries
+    assert [index.locate(*entry) for entry in entries] == list(range(index.size))
+    for shells, span, _ in index.runs:
+        for l in sorted(set(index.degrees[span].tolist())):
+            # a run carries exactly the shells whose band limit exceeds each of its degrees
+            assert shells == tuple(i for i, L in enumerate(bandlimits) if L > l)
+            with pytest.raises(ValueError):
+                index.locate(len(shells), l, l)
+    if index.size <= 264:  # every other triple is refused, checked exhaustively
+        top, inside = max(bandlimits), set(entries)
+        for triple in itertools.product(range(-1, len(bandlimits) + 1), range(-2, top + 2),
+                                        range(-top - 2, top + 3)):
+            if triple not in inside:
+                with pytest.raises(ValueError):
+                    index.locate(*triple)
+
+
 def test_staircase_edge_cases():
     assert staircase_index((1,)).entries == ((0, 0, 0),)
     uniform = staircase_index((11,) * 4)
     assert uniform.size == 264
-    assert [len(shells) for _, shells, _ in uniform.blocks] == [4] * 6
+    assert uniform.runs == (((0, 1, 2, 3), slice(0, 264), slice(0, 66)),)
     with pytest.raises(ValueError):
         staircase_index((4, 5))
     with pytest.raises(ValueError):
@@ -124,7 +148,7 @@ def test_grids_share_memoised_schemes_and_indexes():
 def _assert_read_only(grid):
     arrays = [value for part in (grid, grid.radial) for value in vars(part).values()
               if isinstance(value, np.ndarray)]
-    arrays += [step[-1] for _, steps, _ in grid.radial_maps.values() for step in steps]
+    arrays += [m for _, maps, _ in grid.radial_maps.values() for m in maps]
     assert len(arrays) == 5 + 4 + 5  # 4 staircase runs and 1 zero_padded run at the defaults
     for array in arrays:
         with pytest.raises(ValueError):
@@ -230,7 +254,7 @@ def test_forward_of_pure_basis_element(grid):
 def test_staircase_round_trip(grid):
     worst = 0.0
     for draw in range(20):
-        coeffs = random_staircase_signal(100 + draw, DEFAULTS, 4, grid.radial.zeta)
+        coeffs = random_staircase_signal(100 + draw, grid)
         samples = synthesize_on_grid(coeffs, grid)
         back = forward_spf(grid, samples)
         worst = max(worst, np.max(np.abs(back.values - coeffs.values)))
@@ -239,9 +263,7 @@ def test_staircase_round_trip(grid):
 
 def test_uniform_grid_round_trip_uses_pure_quadrature(uniform_grid):
     for draw in range(10):
-        coeffs = random_staircase_signal(
-            200 + draw, (11,) * 4, 4, uniform_grid.radial.zeta
-        )
+        coeffs = random_staircase_signal(200 + draw, uniform_grid)
         samples = synthesize_on_grid(coeffs, uniform_grid)
         back = forward_spf(uniform_grid, samples)
         assert np.max(np.abs(back.values - coeffs.values)) < 1e-9
@@ -285,7 +307,6 @@ def test_synthesis_inverts_forward_run_by_run(bandlimits, n_runs):
     for shells, entries, rows in index.runs:
         for k, (n, l, m) in enumerate(index.entries[entries]):
             assert (rows.start + k // len(shells), n) == (_sh_position(l, m), k % len(shells))
-        assert shells == index.blocks[index.degrees[entries.start] // 2][1]
     samples = np.random.default_rng(23).standard_normal(g.n_samples)
     for mode in ("staircase", "zero_padded"):
         back = synthesize_on_grid(forward_spf(g, samples, radial_mode=mode), g)
@@ -310,7 +331,7 @@ def test_grid_stores_each_modes_worst_collocation_condition():
     worst = max(
         np.linalg.cond([[radial_basis_eval(n, radii[j], zeta) for n in range(len(shells))]
                         for j in shells])
-        for _, shells, _ in grid.index.blocks
+        for shells, _, _ in grid.index.runs
         if len(shells) < grid.n_shells
     )
     assert grid.radial_maps["staircase"][2] == pytest.approx(worst, rel=1e-6)
@@ -366,7 +387,7 @@ def test_inverse_spf_matches_direct_sum(grid, high_grid, mode):
 
 def test_inverse_spf_broadcasts_large_batches(grid):
     rng = np.random.default_rng(40)
-    coeffs = random_staircase_signal(8, DEFAULTS, 4, grid.radial.zeta)
+    coeffs = random_staircase_signal(8, grid)
     dirs = random_unit_vectors(rng, 4096)
     q = rng.uniform(0.0, grid.radial.radii[-1], 4096)
     checked = slice(None, None, 512)
@@ -383,7 +404,7 @@ def test_inverse_spf_memory_is_linear_in_the_batch(grid):
     # a 4096-point call traced at 2.41 MB; the (11, 11, 4096) Legendre
     # table alone would be 3.96 MB
     rng = np.random.default_rng(41)
-    coeffs = random_staircase_signal(9, DEFAULTS, 4, grid.radial.zeta)
+    coeffs = random_staircase_signal(9, grid)
     dirs, b = random_unit_vectors(rng, 4096), rng.uniform(0.0, 8000.0, 4096)
     inverse_spf(coeffs, dirs, b=b)
     tracemalloc.start()
@@ -397,7 +418,7 @@ def test_inverse_spf_memory_is_linear_in_the_batch(grid):
 
 def test_inverse_spf_antipodal_symmetry(grid):
     rng = np.random.default_rng(9)
-    coeffs = random_staircase_signal(31, DEFAULTS, 4, grid.radial.zeta)
+    coeffs = random_staircase_signal(31, grid)
     dirs = rng.standard_normal((100, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     b = rng.uniform(0.0, 8000.0, 100)
@@ -407,7 +428,7 @@ def test_inverse_spf_antipodal_symmetry(grid):
 
 
 def test_inverse_spf_validation(grid):
-    coeffs = random_staircase_signal(5, DEFAULTS, 4, grid.radial.zeta)
+    coeffs = random_staircase_signal(5, grid)
     u = np.array([0.0, 0.0, 1.0])
     with pytest.raises(ValueError):
         inverse_spf(coeffs, u)
@@ -430,7 +451,7 @@ def test_inverse_spf_validation(grid):
 
 
 def test_synthesis_matches_pointwise_inverse_when_nothing_truncates(uniform_grid):
-    coeffs = random_staircase_signal(77, (11,) * 4, 4, uniform_grid.radial.zeta)
+    coeffs = random_staircase_signal(77, uniform_grid)
     rendered = synthesize_on_grid(coeffs, uniform_grid)
     pointwise = inverse_spf(coeffs, uniform_grid.points, q=uniform_grid.radii)
     assert np.max(np.abs(rendered - pointwise)) < 1e-10
@@ -438,7 +459,7 @@ def test_synthesis_matches_pointwise_inverse_when_nothing_truncates(uniform_grid
 
 def test_synthesis_drops_degrees_above_the_grid(grid):
     # no shell of the default grid carries degree 12 of a (13,)*4 table
-    coeffs = random_staircase_signal(31, (13,) * 4, 4, grid.radial.zeta)
+    coeffs = random_staircase_signal(31, build_grid(4, 8000.0, (13,) * 4))
     assert np.all(coeffs.values[coeffs.index.degrees == 12] != 0)
     index = staircase_index((11,) * 4)
     kept = [coeffs.index.locate(n, l, m) for n, l, m in index.entries]
@@ -447,7 +468,7 @@ def test_synthesis_drops_degrees_above_the_grid(grid):
 
 
 def test_synthesis_rejects_mismatched_radial_scale(grid):
-    coeffs = random_staircase_signal(5, DEFAULTS, 4, grid.radial.zeta * 2.0)
+    coeffs = random_staircase_signal(5, build_grid(4, 16000.0, DEFAULTS))
     with pytest.raises(ValueError):
         synthesize_on_grid(coeffs, grid)
 
@@ -455,7 +476,7 @@ def test_synthesis_rejects_mismatched_radial_scale(grid):
 @pytest.mark.parametrize("zeta", [np.nan, np.inf, 0.0, -1.0])
 def test_coefficient_table_refuses_a_bad_radial_scale(grid, zeta):
     # NaN once passed the scale check and synthesized NaN; inf gave zeros
-    values = random_staircase_signal(5, DEFAULTS, 4, grid.radial.zeta).values
+    values = random_staircase_signal(5, grid).values
     with pytest.raises(ValueError, match="zeta"):
         SpfCoefficients(grid.index, zeta, grid.radial.convention, values)
 
@@ -470,7 +491,7 @@ def test_coefficient_table_refuses_non_finite_values(grid):
 
 def test_coefficient_tables_are_frozen_copies(grid):
     # a table changed after its checks once made inverse_spf return NaN without an error
-    values = random_staircase_signal(5, DEFAULTS, 4, grid.radial.zeta).values.copy()
+    values = random_staircase_signal(5, grid).values.copy()
     coeffs = SpfCoefficients(grid.index, grid.radial.zeta, grid.radial.convention, values)
     values[3] = np.nan
     assert np.isfinite(coeffs.values).all()
@@ -509,7 +530,7 @@ def test_energy_identity_against_dense_quadrature(uniform_grid):
     Legendre (24 nodes) in cos(theta), uniform 48-point rule in phi.
     """
     zeta = uniform_grid.radial.zeta
-    coeffs = random_staircase_signal(55, (11,) * 4, 4, zeta)
+    coeffs = random_staircase_signal(55, uniform_grid)
     x_nodes, x_weights = roots_genlaguerre(24, 0.5)
     q_nodes = np.sqrt(zeta * x_nodes)
     q_weights = 0.5 * zeta**1.5 * np.exp(x_nodes) * x_weights
@@ -537,7 +558,7 @@ def test_energy_identity_against_dense_quadrature(uniform_grid):
 
 
 def test_real_basis_export_reproduces_the_signal(grid):
-    coeffs = random_staircase_signal(42, DEFAULTS, 4, grid.radial.zeta)
+    coeffs = random_staircase_signal(42, grid)
     real_coeffs = coeffs.to_real_basis()
     rng = np.random.default_rng(13)
     dirs = rng.standard_normal((30, 3))

@@ -129,12 +129,16 @@ def test_make_radial_scheme_validation():
 
 def test_quadrature_weights_reject_non_roots(scheme):
     with pytest.raises(ValueError):
-        quadrature_weights(scheme.roots + 0.05, 4, scheme.zeta)
-    with pytest.raises(ValueError):
-        quadrature_weights(scheme.roots[:3], 4, scheme.zeta)
+        quadrature_weights(scheme.roots + 0.05, scheme.zeta)
+    # N is the root count: three of the four-shell roots are not the roots of L_3
+    with pytest.raises(ValueError, match="not roots"):
+        quadrature_weights(scheme.roots[:3], scheme.zeta)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
-            quadrature_weights(np.append(scheme.roots[:3], bad), 4, scheme.zeta)
+            quadrature_weights(np.append(scheme.roots[:3], bad), scheme.zeta)
+    for shapeless in ([], [[1.5]]):
+        with pytest.raises(ValueError, match="flat array"):
+            quadrature_weights(shapeless, scheme.zeta)
 
 
 def test_radial_project_recovers_basis_coefficients(scheme):

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from qspf.signals import (
     random_staircase_signal,
     two_tensor_crossing,
 )
+from qspf.radial import BConvention
 
 WM_EIGENVALUES = (1.7e-3, 3e-4, 3e-4)
 
@@ -104,16 +107,17 @@ def test_attenuation_antipodally_symmetric():
 
 
 def test_random_staircase_signal_reproducible():
-    a = random_staircase_signal(99, (3, 5, 9, 11), 4, 700.0)
-    b = random_staircase_signal(99, (3, 5, 9, 11), 4, 700.0)
-    c = random_staircase_signal(98, (3, 5, 9, 11), 4, 700.0)
+    grid = build_grid(4, 8000.0, (3, 5, 9, 11))
+    a = random_staircase_signal(99, grid)
+    b = random_staircase_signal(99, grid)
+    c = random_staircase_signal(98, grid)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
 
 
 def test_random_staircase_signal_is_real_on_grid():
     grid = build_grid(4, 8000.0, (3, 5, 9, 11))
-    coeffs = random_staircase_signal(7, grid.bandlimits, 4, grid.radial.zeta)
+    coeffs = random_staircase_signal(7, grid)
     for n, l, m in coeffs.index.entries:
         if m >= 0:
             continue
@@ -124,7 +128,7 @@ def test_random_staircase_signal_is_real_on_grid():
     assert np.max(np.abs(samples.imag)) < 1e-12
 
 
-def _per_entry_staircase_signal(seed, bandlimits, decay):
+def _per_entry_staircase_signal(seed, bandlimits):
     """Reference: the per-entry draw loop whose draw order random_staircase_signal keeps."""
     index = staircase_index(bandlimits)
     rng = np.random.default_rng(seed)
@@ -132,38 +136,34 @@ def _per_entry_staircase_signal(seed, bandlimits, decay):
     for n, l, m in index.entries:
         if m < 0:
             continue
-        damp = np.exp(-decay * l)
         if m == 0:
-            values[index.locate(n, l, 0)] = damp * rng.standard_normal()
+            values[index.locate(n, l, 0)] = rng.standard_normal()
         else:
-            value = damp * (rng.standard_normal() + 1j * rng.standard_normal())
+            value = rng.standard_normal() + 1j * rng.standard_normal()
             values[index.locate(n, l, m)] = value
             values[index.locate(n, l, -m)] = (-1.0) ** m * np.conj(value)
     return values
 
 
 @pytest.mark.parametrize("bandlimits", [(1,), (9, 3), (3, 5, 9, 11), (7, 7, 15)])
-@pytest.mark.parametrize("decay", [0.0, 0.3])
-def test_random_staircase_signal_matches_per_entry_draws(bandlimits, decay):
+def test_random_staircase_signal_matches_per_entry_draws(bandlimits):
+    convention = BConvention("physical", tau=0.02)
+    with pytest.warns(UserWarning) if bandlimits == (9, 3) else contextlib.nullcontext():
+        grid = build_grid(len(bandlimits), 8000.0, bandlimits, convention)
     for seed in (0, 1, 17, 2024):
-        coeffs = random_staircase_signal(seed, bandlimits, len(bandlimits), 700.0, decay=decay)
-        assert np.array_equal(coeffs.values, _per_entry_staircase_signal(seed, bandlimits, decay))
-
-
-def test_strong_decay_leaves_only_monopole_rows():
-    coeffs = random_staircase_signal(5, (3, 5, 9, 11), 4, 700.0, decay=40.0)
-    for pos, (n, l, m) in enumerate(coeffs.index.entries):
-        if l == 0:
-            continue
-        assert abs(coeffs.values[pos]) < 1e-30
+        coeffs = random_staircase_signal(seed, grid)
+        assert coeffs.index is grid.index
+        assert (coeffs.zeta, coeffs.convention) == (grid.radial.zeta, convention)
+        assert np.array_equal(coeffs.values, _per_entry_staircase_signal(seed, bandlimits))
 
 
 def test_random_staircase_signal_validation():
+    # seeds are whatever numpy's default_rng takes; others fail at the draw
+    grid = build_grid(2, 1000.0, (3, 5))
     with pytest.raises(ValueError):
-        random_staircase_signal(1, (3, 5), 4, 700.0)
-    for decay in (-1.0, np.nan, np.inf):
-        with pytest.raises(ValueError):
-            random_staircase_signal(1, (3, 5, 9, 11), 4, 700.0, decay=decay)
+        random_staircase_signal(-1, grid)
+    with pytest.raises(TypeError):
+        random_staircase_signal(1.5, grid)
 
 
 def test_rician_noise_zero_sigma_is_magnitude():

@@ -91,6 +91,19 @@ def test_laguerre_roots_validation():
         laguerre_roots(0, 0.5)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_laguerre_roots_refuse_orders_whose_newton_step_overflows():
+    # from N = 363 the Newton step's recurrence overflows at the largest roots; it once
+    # returned NaN roots with RuntimeWarnings, and the radial scheme failed downstream
+    for n in (363, 400):
+        with pytest.raises(ValueError, match=f"order-{n} Laguerre"):
+            laguerre_roots(n)
+    with pytest.raises(ValueError, match="order-400 Laguerre"):
+        qspf.make_radial_scheme(400, 8000.0)
+    scheme = qspf.make_radial_scheme(362, 8000.0)
+    assert np.all(np.diff(scheme.roots) > 0) and np.all(np.isfinite(scheme.weights))
+
+
 def test_normalized_legendre_against_scipy():
     theta = np.concatenate([[0.0, np.pi], np.linspace(0.05, np.pi - 0.05, 40)])  # x = 1, -1, ...
     for l_max in (10, 62):

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import COND_LIMIT, ConditioningError
-from .specfun import _legendre_by_order, normalized_legendre
+from .specfun import _legendre_by_degree, normalized_legendre
 
 __all__ = [
     "AngularScheme",
@@ -184,13 +184,13 @@ def _scheme(bandlimit: int, thetas, phi_offsets) -> AngularScheme:
             raise ValueError(f"band limit {bandlimit} needs {n_rings} ring latitudes")
         if not np.all((thetas > 0) & (thetas < np.pi)):
             raise ValueError("ring latitudes must lie strictly inside (0, pi)")
-    # order mu is solved on the rings from (mu + 1) // 2 on; even degree l is row l - mu of leg
     rows = np.zeros((bandlimit, n_rings, n_rings))  # P_l^mu = 0 at l = 2j < mu
-    conditions = np.empty(bandlimit)
-    for mu, leg in enumerate(_legendre_by_order(bandlimit - 1, np.cos(thetas))):
-        first = (mu + 1) // 2
-        rows[mu, :, first:] = leg[mu % 2 :: 2].T
-        conditions[mu] = np.linalg.cond(rows[mu, first:, first:])
+    for l, leg in enumerate(_legendre_by_degree(bandlimit - 1, np.cos(thetas))):
+        if l % 2 == 0:
+            rows[: l + 1, :, l // 2] = leg
+    # order mu is solved on the rings from (mu + 1) // 2 on
+    conditions = np.array([np.linalg.cond(rows[mu, first:, first:])
+                           for mu, first in enumerate(np.arange(1, bandlimit + 1) // 2)])
     factors = []
     if conditions.max() < COND_LIMIT:  # else forward_sht refuses the scheme before any step
         for f in range(n_rings):  # ring f's step stacks |m| = 2f, 2f - 1 (ring 0: just 0)

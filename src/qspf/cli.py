@@ -30,6 +30,7 @@ import json
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -431,12 +432,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "grid" and args.mirror and args.format != "csv":
         parser.error("--mirror applies only to --format csv")
-    # ValueError is the error the library documents for bad input
-    try:
-        return args.func(args)
-    except (CliError, ConditioningError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # ValueError is the error the library documents for bad input; a library warning
+    # is one "warning:" line, without the source location Python would print
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return args.func(args)
+        except (CliError, ConditioningError, ValueError) as exc:
+            error = exc
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
+    print(f"error: {error}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

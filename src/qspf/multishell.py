@@ -20,8 +20,9 @@ by the same shells, each m-major and n-minor, and per-entry n, l, m and
 partner arrays. build_grid makes each radial mode's maps once, one per
 run; forward_spf and synthesize_on_grid make one matrix product per run
 against an (l, m) x shell table of per-shell harmonic coefficients.
-inverse_spf, the read side, goes one azimuthal order at a time with its
-Legendre rows made by recurrence, so its memory is linear in the batch.
+inverse_spf, the read side, goes one even degree at a time, its Legendre
+rows made by recurrence for every order at once, over blocks of a fixed
+number of points, so its working memory does not grow with the batch.
 
 An index depends on its band limits alone, so staircase_index builds it
 once per process and returns the same read-only object to every caller
@@ -45,7 +46,7 @@ from .angular import (_odd_bandlimit, _read_only, _sh_position, forward_sht, inv
                       make_angular_scheme)
 from .errors import COND_LIMIT, ConditioningError
 from .radial import BConvention, RadialScheme, _basis_table, make_radial_scheme
-from .specfun import _legendre_by_order
+from .specfun import _legendre_by_degree
 
 __all__ = [
     "StaircaseIndex",
@@ -369,6 +370,37 @@ def _paired(radii, directions, what: str):
     return flat, dirs, directions.ndim == 1 and radii.ndim == 0
 
 
+# inverse_spf's points per block. Its one work buffer holds 8 l_max + 2 N floats per point,
+# 1.5 MB at the default band limits; larger blocks run faster but hold more memory
+_BLOCK = 2048
+
+
+@functools.lru_cache(maxsize=64)
+def _harmonic_layout(index: StaircaseIndex):
+    """Where each table entry lands in inverse_spf's (Re/Im, n) by (l, m >= 0, cos/sin) block.
+
+    Order m > 0 adds c+ e^(i m phi) + c- e^(-i m phi), c- = (-1)^m c_{n,l,-m}, which
+    is (c+ + c-) cos(m phi) + i (c+ - c-) sin(m phi); order 0 adds c cos(0 phi). So
+    entry (n, l, m) adds w c to the cos column of (l, |m|) and i v c to its sin
+    column: w = v = 1 for m > 0, w = 1 and v = 0 at m = 0, w = -v = (-1)^m for
+    m < 0. Returns (targets, factors, size): an entry's Re c, Re c, Im c, Im c
+    times its four factors add up at its four targets in a flat block of that
+    size, where the (l, m) columns of even degree l start at l^2 / 4.
+    """
+    n_orders, l_max = len(index.bandlimits), max(index.bandlimits)
+    mu = np.abs(index.orders)
+    w = np.where((index.orders < 0) & (mu % 2 == 1), -1.0, 1.0)
+    v = np.sign(index.orders) * w
+    n_columns = (l_max + 1) ** 2 // 4
+    cell = (index.radial_orders * n_columns + index.degrees**2 // 4 + mu) * 2
+    plane = 2 * n_orders * n_columns  # the Im rows follow the Re rows
+    # Re c -> Re C = w Re c, Im S = v Re c; Im c -> Im C = w Im c, Re S = -v Im c
+    targets = np.stack([cell, cell + plane + 1, cell + plane, cell + 1], axis=1).ravel()
+    factors = np.stack([w, v, w, -v], axis=1).ravel()
+    targets.flags.writeable = factors.flags.writeable = False
+    return targets, factors, 2 * plane
+
+
 def inverse_spf(coeffs: SpfCoefficients, directions, q=None, b=None):
     """Evaluate the expansion at arbitrary q-space locations.
 
@@ -378,9 +410,12 @@ def inverse_spf(coeffs: SpfCoefficients, directions, q=None, b=None):
     convention). Directions and radii broadcast: one direction with many
     radii, many directions with one radius, or matched arrays (empty too).
 
-    The sum goes order by order, +mu and -mu together: a real GEMM against
-    the radial table, weighted by Legendre rows that a recurrence makes as
-    it goes. Memory is linear in the batch; pass a large batch in one call.
+    The sum goes degree by degree, over a fixed-size block of points at a
+    time: each even degree's harmonic rows P_l^m cos(m phi), P_l^m sin(m phi)
+    take one real GEMM against that degree's coefficients, +m and -m
+    together, and the radial table weights the total. Memory beyond the
+    points and the result is bounded by the block, whatever the batch, and
+    every block reuses one work buffer.
     """
     if (q is None) == (b is None):
         raise ValueError("pass exactly one of q or b")
@@ -391,29 +426,44 @@ def inverse_spf(coeffs: SpfCoefficients, directions, q=None, b=None):
         qv, dirs, scalar = _paired(b, directions, "b-values")
         qv = coeffs.convention.q_from_b(qv)
 
-    index = coeffs.index
-    n_orders, l_max = len(index.bandlimits), max(index.bandlimits)
-    # order mu adds c+ e^(i mu phi) + c- e^(-i mu phi), c- = (-1)^mu c_{n,l,-mu}, which is
-    # (c+ + c-) cos(mu phi) + i (c+ - c-) sin(mu phi); at mu = 0, c- is c+ itself: halve order 0
-    plus, minus = values, np.conj(index.mirrored(values))
-    terms = np.stack([plus + minus, 1j * (plus - minus)], axis=1).view(float)
-    up = index.orders >= 0
-    parts = np.zeros((l_max, (l_max + 1) // 2, 4, n_orders))
-    parts[index.orders[up], index.degrees[up] // 2, :, index.radial_orders[up]] = terms[up]
-    parts[0] /= 2
+    n_orders, l_max = len(coeffs.index.bandlimits), max(coeffs.index.bandlimits)
+    targets, factors, n_parts = _harmonic_layout(coeffs.index)
+    parts = np.bincount(targets, values.view(float).repeat(2) * factors, n_parts)
+    parts = parts.reshape(2 * n_orders, -1)
 
-    rtab = _basis_table(qv, n_orders, coeffs.zeta)
-    phi = np.arctan2(dirs[:, 1], dirs[:, 0])
-    cos1, sin1, cos, sin = np.cos(phi), np.sin(phi), np.ones(len(qv)), np.zeros(len(qv))
-    acc = np.zeros((2, len(qv)))
-    for mu, leg in enumerate(_legendre_by_order(l_max - 1, np.clip(dirs[:, 2], -1.0, 1.0))):
-        # even degrees l >= mu: blocks (mu + 1) // 2 on, rows l - mu = mu % 2, + 2, ... of leg
-        block = parts[mu, (mu + 1) // 2 :]
-        radial = (block.reshape(-1, n_orders) @ rtab).reshape(len(block), 4, -1)
-        weighted = np.einsum("jkp,jp->kp", radial, leg[mu % 2 :: 2])
-        acc += weighted[:2] * cos + weighted[2:] * sin
-        cos, sin = cos * cos1 - sin * sin1, sin * cos1 + cos * sin1
-    return complex(acc[0, 0], acc[1, 0]) if scalar else acc[0] + 1j * acc[1]
+    out = np.empty(len(qv), dtype=complex)
+    # one buffer for every block: the Legendre recurrence's, e^(i m phi), the harmonic
+    # rows and the sums, so no block hands pages back to the allocator for the next to fault in
+    per_point = 8 * l_max + 2 * n_orders
+    work = np.empty(per_point * min(len(qv), _BLOCK))
+    for start in range(0, len(qv), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        phi = np.arctan2(dirs[block, 1], dirs[block, 0])
+        n, rows_n = len(phi), l_max * len(phi)
+        legendre_work = work[: 4 * rows_n].reshape(4, l_max, n)
+        waves = work[4 * rows_n : 6 * rows_n].view(complex).reshape(l_max, n)
+        harmonics = work[6 * rows_n : 8 * rows_n].reshape(l_max, 2, n)
+        acc = work[8 * rows_n : per_point * n].reshape(2 * n_orders, n)
+        # e^(i m phi) for m < l_max: each pass takes the m known, m < k, to m < 2k - 1
+        # by e^(i (k - 1 + j) phi) = e^(i (k - 1) phi) e^(i j phi)
+        waves[0], waves[1:2] = 1.0, np.exp(1j * phi)
+        k = 2
+        while k < l_max:
+            new = min(k - 1, l_max - k)
+            np.multiply(waves[1 : 1 + new], waves[k - 1], out=waves[k : k + new])
+            k += new
+        waves = waves.view(float).reshape(l_max, n, 2).transpose(0, 2, 1)  # (m, cos/sin, point)
+        acc[:] = 0.0
+        legendre = _legendre_by_degree(l_max - 1, np.clip(dirs[block, 2], -1.0, 1.0), legendre_work)
+        for l, leg in enumerate(legendre):
+            if l % 2 == 0:
+                rows = np.multiply(waves[: l + 1], leg[:, None], out=harmonics[: l + 1])
+                first = l * l // 4
+                acc += parts[:, 2 * first : 2 * (first + l + 1)] @ rows.reshape(-1, n)
+        total = np.einsum("knp,np->kp", acc.reshape(2, n_orders, n),
+                          _basis_table(qv[block], n_orders, coeffs.zeta))
+        out[block] = total[0] + 1j * total[1]
+    return complex(out[0]) if scalar else out
 
 
 def synthesize_on_grid(coeffs: SpfCoefficients, grid: MultiShellGrid) -> np.ndarray:

@@ -19,12 +19,12 @@ package comes from there:
   pass. ``laguerre_eval`` returns its last row; the radial basis table
   (``radial._basis_table``, the one owner of the R_n formula) and the
   quadrature weights read all the rows they need from one pass.
-* ``_legendre_by_order`` yields the rows P-tilde_l^m, l >= m, one order m
-  at a time. ``normalized_legendre`` and ``spherical_harmonic`` read their
-  values from it, as do the angular schemes' per-order rows and
-  ``inverse_spf``. It reuses one buffer: the rows of order m are
-  overwritten when order m + 1 is made, so a consumer that keeps rows past
-  the next step must copy them.
+* ``_legendre_by_degree`` yields the rows P-tilde_l^m, m = 0 .. l, one
+  degree l at a time, every order in one step. ``normalized_legendre`` and
+  ``spherical_harmonic`` read their values from it, as do the angular
+  schemes' per-degree rows and ``inverse_spf``. It reuses two buffers in
+  turn: degree l's rows are overwritten two steps later, when degree l + 2
+  is made, so a consumer that keeps rows past the next step must copy them.
 
 All functions are pure and safe for concurrent use.
 """
@@ -32,7 +32,6 @@ All functions are pure and safe for concurrent use.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -133,14 +132,24 @@ def laguerre_roots(n_poly: int, alpha: float = 0.5) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _recurrence_coefficients(l_max: int):
-    """Read-only recurrence factors a[l, m], b[l, m] of the associated Legendre recurrence."""
+    """Read-only factors of the associated Legendre recurrence, up to degree l_max.
+
+    a[l, m] and b[l, m] step order m from degrees l - 1 and l - 2 to l;
+    a[l, l - 1] = sqrt(2 l + 1) and b[l, l - 1] = 0 start order l - 1 off
+    its sectoral value in the same step. P-tilde_l^l = sectoral[l] s
+    P-tilde_{l-1}^{l-1} with s = sqrt(1 - x^2); sectoral[0] is unused.
+    """
     l = np.arange(l_max + 1)[:, None]
     m = l.T
-    with np.errstate(divide="ignore", invalid="ignore"):  # only m <= l - 2 is read
+    with np.errstate(divide="ignore", invalid="ignore"):  # only m <= l - 1 is read
         a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
         b = np.sqrt((2.0 * l + 1.0) / (2.0 * l - 3.0) * ((l - 1.0) ** 2 - m * m) / (l * l - m * m))
-    a.flags.writeable = b.flags.writeable = False
-    return a, b
+        sectoral = -np.sqrt((2.0 * l + 1.0) / (2.0 * l))
+    k = np.arange(1, l_max + 1)
+    a[k, k - 1], b[k, k - 1] = np.sqrt(2.0 * k + 1.0), 0.0
+    for array in (a, b, sectoral):
+        array.flags.writeable = False
+    return a, b, sectoral
 
 
 def normalized_legendre(l_max: int, x) -> np.ndarray:
@@ -168,35 +177,42 @@ def normalized_legendre(l_max: int, x) -> np.ndarray:
         raise ValueError(f"l_max must be >= 0, got {l_max}")
     x = np.asarray(x, dtype=float)
     table = np.zeros((l_max + 1, l_max + 1, x.size))
-    for m, rows in enumerate(_legendre_by_order(l_max, x.ravel())):
-        table[m:, m] = rows
+    for l, rows in enumerate(_legendre_by_degree(l_max, x.ravel())):
+        table[l, : l + 1] = rows
     return table.reshape(table.shape[:2] + x.shape)
 
 
-def _legendre_by_order(l_max: int, x):
-    """Yield the rows P-tilde_l^m(x), l = m .. l_max, for m = 0 .. l_max, on 1-D x.
+def _legendre_by_degree(l_max: int, x, out=None):
+    """Yield the rows P-tilde_l^m(x), m = 0 .. l, for l = 0 .. l_max, on 1-D x.
 
-    Each order is seeded from the sectoral P-tilde_m^m and P-tilde_{m+1}^m, then
-    runs P-tilde_k^m = a[k, m] x P-tilde_{k-1}^m - b[k, m] P-tilde_{k-2}^m. The
-    rows yielded are a view of one (l_max+1, len(x)) buffer that the next order
-    overwrites; copy what must outlive the step.
+    Degree l comes from degrees l - 1 and l - 2 in one step over all orders
+    m < l, P-tilde_l^m = a[l, m] x P-tilde_{l-1}^m - b[l, m] P-tilde_{l-2}^m,
+    and the sectoral P-tilde_l^l from P-tilde_{l-1}^{l-1}. The rows yielded
+    are a view of one of two (l_max+1, len(x)) buffers, overwritten when
+    degree l + 2 is made; copy what must outlive the next step. out, when
+    given, is a float (4, l_max+1, len(x)) array to work in, so that a caller
+    running block after block of points keeps one buffer for all of them.
     """
-    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-    a, b = _recurrence_coefficients(l_max)
-    rows = np.empty((l_max + 1,) + x.shape)
-    row = list(rows)
-    rows[0] = 1.0 / math.sqrt(4.0 * math.pi)
-    for m in range(l_max + 1):
-        if m:
-            rows[m] = -math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * rows[m - 1]
-        if m < l_max:
-            rows[m + 1] = math.sqrt(2.0 * m + 3.0) * x * rows[m]
-        # a x for all degrees at once, then two in-place steps each
-        np.multiply(a[m + 2 :, m, None], x, out=rows[m + 2 :])
-        for k in range(m + 2, l_max + 1):
-            row[k] *= row[k - 1]
-            row[k] -= b[k, m] * row[k - 2]
-        yield rows[m:]
+    a, b, sectoral = _recurrence_coefficients(l_max)
+    if out is None:
+        out = np.zeros((4, l_max + 1) + x.shape)
+    else:
+        out[:2] = 0.0
+    # degrees l - 2 and l - 1, a scratch slab, and sectoral[l] s, which takes P-tilde_{l-1}^{l-1}
+    # to P-tilde_l^l; rows above a buffer's degree stay 0, so b[l, l - 1] reads a 0
+    older, old, step, diagonal = out
+    np.multiply(sectoral[1:], np.sqrt(np.clip(1.0 - x * x, 0.0, None)), out=diagonal[:l_max])
+    old[0] = 1.0 / math.sqrt(4.0 * math.pi)
+    yield old[:1]
+    for l in range(1, l_max + 1):
+        ax = np.multiply(a[l, :l, None], x, out=step[:l])
+        ax *= old[:l]
+        rows = older[: l + 1]
+        rows[:l] *= b[l, :l, None]
+        np.subtract(ax, rows[:l], out=rows[:l])
+        np.multiply(diagonal[l - 1], old[l - 1], out=rows[l])
+        older, old = old, older
+        yield rows
 
 
 def spherical_harmonic(l: int, m: int, theta, phi):
@@ -208,8 +224,9 @@ def spherical_harmonic(l: int, m: int, theta, phi):
     if abs(m) > l:
         raise ValueError(f"order |m|={abs(m)} exceeds degree l={l}")
     x = np.cos(np.asarray(theta, dtype=float))
-    rows = next(itertools.islice(_legendre_by_order(l, x.ravel()), abs(m), None))
-    leg = rows[l - abs(m)].reshape(x.shape)
+    for rows in _legendre_by_degree(l, x.ravel()):
+        pass
+    leg = rows[abs(m)].reshape(x.shape)
     sign = -1.0 if m < 0 and m % 2 else 1.0
     out = sign * leg * np.exp(1j * m * np.asarray(phi, dtype=float))
     return complex(out) if out.ndim == 0 else out

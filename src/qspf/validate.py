@@ -2,10 +2,11 @@
 
 run_validation produces a machine-readable report with one entry per
 check, each carrying the measured value, the threshold it is held to, and
-a pass flag. The checks mirror the package's headline guarantees: exact
-radial quadrature on its design space (and demonstrable failure just
-beyond it), well-conditioned angular systems, and transform round trips
-at numerical precision.
+a pass flag; the two randomised round trips also name, under "draws", how
+they draw their inputs from the seed. The checks mirror the package's
+headline guarantees: exact radial quadrature on its design space (and
+demonstrable failure just beyond it), well-conditioned angular systems,
+and transform round trips at numerical precision.
 """
 
 from __future__ import annotations
@@ -104,6 +105,7 @@ def run_validation(grid: MultiShellGrid, seed: int = 0, n_draws: int = 100) -> d
         checks["sht_round_trip"] = _check(worst, REPORT_THRESHOLDS["sht_round_trip"])
     except ConditioningError as exc:
         checks["sht_round_trip"] = _failed(REPORT_THRESHOLDS["sht_round_trip"], str(exc))
+    checks["sht_round_trip"]["draws"] = "default_rng(seed)"
 
     # full transform round trip on the staircase model space, one child of the seed per draw
     try:
@@ -116,6 +118,7 @@ def run_validation(grid: MultiShellGrid, seed: int = 0, n_draws: int = 100) -> d
         checks["spf_round_trip"] = _check(worst, REPORT_THRESHOLDS["spf_round_trip"])
     except ConditioningError as exc:
         checks["spf_round_trip"] = _failed(REPORT_THRESHOLDS["spf_round_trip"], str(exc))
+    checks["spf_round_trip"]["draws"] = "SeedSequence(seed).spawn(n_draws)"
 
     return {
         "passed": all(c["passed"] for c in checks.values()),

@@ -408,6 +408,16 @@ def test_a_shell_count_whose_roots_overflow_is_one_error_line():
     assert done.stderr.count("\n") == 1
 
 
+def test_a_library_warning_is_one_warning_line():
+    # it once reached stderr as a raw UserWarning: cli.py's path, then the source line
+    done = _run_qspf("grid", "--bandlimits", "11,9,5,3", "--format", "csv")
+    assert done.returncode == 0
+    rows = done.stdout.splitlines()
+    assert rows[0] == "shell,b,x,y,z" and len(rows) == 1 + 11 * 12 // 2 + 9 * 10 // 2 + 15 + 6
+    assert done.stderr == ("warning: band limits decrease with b; inner shells will carry "
+                           "more angular detail than outer ones\n")
+
+
 def test_extreme_b_max_is_refused_or_validated_without_overflow():
     done = _run_qspf("grid", "--bmax", "1e300", "--format", "json")
     assert done.returncode == 1 and done.stdout == ""

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import roots_genlaguerre, sph_harm_y
 
 from qspf.multishell import (
+    _BLOCK,
     SpfCoefficients,
     build_grid,
     forward_spf,
@@ -400,20 +401,49 @@ def test_inverse_spf_broadcasts_large_batches(grid):
         assert np.array_equal(got, inverse_spf(coeffs, np.broadcast_to(d, (4096, 3)), q=r))
 
 
-def test_inverse_spf_memory_is_linear_in_the_batch(grid):
-    # a 4096-point call traced at 2.41 MB; the (11, 11, 4096) Legendre
-    # table alone would be 3.96 MB
+@pytest.mark.parametrize("bandlimits", [DEFAULTS, (15, 25, 41, 63), (1,)])
+def test_inverse_spf_is_exact_across_block_boundaries(bandlimits):
+    g = build_grid(len(bandlimits), 8000.0, bandlimits)
+    rng = np.random.default_rng(43)
+    values = rng.standard_normal(g.index.size) + 1j * rng.standard_normal(g.index.size)
+    coeffs = SpfCoefficients(g.index, g.radial.zeta, g.radial.convention, values)
+    for n_points in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1):
+        dirs = random_unit_vectors(rng, n_points)
+        q = rng.uniform(0.0, 1.2 * g.radial.radii[-1], n_points)
+        got = inverse_spf(coeffs, dirs, q=q)
+        assert got.shape == (n_points,)
+        # the points on either side of every block boundary, and a spread between
+        edges = [k * _BLOCK + d for k in (1, 2) for d in (-2, -1, 0, 1)]
+        checked = np.unique([p for p in edges + list(range(0, n_points, 97)) + [n_points - 1]
+                             if 0 <= p < n_points])
+        direct = direct_sum(coeffs, dirs[checked], q[checked])
+        assert np.max(np.abs(got[checked] - direct)) <= 1e-12 * np.max(np.abs(direct))
+    # n_points = 2 * _BLOCK + 1: one direction or one radius for all, across both boundaries
+    one_direction = inverse_spf(coeffs, dirs[7], q=q)
+    assert np.array_equal(one_direction,
+                          inverse_spf(coeffs, np.broadcast_to(dirs[7], (n_points, 3)), q=q))
+    one_radius = inverse_spf(coeffs, dirs, q=q[7])
+    assert np.array_equal(one_radius, inverse_spf(coeffs, dirs, q=np.full(n_points, q[7])))
+
+
+def test_inverse_spf_memory_is_bounded(grid):
+    # a 4096-point call traced at 2.41 MB when the sum went one order at a time over
+    # the whole batch; the (11, 11, 4096) Legendre table alone would be 3.96 MB
     rng = np.random.default_rng(41)
     coeffs = random_staircase_signal(9, grid)
-    dirs, b = random_unit_vectors(rng, 4096), rng.uniform(0.0, 8000.0, 4096)
-    inverse_spf(coeffs, dirs, b=b)
-    tracemalloc.start()
-    try:
+    for n_points in (4096, 16384):
+        dirs, b = random_unit_vectors(rng, n_points), rng.uniform(0.0, 8000.0, n_points)
         inverse_spf(coeffs, dirs, b=b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3.0e6
+        tracemalloc.start()
+        try:
+            out = inverse_spf(coeffs, dirs, b=b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # past the bound's batch, what the call must hold whatever its blocks: the
+        # result, and a radius and a direction per point
+        held = 0 if n_points == 4096 else out.nbytes + 4 * 8 * n_points
+        assert peak - held < 3.0e6
 
 
 def test_inverse_spf_antipodal_symmetry(grid):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -9,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import eval_genlaguerre, roots_genlaguerre, roots_hermite, sph_harm_y
 
 import qspf
+from qspf.angular import make_angular_scheme
 from qspf.specfun import (
-    _legendre_by_order,
+    _legendre_by_degree,
     laguerre_deriv,
     laguerre_eval,
     laguerre_roots,
@@ -128,11 +130,65 @@ def test_normalized_legendre_shape_and_poles():
 def test_legendre_by_order_equals_the_table(l_max):
     x = np.concatenate([[-1.0, 1.0], np.cos(np.linspace(0.01, np.pi - 0.01, 37))])
     table = normalized_legendre(l_max, x)
-    orders = 0
-    for m, rows in enumerate(_legendre_by_order(l_max, x)):
-        assert np.array_equal(rows, table[m:, m])
-        orders += 1
-    assert orders == l_max + 1
+    degrees = 0
+    for l, rows in enumerate(_legendre_by_degree(l_max, x)):
+        assert np.array_equal(rows, table[l, : l + 1])
+        degrees += 1
+    assert degrees == l_max + 1
+
+
+def order_major_legendre(l_max, x):
+    """Yield copies of P-tilde_l^m(x), l = m .. l_max, for m = 0 .. l_max, one order at a time.
+
+    The recurrence and operation order the degree-by-degree generator must
+    reproduce bit for bit.
+    """
+    l = np.arange(l_max + 1)[:, None]
+    m = l.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = np.sqrt((2.0 * l + 1.0) / (2.0 * l - 3.0) * ((l - 1.0) ** 2 - m * m) / (l * l - m * m))
+    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    rows = np.empty((l_max + 1,) + x.shape)
+    rows[0] = 1.0 / math.sqrt(4.0 * math.pi)
+    for m in range(l_max + 1):
+        if m:
+            rows[m] = -math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * rows[m - 1]
+        if m < l_max:
+            rows[m + 1] = math.sqrt(2.0 * m + 3.0) * x * rows[m]
+        for k in range(m + 2, l_max + 1):
+            rows[k] = a[k, m] * x * rows[k - 1] - b[k, m] * rows[k - 2]
+        yield rows[m:].copy()
+
+
+def order_major_table(l_max, x):
+    table = np.zeros((l_max + 1, l_max + 1) + x.shape)
+    for m, rows in enumerate(order_major_legendre(l_max, x)):
+        table[m:, m] = rows
+    return table
+
+
+@pytest.mark.parametrize("l_max", [0, 1, 2, 5, 10, 62, 132])
+def test_degree_rows_are_bit_identical_to_the_order_recurrence(l_max):
+    latitudes = [make_angular_scheme(L).thetas for L in (3, 11, 63, 133)]
+    x = np.cos(np.concatenate([[0.0, np.pi], np.linspace(0.01, np.pi - 0.01, 37), *latitudes]))
+    reference = order_major_table(l_max, x)
+    previous = None
+    for l, rows in enumerate(_legendre_by_degree(l_max, x)):
+        assert np.array_equal(rows, reference[l, : l + 1])
+        # a degree's rows hold until the next degree has been made
+        if previous is not None:
+            assert np.array_equal(previous, reference[l - 1, :l])
+        previous = rows
+    assert l == l_max
+
+
+@pytest.mark.parametrize("L", [1, 3, 11, 63, 133])
+def test_scheme_rows_are_bit_identical_to_the_order_recurrence(L):
+    scheme = make_angular_scheme(L)
+    reference = order_major_table(L - 1, np.cos(scheme.thetas))
+    # rows[mu, k, j] = P_{2j}^mu(cos theta_k); the table is 0 above the diagonal
+    assert np.array_equal(scheme.rows, reference[::2, :, :].transpose(1, 2, 0))
 
 
 def test_spherical_harmonic_against_scipy():

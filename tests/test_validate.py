@@ -44,3 +44,20 @@ def test_full_transform_draws_differ_across_seeds(monkeypatch):
         run_validation(grid, seed=seed, n_draws=3)
     assert len(drawn) == 6
     assert len({values.tobytes() for values in drawn}) == 6
+
+
+def test_randomised_checks_name_how_they_draw():
+    grid = build_grid(2, 1000.0, (3, 5))
+    checks = run_validation(grid, seed=4, n_draws=2)["checks"]
+    assert checks["sht_round_trip"]["draws"] == "default_rng(seed)"
+    assert checks["spf_round_trip"]["draws"] == "SeedSequence(seed).spawn(n_draws)"
+    assert [name for name, check in checks.items() if "draws" in check] == [
+        "sht_round_trip", "spf_round_trip"]
+    # checks the conditioning refuses still say how they draw
+    latitudes = list(grid.angular[1].thetas)
+    latitudes[1] = latitudes[0]
+    degenerate = build_grid(2, 1000.0, (3, 5), ring_latitudes=[None, latitudes])
+    checks = run_validation(degenerate, n_draws=1)["checks"]
+    assert "error" in checks["sht_round_trip"] and "error" in checks["spf_round_trip"]
+    assert checks["sht_round_trip"]["draws"] == "default_rng(seed)"
+    assert checks["spf_round_trip"]["draws"] == "SeedSequence(seed).spawn(n_draws)"

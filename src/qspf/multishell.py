@@ -45,7 +45,7 @@ import numpy as np
 from .angular import (_odd_bandlimit, _read_only, _sh_position, forward_sht, inverse_sht,
                       make_angular_scheme)
 from .errors import COND_LIMIT, ConditioningError
-from .radial import BConvention, RadialScheme, _basis_table, make_radial_scheme
+from .radial import BConvention, RadialScheme, _basis_table, _radial_map, make_radial_scheme
 from .specfun import _legendre_by_degree
 
 __all__ = [
@@ -151,10 +151,10 @@ class MultiShellGrid:
     order. The radial maps depend only on the grid and are built with it:
     radial_maps takes each radial mode to (output index, maps, worst
     condition number), one map per run of the output index, so
-    zero_padded has one. A map is the quadrature
-    Q[n, i] = w_i R_n(q_i) on a run all shells carry, else pinv(M), with
-    M[j, n] = R_n(q_j) on the run's shells. The worst condition number is
-    the largest cond(M), 1 when the mode has no collocation matrix.
+    zero_padded has one. radial._radial_map cuts each from radial.basis:
+    the quadrature Q[n, i] = w_i R_n(q_i) on a run all shells carry, else
+    pinv(M), M[j, n] = R_n(q_j) on the run's shells. The worst condition
+    number is the largest cond(M), 1 when the mode has no collocation matrix.
     """
 
     radial: RadialScheme
@@ -234,19 +234,10 @@ def _grid(b_max, convention, index, padded, schemes) -> MultiShellGrid:
     points = np.vstack([s.points for s in schemes])
     radii = np.repeat(radial.radii, counts)
     bvalues = np.repeat(radial.bvalues, counts)
-    quadrature = _basis_table(radial.radii, n_shells, radial.zeta) * radial.weights
     radial_maps = {}
     for mode, mode_index in (("staircase", index), ("zero_padded", padded)):
-        maps, conds = [], [1.0]
-        for shells, _, _ in mode_index.runs:
-            radial_map = quadrature
-            if len(shells) < n_shells:
-                # pinv never raises: an ill-conditioned grid still serves zero_padded
-                matrix = _basis_table(radial.radii[list(shells)], len(shells), radial.zeta).T
-                radial_map = np.linalg.pinv(matrix)
-                conds.append(float(np.linalg.cond(matrix)))
-            maps.append(radial_map)
-        radial_maps[mode] = (mode_index, tuple(maps), max(conds))
+        maps, conds = zip(*(_radial_map(radial, shells) for shells, _, _ in mode_index.runs))
+        radial_maps[mode] = (mode_index, maps, max(conds))
     grid = MultiShellGrid(radial, schemes, index, shell_of, points, radii, bvalues, shell_starts,
                           MappingProxyType(radial_maps))
     return _read_only(grid, *(m for _, maps, _ in radial_maps.values() for m in maps))
@@ -476,14 +467,17 @@ def synthesize_on_grid(coeffs: SpfCoefficients, grid: MultiShellGrid) -> np.ndar
     For tables with content above a shell's band limit (zero-padded mode,
     or a grid with lower limits), that content is dropped shell by shell,
     which is where this differs from pointwise inverse_spf evaluation.
+    A table with more radial orders than the grid has shells is refused.
     """
     if abs(coeffs.zeta - grid.radial.zeta) > 1e-9 * max(coeffs.zeta, grid.radial.zeta):
         raise ValueError("coefficient table and grid use different radial scales")
-    rtab = _basis_table(grid.radial.radii, len(coeffs.index.bandlimits), coeffs.zeta)
+    if len(coeffs.index.bandlimits) > grid.n_shells:
+        raise ValueError("coefficient table has more radial orders than the grid has shells")
+    basis = grid.radial.basis
     # row (l, m), column i: sum_n c_{n,l,m} R_n(q_i); shell i reads its leading rows only
     top = max(coeffs.index.bandlimits + grid.bandlimits)
     table = np.zeros((top * (top + 1) // 2, grid.n_shells), dtype=complex)
     for shells, entries, rows in coeffs.index.runs:
-        table[rows] = coeffs.values[entries].reshape(-1, len(shells)) @ rtab[: len(shells)]
+        table[rows] = coeffs.values[entries].reshape(-1, len(shells)) @ basis[: len(shells)]
     return np.concatenate([inverse_sht(table[: s.n_points, i], s)
                            for i, s in enumerate(grid.angular)])

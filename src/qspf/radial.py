@@ -3,11 +3,11 @@
 Shells sit at q_i = sqrt(zeta * x_i), where x_i are the roots of the N-th
 generalized Laguerre polynomial of order 1/2 and zeta is a scale factor
 chosen so the outermost shell lands exactly on the requested maximum
-b-value. With the closed-form weights below, the N-node rule integrates
-f(q) q^2 dq over [0, inf) exactly whenever f is exp(-q^2/zeta) times a
-polynomial in q^2/zeta of degree <= 2N-1; in particular it makes the
-N-term radial basis exactly orthonormal, so N shells suffice for an exact
-radial transform.
+b-value. A scheme tabulates basis[n, i] = R_n(q_i) once, and every radial
+map is cut from it (_radial_map). With its Christoffel numbers as weights,
+the N-node rule integrates f(q) q^2 dq over [0, inf) exactly whenever f
+is exp(-q^2/zeta) times a polynomial in q^2/zeta of degree <= 2N-1, so
+the N-term radial basis is exactly orthonormal under it.
 
 b-value conventions: "normalized" takes b = q^2 (the diffusion-time
 constant is absorbed into q), "physical" takes b = 4 pi^2 tau q^2 with tau
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import COND_LIMIT, ConditioningError
-from .specfun import _laguerre_rows, laguerre_deriv, laguerre_roots
+from .specfun import _laguerre_rows, laguerre_deriv, laguerre_eval, laguerre_roots
 
 __all__ = [
     "BConvention",
@@ -72,8 +72,8 @@ class RadialScheme:
     """Immutable radial sampling scheme.
 
     b_max is the b-value requested for the outer shell, which bvalues[-1]
-    meets to rounding. roots are in the dimensionless variable x = q^2/zeta;
-    radii are in q-units, bvalues in s/mm^2, weights in units of zeta^(3/2).
+    meets to rounding. roots are in x = q^2/zeta; radii are in q-units,
+    bvalues in s/mm^2, weights in zeta^(3/2); basis[n, i] = R_n(radii[i]).
     """
 
     n_shells: int
@@ -83,6 +83,7 @@ class RadialScheme:
     radii: np.ndarray
     bvalues: np.ndarray
     weights: np.ndarray
+    basis: np.ndarray
     convention: BConvention
 
 
@@ -115,6 +116,8 @@ def make_radial_scheme(
     weights = quadrature_weights(roots, zeta)
     if not np.all((weights > 0) & (weights < math.inf)):
         raise ValueError(f"b_max = {b_max} puts a quadrature weight outside the float range")
+    basis = _basis_table(radii, n_shells, zeta)
+    basis.flags.writeable = False
     return RadialScheme(
         n_shells=n_shells,
         b_max=float(b_max),
@@ -123,6 +126,7 @@ def make_radial_scheme(
         radii=radii,
         bvalues=bvalues,
         weights=weights,
+        basis=basis,
         convention=convention,
     )
 
@@ -136,8 +140,8 @@ def radial_basis_eval(n: int, q, zeta: float):
     is computed from log-gamma differences so relative error stays flat
     in n.
     """
-    if zeta <= 0:
-        raise ValueError(f"zeta must be positive, got {zeta}")
+    if not 0 < zeta < math.inf:  # written so that NaN fails too
+        raise ValueError(f"zeta must be positive and finite, got {zeta}")
     if n < 0:
         raise ValueError(f"radial order must be >= 0, got {n}")
     q = np.asarray(q, dtype=float)
@@ -148,36 +152,27 @@ def radial_basis_eval(n: int, q, zeta: float):
 
 
 def quadrature_weights(roots: np.ndarray, zeta: float) -> np.ndarray:
-    """Closed-form Gauss-Laguerre weights for the q^2 dq measure.
+    """Gauss-Laguerre weights for the q^2 dq measure at q_i = sqrt(zeta x_i), N = len(roots).
 
-    w_i = 0.5 zeta^1.5 Gamma(N+1.5) x_i e^{x_i}
-          / (N! (N+1)^2 [L_{N+1}^(1/2)(x_i)]^2),
-    evaluated in log space, with N = len(roots). Requires ``roots`` to
-    actually be the roots of L_N^(1/2); this is checked through the Newton
-    residual |L_N(x_i)/L_N'|.
+    Each is the Christoffel number w_i = 1 / sum_{n<N} R_n(q_i)^2 of the
+    orthonormal basis (Golub & Welsch, Math. Comp. 1969; Gautschi,
+    Orthogonal Polynomials, 2004). Requires ``roots`` to actually be the
+    roots of L_N^(1/2); this is checked through the Newton residual
+    |L_N(x_i)/L_N'|.
     """
     roots = np.asarray(roots, dtype=float)
     if roots.ndim != 1 or not len(roots):
         raise ValueError(f"expected a non-empty flat array of roots, got shape {roots.shape}")
     n_shells = len(roots)
-    if zeta <= 0:
-        raise ValueError(f"zeta must be positive, got {zeta}")
+    if not 0 < zeta < math.inf:  # written so that NaN fails too
+        raise ValueError(f"zeta must be positive and finite, got {zeta}")
     deriv = laguerre_deriv(n_shells, 0.5, roots)  # raises for non-finite roots
-    *_, resid, following = _laguerre_rows(n_shells + 1, 0.5, roots)
+    resid = laguerre_eval(n_shells, 0.5, roots)
     if np.any(np.abs(resid / deriv) > 1e-8 * np.maximum(roots, 1.0)):
         raise ValueError("supplied nodes are not roots of the order-N Laguerre polynomial")
-    log_w = (
-        math.log(0.5)
-        + 1.5 * math.log(zeta)
-        + math.lgamma(n_shells + 1.5)
-        + np.log(roots)
-        + roots
-        - math.lgamma(n_shells + 1)
-        - 2.0 * math.log(n_shells + 1.0)
-        - 2.0 * np.log(np.abs(following))
-    )
-    with np.errstate(over="ignore"):  # an infinite weight is make_radial_scheme's to refuse
-        return np.exp(log_w)
+    # a weight outside the float range is make_radial_scheme's to refuse
+    with np.errstate(over="ignore", divide="ignore"):
+        return 1.0 / np.sum(np.square(_basis_table(np.sqrt(zeta * roots), n_shells, zeta)), axis=0)
 
 
 def _basis_table(q, n_orders: int, zeta: float) -> np.ndarray:
@@ -198,6 +193,19 @@ def _basis_table(q, n_orders: int, zeta: float) -> np.ndarray:
     return table
 
 
+def _radial_map(scheme: RadialScheme, shells) -> tuple:
+    """(map, cond) from values on shells to radial orders n < len(shells), cut from scheme.basis.
+
+    On all shells in order, the quadrature Q[n, i] = w_i R_n(q_i) and 1;
+    else pinv(M), M[j, n] = R_n(q_j), and cond(M), for the caller to refuse.
+    """
+    shells = list(shells)
+    if shells == list(range(scheme.n_shells)):
+        return scheme.basis * scheme.weights, 1.0
+    matrix = scheme.basis[: len(shells), shells].T
+    return np.linalg.pinv(matrix), float(np.linalg.cond(matrix))
+
+
 def radial_project(values, scheme: RadialScheme) -> np.ndarray:
     """Exact radial projection c_n = sum_i w_i R_n(q_i) v_i, n < N.
 
@@ -209,15 +217,15 @@ def radial_project(values, scheme: RadialScheme) -> np.ndarray:
         raise ValueError(
             f"expected one value per shell ({scheme.n_shells}), got shape {values.shape}"
         )
-    return (_basis_table(scheme.radii, scheme.n_shells, scheme.zeta) * scheme.weights) @ values
+    return _radial_map(scheme, range(scheme.n_shells))[0] @ values
 
 
 def radial_collocation_solve(values, shells, scheme: RadialScheme) -> np.ndarray:
-    """Direct collocation solve for radial coefficients on a shell subset.
+    """Collocation solve for radial coefficients on a shell subset.
 
-    Solves M c = values with M[i, n] = R_n(q_i) over the chosen shells.
-    Used for coefficient rows whose degree is carried by fewer than N
-    shells; with all N shells it reproduces radial_project.
+    Applies _radial_map's pinv(M), M[i, n] = R_n(q_i) over the chosen
+    shells. Used for coefficient rows whose degree is carried by fewer
+    than N shells; with all N shells in order it is radial_project.
 
     Raises
     ------
@@ -230,8 +238,7 @@ def radial_collocation_solve(values, shells, scheme: RadialScheme) -> np.ndarray
         raise ValueError(f"{len(shells)} shells but {values.shape} values")
     if len(shells) > scheme.n_shells:
         raise ValueError("more collocation shells than the scheme has")
-    matrix = _basis_table(scheme.radii[shells], len(shells), scheme.zeta).T
-    cond = np.linalg.cond(matrix)
+    radial_map, cond = _radial_map(scheme, shells)
     if not cond < COND_LIMIT:
         raise ConditioningError("radial collocation matrix is ill-conditioned", cond)
-    return np.linalg.solve(matrix, values)
+    return radial_map @ values

@@ -17,8 +17,8 @@ package comes from there:
 
 * ``_laguerre_rows`` yields L_0^(alpha) .. L_n^(alpha) at x in one upward
   pass. ``laguerre_eval`` returns its last row; the radial basis table
-  (``radial._basis_table``, the one owner of the R_n formula) and the
-  quadrature weights read all the rows they need from one pass.
+  (``radial._basis_table``, the one owner of the R_n formula, which the
+  quadrature weights are read from) takes all its rows from one pass.
 * ``_legendre_by_degree`` yields the rows P-tilde_l^m, m = 0 .. l, one
   degree l at a time, every order in one step. ``normalized_legendre`` and
   ``spherical_harmonic`` read their values from it, as do the angular

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import ConditioningError
 from .multishell import MultiShellGrid, forward_spf, synthesize_on_grid
-from .radial import _basis_table
 from .angular import forward_sht, inverse_sht
 from .signals import random_staircase_signal
 
@@ -60,8 +59,7 @@ def run_validation(grid: MultiShellGrid, seed: int = 0, n_draws: int = 100) -> d
     checks = {}
 
     # orthonormality of the radial basis under the shell quadrature
-    basis = _basis_table(radial.radii, radial.n_shells, radial.zeta)
-    gram = (basis * radial.weights) @ basis.T
+    gram = (radial.basis * radial.weights) @ radial.basis.T
     checks["radial_orthonormality"] = _check(
         np.max(np.abs(gram - np.eye(radial.n_shells))),
         REPORT_THRESHOLDS["radial_orthonormality"],

@@ -150,7 +150,8 @@ def _assert_read_only(grid):
     arrays = [value for part in (grid, grid.radial) for value in vars(part).values()
               if isinstance(value, np.ndarray)]
     arrays += [m for _, maps, _ in grid.radial_maps.values() for m in maps]
-    assert len(arrays) == 5 + 4 + 5  # 4 staircase runs and 1 zero_padded run at the defaults
+    # 5 grid arrays, 5 radial arrays (basis among them), 4 staircase runs and 1 zero_padded run
+    assert len(arrays) == 5 + 5 + 5
     for array in arrays:
         with pytest.raises(ValueError):
             array[...] = array
@@ -500,6 +501,14 @@ def test_synthesis_drops_degrees_above_the_grid(grid):
 def test_synthesis_rejects_mismatched_radial_scale(grid):
     coeffs = random_staircase_signal(5, build_grid(4, 16000.0, DEFAULTS))
     with pytest.raises(ValueError):
+        synthesize_on_grid(coeffs, grid)
+
+
+def test_synthesis_rejects_more_radial_orders_than_shells(grid):
+    # radial order 4 has no counterpart in the four-shell rule, whatever the scale
+    index = staircase_index(DEFAULTS + (11,))
+    coeffs = SpfCoefficients(index, grid.radial.zeta, grid.radial.convention, np.ones(index.size))
+    with pytest.raises(ValueError, match="radial orders"):
         synthesize_on_grid(coeffs, grid)
 
 

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, gammaln, roots_genlaguerre
 
 from qspf.errors import ConditioningError
+from qspf.multishell import build_grid
 from qspf.radial import (
     BConvention,
     _basis_table,
@@ -31,16 +32,18 @@ def test_four_shell_bvalues(scheme):
     assert np.all(scheme.weights > 0)
 
 
-def test_weights_match_textbook_gauss_laguerre(scheme):
+def test_weights_match_textbook_gauss_laguerre():
     """The q-measure weights are the x-space generalized rule, rescaled.
 
     Substituting x = q^2/zeta into int f(q) q^2 dq gives
     0.5 zeta^1.5 int e^{-x} x^{1/2} [e^x f] dx, so each weight must equal
     0.5 zeta^1.5 e^{x_i} W_i with W_i the standard alpha = 1/2 weight.
     """
-    nodes, std_weights = roots_genlaguerre(4, 0.5)
-    expected = 0.5 * scheme.zeta**1.5 * np.exp(nodes) * std_weights
-    assert np.max(np.abs(scheme.weights - expected) / expected) < 1e-12
+    for n_shells in (4, 20):
+        scheme = make_radial_scheme(n_shells, 8000.0)
+        nodes, std_weights = roots_genlaguerre(n_shells, 0.5)
+        expected = 0.5 * scheme.zeta**1.5 * np.exp(nodes) * std_weights
+        assert np.max(np.abs(scheme.weights - expected) / expected) < 1e-12
 
 
 def test_single_shell_weight_closed_form():
@@ -55,6 +58,17 @@ def test_radial_basis_orthonormal_under_quadrature(scheme):
     basis = np.array([radial_basis_eval(n, scheme.radii, scheme.zeta) for n in range(4)])
     gram = (basis * scheme.weights) @ basis.T
     assert np.max(np.abs(gram - np.eye(4))) < 1e-12
+
+
+# the Christoffel weights read max|Q B^T - I| 1.1e-15, 3.1e-15, 1.2e-14, 1.0e-13 and 5.4e-13 at
+# these N; the closed form they replaced read 3.6e-15, 1.0e-14, 3.7e-14, 9.9e-13 and 4.9e-12
+@pytest.mark.parametrize("n_shells, bound", [(4, 3e-15), (13, 6e-15), (30, 2.5e-14),
+                                             (100, 3e-13), (362, 2e-12)])
+def test_quadrature_gram_error(n_shells, bound):
+    scheme = make_radial_scheme(n_shells, 8000.0)
+    assert np.array_equal(scheme.basis, _basis_table(scheme.radii, n_shells, scheme.zeta))
+    gram = (scheme.basis * scheme.weights) @ scheme.basis.T
+    assert np.max(np.abs(gram - np.eye(n_shells))) < bound
 
 
 def test_radial_basis_orthonormal_by_dense_integration():
@@ -108,6 +122,15 @@ def test_radial_basis_vanishes_at_huge_finite_radius():
         assert radial_basis_eval(3, 1e100, 500.0) == 0.0
     assert np.all(table[:, 0] != 0.0) and np.all(np.isfinite(table[:, 0]))
     assert np.array_equal(table[:, 1:], np.zeros((30, 4)))
+
+
+@pytest.mark.parametrize("zeta", [np.nan, np.inf, 0.0, -1.0])
+def test_radial_functions_refuse_a_bad_radial_scale(scheme, zeta):
+    # NaN once returned NaN from both; inf gave R_n = 0 and infinite weights
+    with pytest.raises(ValueError, match="zeta"):
+        radial_basis_eval(2, 1.0, zeta)
+    with pytest.raises(ValueError, match="zeta"):
+        quadrature_weights(scheme.roots, zeta)
 
 
 def test_radial_basis_validation():
@@ -173,6 +196,21 @@ def test_collocation_on_shell_subset(scheme):
     )
     solved = radial_collocation_solve(values, shells, scheme)
     assert np.max(np.abs(solved - target)) < 1e-12
+
+
+@pytest.mark.parametrize("bandlimits", [(3, 5, 9, 11), tuple(range(1, 24, 2))])
+def test_radial_helpers_apply_the_grids_maps(bandlimits):
+    # one builder makes every radial map: the helpers give the grid's maps' products bit for bit
+    grid = build_grid(len(bandlimits), 8000.0, bandlimits)
+    rng = np.random.default_rng(6)
+    index, maps, _ = grid.radial_maps["staircase"]
+    for (shells, _, _), radial_map in zip(index.runs, maps):
+        values = rng.standard_normal(len(shells))
+        solved = radial_collocation_solve(values, shells, grid.radial)
+        assert np.array_equal(solved, radial_map @ values)
+    values = rng.standard_normal(grid.n_shells)
+    (padded,) = grid.radial_maps["zero_padded"][1]
+    assert np.array_equal(radial_project(values, grid.radial), padded @ values)
 
 
 def test_collocation_flags_singular_systems(scheme):

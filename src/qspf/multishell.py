@@ -23,6 +23,9 @@ against an (l, m) x shell table of per-shell harmonic coefficients.
 inverse_spf, the read side, goes one even degree at a time, its Legendre
 rows made by recurrence for every order at once, over blocks of a fixed
 number of points, so its working memory does not grow with the batch.
+It gathers the harmonic rows of adjacent degrees into one GEMM while they
+fit the room the sums take in a full block: one GEMM in all for a small
+batch, about one per degree for a full block.
 
 An index depends on its band limits alone, so staircase_index builds it
 once per process and returns the same read-only object to every caller
@@ -342,18 +345,18 @@ def _paired(radii, directions, what: str):
     else the lengths must match (empty too). what names the radii in errors.
     """
     radii, directions = np.asarray(radii, dtype=float), np.asarray(directions, dtype=float)
-    if not np.all(radii >= 0):  # written so that NaN fails too
+    if not (radii >= 0).all():  # written so that NaN fails too
         raise ValueError(f"{what} must be non-negative, not NaN")
     flat, dirs = np.atleast_1d(radii), np.atleast_2d(directions)
     if dirs.ndim != 2 or dirs.shape[1] != 3:
         raise ValueError(f"directions must have 3 components, got shape {directions.shape}")
-    # written so that a NaN component fails too
-    if not np.all(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) <= 1e-6):
+    # |u| within 1e-6 of 1 is |u|^2 within 2e-6 of 1 + 1e-12; written so that NaN fails too
+    if not (np.abs(np.einsum("ij,ij->i", dirs, dirs) - (1.0 + 1e-12)) <= 2e-6).all():
         raise ValueError("directions must be unit vectors")
     if flat.ndim != 1:
         raise ValueError(f"{what} must be a scalar or a flat array")
     if len(flat) == 1:
-        flat = np.full(len(dirs), flat[0])
+        flat = flat.repeat(len(dirs))
     elif len(dirs) == 1:
         dirs = np.broadcast_to(dirs, (len(flat), 3))
     elif len(flat) != len(dirs):
@@ -361,8 +364,9 @@ def _paired(radii, directions, what: str):
     return flat, dirs, directions.ndim == 1 and radii.ndim == 0
 
 
-# inverse_spf's points per block. Its one work buffer holds 8 l_max + 2 N floats per point,
-# 1.5 MB at the default band limits; larger blocks run faster but hold more memory
+# inverse_spf's points per block. Its one work buffer holds 6 l_max + 2 N floats per point and
+# the rows of its widest GEMM run (_degree_runs), 1.5 MB in all at the default band limits;
+# larger blocks run faster but hold more memory
 _BLOCK = 2048
 
 
@@ -392,6 +396,26 @@ def _harmonic_layout(index: StaircaseIndex):
     return targets, factors, 2 * plane
 
 
+@functools.lru_cache(maxsize=64)
+def _degree_runs(l_max: int, n_orders: int, n_points: int):
+    """inverse_spf's GEMMs on blocks of n_points: runs of adjacent even degrees, and the widest.
+
+    Degree l's harmonic rows are its l + 1 (cos, sin) columns from l^2 / 4 on, 2 (l + 1)
+    n_points floats. A run takes degrees while their rows fit in the 2 n_orders _BLOCK
+    floats the sums take in a full block, or holds one degree alone: a small block makes
+    one GEMM for all its degrees, a full block about one per degree, and at any l_max a
+    run's rows stay few enough to stay in cache while the recurrence makes its next degrees.
+    Returns ((first column, end column, last degree) per run, the most columns in one run).
+    """
+    runs, first = [], 0
+    for l in range(2, l_max, 2):
+        if ((l + 2) ** 2 // 4 - first) * n_points > n_orders * _BLOCK:
+            runs.append((first, l * l // 4, l - 2))
+            first = l * l // 4
+    runs.append((first, (l_max + 1) ** 2 // 4, l_max - 1))
+    return tuple(runs), max(end - first for first, end, _ in runs)
+
+
 def inverse_spf(coeffs: SpfCoefficients, directions, q=None, b=None):
     """Evaluate the expansion at arbitrary q-space locations.
 
@@ -403,10 +427,13 @@ def inverse_spf(coeffs: SpfCoefficients, directions, q=None, b=None):
 
     The sum goes degree by degree, over a fixed-size block of points at a
     time: each even degree's harmonic rows P_l^m cos(m phi), P_l^m sin(m phi)
-    take one real GEMM against that degree's coefficients, +m and -m
-    together, and the radial table weights the total. Memory beyond the
-    points and the result is bounded by the block, whatever the batch, and
-    every block reuses one work buffer.
+    are gathered with those of the degrees before it, and each run of
+    degrees takes one real GEMM against its coefficients, +m and -m
+    together; the radial table weights the total. A run ends where its rows
+    would outgrow the room the sums take in a full block, so a small batch
+    makes one GEMM in all. Memory beyond the points and the result is
+    bounded by the block, whatever the batch, and every block reuses one
+    work buffer.
     """
     if (q is None) == (b is None):
         raise ValueError("pass exactly one of q or b")
@@ -423,18 +450,20 @@ def inverse_spf(coeffs: SpfCoefficients, directions, q=None, b=None):
     parts = parts.reshape(2 * n_orders, -1)
 
     out = np.empty(len(qv), dtype=complex)
-    # one buffer for every block: the Legendre recurrence's, e^(i m phi), the harmonic
-    # rows and the sums, so no block hands pages back to the allocator for the next to fault in
-    per_point = 8 * l_max + 2 * n_orders
-    work = np.empty(per_point * min(len(qv), _BLOCK))
+    # one buffer for every block: the Legendre recurrence's, e^(i m phi), the sums and the
+    # harmonic rows, so no block hands pages back to the allocator for the next to fault in
+    size = min(len(qv), _BLOCK)
+    runs, width = _degree_runs(l_max, n_orders, size)
+    fixed = 6 * l_max + 2 * n_orders
+    work = np.empty((fixed + 2 * width) * size)
     for start in range(0, len(qv), _BLOCK):
         block = slice(start, start + _BLOCK)
         phi = np.arctan2(dirs[block, 1], dirs[block, 0])
         n, rows_n = len(phi), l_max * len(phi)
         legendre_work = work[: 4 * rows_n].reshape(4, l_max, n)
         waves = work[4 * rows_n : 6 * rows_n].view(complex).reshape(l_max, n)
-        harmonics = work[6 * rows_n : 8 * rows_n].reshape(l_max, 2, n)
-        acc = work[8 * rows_n : per_point * n].reshape(2 * n_orders, n)
+        acc = work[6 * rows_n : fixed * n].reshape(2 * n_orders, n)
+        harmonics = work[fixed * n : (fixed + 2 * width) * n].reshape(width, 2, n)
         # e^(i m phi) for m < l_max: each pass takes the m known, m < k, to m < 2k - 1
         # by e^(i (k - 1 + j) phi) = e^(i (k - 1) phi) e^(i j phi)
         waves[0], waves[1:2] = 1.0, np.exp(1j * phi)
@@ -444,16 +473,24 @@ def inverse_spf(coeffs: SpfCoefficients, directions, q=None, b=None):
             np.multiply(waves[1 : 1 + new], waves[k - 1], out=waves[k : k + new])
             k += new
         waves = waves.view(float).reshape(l_max, n, 2).transpose(0, 2, 1)  # (m, cos/sin, point)
-        acc[:] = 0.0
-        legendre = _legendre_by_degree(l_max - 1, np.clip(dirs[block, 2], -1.0, 1.0), legendre_work)
-        for l, leg in enumerate(legendre):
-            if l % 2 == 0:
-                rows = np.multiply(waves[: l + 1], leg[:, None], out=harmonics[: l + 1])
-                first = l * l // 4
-                acc += parts[:, 2 * first : 2 * (first + l + 1)] @ rows.reshape(-1, n)
-        total = np.einsum("knp,np->kp", acc.reshape(2, n_orders, n),
-                          _basis_table(qv[block], n_orders, coeffs.zeta))
-        out[block] = total[0] + 1j * total[1]
+        legendre = enumerate(
+            _legendre_by_degree(l_max - 1, np.clip(dirs[block, 2], -1.0, 1.0), legendre_work))
+        for first, end, last in runs:
+            held = harmonics[: end - first]
+            for l, leg in legendre:
+                if l % 2 == 0:
+                    column = l * l // 4 - first
+                    np.multiply(waves[: l + 1], leg[:, None], out=held[column : column + l + 1])
+                    if l == last:
+                        break
+            if first:
+                acc += parts[:, 2 * first : 2 * end] @ held.reshape(-1, n)
+            else:
+                np.matmul(parts[:, : 2 * end], held.reshape(-1, n), out=acc)
+        # weight by R_n(q) and sum over n straight into out's (Re, Im) pairs
+        acc = acc.reshape(2, n_orders, n)
+        acc *= _basis_table(qv[block], n_orders, coeffs.zeta)
+        acc.sum(axis=1, out=out[block].view(float).reshape(n, 2).T)
     return complex(out[0]) if scalar else out
 
 

@@ -17,6 +17,7 @@ same in both.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -183,14 +184,24 @@ def _basis_table(q, n_orders: int, zeta: float) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     with np.errstate(over="ignore"):  # x = inf is the limit; R_n is 0 there (below)
         x = q * q / zeta
-    scale = math.log(2.0) - 1.5 * math.log(zeta)
-    log_norm = [0.5 * (scale + math.lgamma(n + 1) - math.lgamma(n + 1.5)) for n in range(n_orders)]
-    table = np.exp(np.reshape(log_norm, (-1,) + (1,) * q.ndim) - 0.5 * x)
+    table = np.exp(_log_norms(n_orders, zeta).reshape((-1,) + (1,) * q.ndim) - 0.5 * x)
     # R_0 has the largest norm, so where its Gaussian underflows every R_n does: there,
     # skip the polynomial (it may overflow) and R_n -> 0
-    for n, poly in enumerate(_laguerre_rows(n_orders - 1, 0.5, np.where(table[0] == 0.0, 0.0, x))):
+    if not table[0].all():
+        x = np.where(table[0] == 0.0, 0.0, x)
+    for n, poly in enumerate(_laguerre_rows(n_orders - 1, 0.5, x)):
         table[n] *= poly
     return table
+
+
+@functools.lru_cache(maxsize=64)
+def _log_norms(n_orders: int, zeta: float) -> np.ndarray:
+    """log sqrt(2/zeta^1.5 * n!/Gamma(n+1.5)), R_n's normalisation, for n < n_orders."""
+    scale = math.log(2.0) - 1.5 * math.log(zeta)
+    column = np.array([0.5 * (scale + math.lgamma(n + 1) - math.lgamma(n + 1.5))
+                       for n in range(n_orders)])
+    column.flags.writeable = False
+    return column
 
 
 def _radial_map(scheme: RadialScheme, shells) -> tuple:
@@ -229,6 +240,8 @@ def radial_collocation_solve(values, shells, scheme: RadialScheme) -> np.ndarray
 
     Raises
     ------
+    ValueError
+        If a shell index is outside 0 .. N - 1, or values do not pair with shells.
     ConditioningError
         If the collocation matrix condition number exceeds 1e8.
     """
@@ -238,6 +251,9 @@ def radial_collocation_solve(values, shells, scheme: RadialScheme) -> np.ndarray
         raise ValueError(f"{len(shells)} shells but {values.shape} values")
     if len(shells) > scheme.n_shells:
         raise ValueError("more collocation shells than the scheme has")
+    outside = shells[(shells < 0) | (shells >= scheme.n_shells)]
+    if outside.size:
+        raise ValueError(f"shell index {outside[0]} is outside 0 .. {scheme.n_shells - 1}")
     radial_map, cond = _radial_map(scheme, shells)
     if not cond < COND_LIMIT:
         raise ConditioningError("radial collocation matrix is ill-conditioned", cond)

@@ -387,6 +387,26 @@ def test_inverse_spf_matches_direct_sum(grid, high_grid, mode):
             assert np.max(np.abs(got - direct)) < 1e-12 * np.max(np.abs(direct))
 
 
+@pytest.mark.parametrize("mode", ["staircase", "zero_padded"])
+def test_inverse_spf_at_the_poles_matches_the_closed_form(grid, high_grid, mode):
+    # at z = +-1 only m = 0 survives, and P_l(+-1) = 1 for even l, so the value is
+    # sum_{n, even l} c_{n,l,0} R_n(q) sqrt((2l + 1) / 4 pi): an evaluation scheme
+    # that trades accuracy near the poles for speed fails here
+    rng = np.random.default_rng(57)
+    for g in (grid, high_grid):
+        coeffs = forward_spf(g, rng.standard_normal(g.n_samples), radial_mode=mode)
+        index, zonal = coeffs.index, coeffs.index.orders == 0
+        q_max = g.radial.radii[-1]
+        for q in (0.0, q_max / 2, q_max):
+            radial = np.array([radial_basis_eval(n, q, coeffs.zeta)
+                               for n in range(len(index.bandlimits))])
+            expected = np.sum(coeffs.values[zonal] * radial[index.radial_orders[zonal]]
+                              * np.sqrt((2 * index.degrees[zonal] + 1) / (4 * np.pi)))
+            for z in (1.0, -1.0):
+                got = inverse_spf(coeffs, np.array([0.0, 0.0, z]), q=q)
+                assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
 def test_inverse_spf_broadcasts_large_batches(grid):
     rng = np.random.default_rng(40)
     coeffs = random_staircase_signal(8, grid)
@@ -469,6 +489,9 @@ def test_inverse_spf_validation(grid):
         inverse_spf(coeffs, u, q=-1.0)
     with pytest.raises(ValueError):
         inverse_spf(coeffs, 2.0 * u, q=1.0)
+    # a norm that overflows is refused as not unit, without an overflow warning
+    with pytest.raises(ValueError, match="unit vectors"):
+        inverse_spf(coeffs, 1e200 * u, q=1.0)
     with pytest.raises(ValueError):
         inverse_spf(coeffs, np.tile(u, (3, 1)), q=np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match="b-values must be non-negative"):

@@ -213,6 +213,14 @@ def test_radial_helpers_apply_the_grids_maps(bandlimits):
     assert np.array_equal(radial_project(values, grid.radial), padded @ values)
 
 
+def test_collocation_refuses_shell_indices_outside_the_scheme(scheme):
+    # a negative index must not wrap round to the outer shells, nor N end in an IndexError
+    n = scheme.n_shells
+    for shells, named in (([-1], "-1"), ([n], str(n)), ([1, n + 2], str(n + 2)), ([-3, 2], "-3")):
+        with pytest.raises(ValueError, match=f"shell index {named} is outside 0 .. {n - 1}"):
+            radial_collocation_solve(np.ones(len(shells)), shells, scheme)
+
+
 def test_collocation_flags_singular_systems(scheme):
     values = np.array([1.0, 1.0])
     with pytest.raises(ConditioningError) as excinfo:

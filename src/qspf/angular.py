@@ -18,7 +18,14 @@ per band limit, the one whose worst such system is best conditioned.
 
 Both transforms keep the per-ring FFT bins in one flat array in sample
 order, so order m sits at ring k's first sample + m mod n_k on all rings
-at once.
+at once. Ring k holds 4k+1 samples on every scheme that has it, so the
+ring FFTs of several schemes laid end to end take one np.fft call per
+ring index, a 2-D call with one row per scheme: a grid's shells at band
+limits 3/5/9/11 take 6 calls instead of 16, at 15/25/41/63 32 instead of
+74. forward_spf and synthesize_on_grid run every shell's rings that way;
+a lone scheme is the one-row case, its rings taken in place. The index
+arrays are built once per tuple of schemes (the most recent 32 tuples),
+read-only.
 Only the FFT bins depend on the samples. make_angular_scheme stores the
 rest as arrays indexed by |m| (see AngularScheme), with each ring's
 Legendre systems QR-factored once, and both transforms read them directly.
@@ -112,14 +119,23 @@ def _default_scale(bandlimit: int) -> float:
     return 1.04 if bandlimit <= 7 else 1.02 if bandlimit <= 11 else 1.0 if bandlimit <= 17 else 0.98
 
 
+def _as_int(value):
+    """value as an int if it equals one, else None: 11.0 gives 11; 11.5, "11", NaN and inf None."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return number if number == value else None
+
+
 def _odd_bandlimit(bandlimit) -> int:
     """The band limit as an int; ValueError unless it is an odd integer in [1, 133].
 
     Integral floats such as 11.0 pass and map to 11; 11.5 is refused rather
     than truncated.
     """
-    L = int(bandlimit) if np.isfinite(bandlimit) else 0
-    if L != bandlimit or L < 1 or L % 2 == 0:
+    L = _as_int(bandlimit)
+    if L is None or L < 1 or L % 2 == 0:
         raise ValueError(f"band limit must be an odd positive integer, got {bandlimit!r}")
     # 133 is the largest L whose built-in layout forward_sht accepts: worst per-order condition
     # 9.6e7 at L = 133, 1.31e8 at 135, against COND_LIMIT = 1e8; it also bounds the L^2 tables
@@ -258,13 +274,21 @@ def forward_sht(values, scheme: AngularScheme) -> np.ndarray:
         If any per-order system has condition number above 1e8.
     """
     values = _flat(values, scheme, "samples")
+    _check_conditioning(scheme)
+    return _solve_rings(_ring_dft(values, (scheme,)), scheme)
+
+
+def _check_conditioning(scheme: AngularScheme) -> None:
+    """ConditioningError unless every per-order system of scheme is below COND_LIMIT."""
     if not scheme.condition < COND_LIMIT:
         raise ConditioningError(
             "angular scheme is too ill-conditioned for a trustworthy transform",
             scheme.condition,
         )
-    # norm="forward" puts the 1/n_k on the FFT, so a bin holds its order's amplitude
-    bins = np.concatenate([np.fft.fft(values[ring], norm="forward") for ring in scheme.rings])
+
+
+def _solve_rings(bins, scheme: AngularScheme) -> np.ndarray:
+    """forward_sht's ring cascade on one shell's FFT bins, which it uses up as it goes."""
     out = np.zeros(scheme.n_points + 1, dtype=complex)  # one coefficient per point; -0 at the end
     for f in reversed(range(len(scheme.rings))):
         # ring f first resolves |m| = 2f, 2f - 1 (ring 0: just 0); neither reads the other's spill
@@ -289,12 +313,56 @@ def inverse_sht(coeffs, scheme: AngularScheme) -> np.ndarray:
     scheme.n_points finite values.
     """
     coeffs = _flat(coeffs, scheme, "coefficients")
+    return _ring_dft(_fold_bins(coeffs, scheme), (scheme,), inverse=True)
+
+
+def _fold_bins(coeffs, scheme: AngularScheme) -> np.ndarray:
+    """The ring FFT bins of a coefficient array: every order's content, folded onto its bins."""
     # (order, ring, sign) content of every order at once
     padded = np.append(coeffs, 0j)[scheme.positions]
     content = (scheme.rows @ padded.view(float)).view(complex) * scheme.phase
     bins = np.zeros(scheme.n_points, dtype=complex)
     np.add.at(bins, scheme.bins, content)
-    return np.concatenate([np.fft.ifft(bins[ring], norm="forward") for ring in scheme.rings])
+    return bins
+
+
+@functools.lru_cache(maxsize=32)
+def _ring_plan(schemes: tuple):
+    """_ring_dft's blocks for schemes laid end to end, and the order that puts their bins back.
+
+    Ring k holds 4k+1 samples on every scheme that has it, so one block
+    takes ring k of all of them, one row per scheme: an index array of
+    (schemes, 4k+1). Returns (unorder, blocks), where the blocks' samples
+    read one after another and taken at unorder are in sample order again.
+    A single scheme is ring-major already: its blocks are its ring slices
+    and unorder is None, so its samples are never gathered.
+    """
+    if len(schemes) == 1:
+        return None, schemes[0].rings
+    starts = np.cumsum([0] + [s.n_points for s in schemes])
+    blocks = tuple(
+        np.array([start + s.rings[k].start for start, s in zip(starts, schemes)
+                  if k < len(s.rings)])[:, None] + np.arange(4 * k + 1)
+        for k in range(max(len(s.rings) for s in schemes))
+    )
+    unorder = np.argsort(np.concatenate([block.ravel() for block in blocks]))
+    for array in (unorder, *blocks):
+        array.flags.writeable = False
+    return unorder, blocks
+
+
+def _ring_dft(values, schemes: tuple, inverse: bool = False) -> np.ndarray:
+    """Every ring's FFT, or inverse FFT, of the samples or bins of schemes laid end to end.
+
+    norm="forward" puts the 1/n_k on the FFT, so a bin holds its order's
+    amplitude. One np.fft call per ring index, not per ring: each block of
+    _ring_plan goes in as one 2-D call, whose rows come out bit for bit as
+    the 1-D calls on each ring would. The result is in the order of values.
+    """
+    unorder, blocks = _ring_plan(schemes)
+    dft = np.fft.ifft if inverse else np.fft.fft
+    out = np.concatenate([dft(values[block], norm="forward") for block in blocks], axis=None)
+    return out if unorder is None else out[unorder]
 
 
 def dense_sht_oracle(values, scheme: AngularScheme) -> np.ndarray:

@@ -19,7 +19,11 @@ staircase_index owns the table layout: runs of adjacent degrees carried
 by the same shells, each m-major and n-minor, and per-entry n, l, m and
 partner arrays. build_grid makes each radial mode's maps once, one per
 run; forward_spf and synthesize_on_grid make one matrix product per run
-against an (l, m) x shell table of per-shell harmonic coefficients.
+against an (l, m) x shell table of per-shell harmonic coefficients. Their
+angular side goes by ring index across all shells, not shell by shell:
+one FFT call per ring size takes that ring on every shell that has it
+(6 calls at the defaults, against 16 rings), and each shell then runs its
+own ring cascade or bin fold.
 inverse_spf, the read side, goes one even degree at a time, its Legendre
 rows made by recurrence for every order at once, over blocks of a fixed
 number of points, so its working memory does not grow with the batch.
@@ -45,8 +49,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .angular import (_odd_bandlimit, _read_only, _sh_position, forward_sht, inverse_sht,
-                      make_angular_scheme)
+from .angular import (_as_int, _check_conditioning, _flat, _fold_bins, _odd_bandlimit,
+                      _read_only, _ring_dft, _sh_position, _solve_rings, make_angular_scheme)
 from .errors import COND_LIMIT, ConditioningError
 from .radial import BConvention, RadialScheme, _basis_table, _radial_map, make_radial_scheme
 from .specfun import _legendre_by_degree
@@ -196,10 +200,12 @@ def build_grid(
 ) -> MultiShellGrid:
     """Build the multi-shell grid for given shell count and band limits.
 
-    Band limits are assigned to shells in ascending b order. An assignment
-    that decreases with b is accepted with a warning; the coefficient set
-    still counts shells per degree, but pairing richer angular sampling
-    with the faster-decaying inner shells is usually unintended.
+    The shell count is taken as band limits are: 4.0 passes as 4, and 4.5
+    or "4" is refused. Band limits are assigned to shells in ascending b
+    order. An assignment that decreases with b is accepted with a warning;
+    the coefficient set still counts shells per degree, but pairing richer
+    angular sampling with the faster-decaying inner shells is usually
+    unintended.
 
     ring_latitudes and ring_offsets, when given, are per-shell sequences
     of explicit ring placements (None entries keep the built-in layout
@@ -211,6 +217,9 @@ def build_grid(
     read-only grid, though the checks and the warning run on every call.
     """
     bandlimits = _checked_bandlimits(bandlimits)
+    n_shells, given = _as_int(n_shells), n_shells
+    if n_shells is None:
+        raise ValueError(f"n_shells must be an integer, got {given!r}")
     if len(bandlimits) != n_shells:
         raise ValueError(f"{n_shells} shells need {n_shells} band limits, got {len(bandlimits)}")
     if any(b > a for a, b in zip(bandlimits[1:], bandlimits)):
@@ -298,12 +307,15 @@ def _finite_values(coeffs: SpfCoefficients) -> np.ndarray:
 
 
 def forward_spf(grid: MultiShellGrid, samples, radial_mode: str = "staircase") -> SpfCoefficients:
-    """Transform grid samples to coefficients, shell by shell then radially.
+    """Transform grid samples to coefficients, angularly then radially.
 
-    Each shell's exact angular transform fills one column of an (l, m) x
+    The ring FFTs of all shells come first, one call per ring size across
+    the shells (6 at the defaults). Each shell's ring cascade, the rest of
+    its exact angular transform, then fills one column of an (l, m) x
     shell table, zero above its band limit; each run of degrees then takes
     one product with the mode's radial map: the exact radial quadrature
     when every shell carries the run, else the inverse collocation matrix.
+    Every check runs before any of this work.
 
     radial_mode "staircase" (default) returns the bijective coefficient
     set. Mode "zero_padded" instead treats degrees above a shell's band
@@ -326,12 +338,17 @@ def forward_spf(grid: MultiShellGrid, samples, radial_mode: str = "staircase") -
     values = np.asarray(samples)
     if values.shape != (grid.n_samples,):
         raise ValueError(f"grid has {grid.n_samples} samples, got values of shape {values.shape}")
-    table = np.zeros((max(s.n_points for s in grid.angular), grid.n_shells), dtype=complex)
-    for i, scheme in enumerate(grid.angular):
-        table[: scheme.n_points, i] = forward_sht(values[grid.shell_slice(i)], scheme)
+    if not np.isfinite(values).all():
+        raise ValueError("samples must be finite")
+    for scheme in grid.angular:
+        _check_conditioning(scheme)
     out_index, maps, cond = grid.radial_maps[radial_mode]
     if not cond < COND_LIMIT:
         raise ConditioningError("radial collocation matrix is ill-conditioned", cond)
+    bins = _ring_dft(values, grid.angular)
+    table = np.zeros((max(s.n_points for s in grid.angular), grid.n_shells), dtype=complex)
+    for i, scheme in enumerate(grid.angular):
+        table[: scheme.n_points, i] = _solve_rings(bins[grid.shell_slice(i)], scheme)
     out = np.empty(out_index.size, dtype=complex)
     for (shells, entries, rows), radial_map in zip(out_index.runs, maps):
         out[entries] = (table[rows, shells] @ radial_map.T).ravel()
@@ -505,6 +522,9 @@ def synthesize_on_grid(coeffs: SpfCoefficients, grid: MultiShellGrid) -> np.ndar
     or a grid with lower limits), that content is dropped shell by shell,
     which is where this differs from pointwise inverse_spf evaluation.
     A table with more radial orders than the grid has shells is refused.
+    Each shell folds its harmonic coefficients onto its ring bins, and the
+    inverse ring FFTs of all shells take one call per ring size, so the
+    result is bit for bit the concatenated per-shell inverse_sht.
     """
     if abs(coeffs.zeta - grid.radial.zeta) > 1e-9 * max(coeffs.zeta, grid.radial.zeta):
         raise ValueError("coefficient table and grid use different radial scales")
@@ -516,5 +536,6 @@ def synthesize_on_grid(coeffs: SpfCoefficients, grid: MultiShellGrid) -> np.ndar
     table = np.zeros((top * (top + 1) // 2, grid.n_shells), dtype=complex)
     for shells, entries, rows in coeffs.index.runs:
         table[rows] = coeffs.values[entries].reshape(-1, len(shells)) @ basis[: len(shells)]
-    return np.concatenate([inverse_sht(table[: s.n_points, i], s)
-                           for i, s in enumerate(grid.angular)])
+    bins = [_fold_bins(_flat(table[: s.n_points, i], s, "coefficients"), s)
+            for i, s in enumerate(grid.angular)]
+    return _ring_dft(np.concatenate(bins), grid.angular, inverse=True)

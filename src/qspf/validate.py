@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConditioningError
 from .multishell import MultiShellGrid, forward_spf, synthesize_on_grid
-from .angular import forward_sht, inverse_sht
+from .angular import _as_int, forward_sht, inverse_sht
 from .signals import random_staircase_signal
 
 __all__ = ["run_validation", "REPORT_THRESHOLDS"]
@@ -47,13 +47,16 @@ def run_validation(grid: MultiShellGrid, seed: int = 0, n_draws: int = 100) -> d
 
     A ConditioningError raised by any transform marks that check failed
     rather than aborting the run. The report's top-level "passed" is the
-    conjunction of all checks. n_draws < 1 is an error, since nothing would
-    be checked, and so is seed < 0, which no random generator takes.
+    conjunction of all checks. n_draws and seed are integers (2.0 passes as
+    2, 2.5 does not); n_draws < 1 is an error, since nothing would be
+    checked, and so is seed < 0, which no random generator takes.
     """
-    if n_draws < 1:
-        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    for name, value, least in (("n_draws", n_draws, 1), ("seed", seed, 0)):
+        if _as_int(value) is None:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+    n_draws, seed = int(n_draws), int(seed)
     radial = grid.radial
     rng = np.random.default_rng(seed)
     checks = {}

@@ -136,6 +136,20 @@ def test_forward_then_evaluate_round_trip(tmp_path, grid):
     assert np.max(np.abs(got - expected)) < 1e-9
 
 
+def test_descriptor_takes_an_integral_float_shell_count(tmp_path, grid, capsys):
+    desc = descriptor_from_grid(grid)
+    assert grid_from_descriptor({**desc, "n_shells": 4.0}) is grid_from_descriptor(desc)
+    samples_path = tmp_path / "samples.txt"
+    samples_path.write_text("\n".join(["1.0"] * 132) + "\n")
+    outputs = []
+    for n_shells in (4, 4.0):
+        desc_path = tmp_path / "scheme.json"
+        desc_path.write_text(json.dumps({**desc, "n_shells": n_shells}))
+        assert main(["forward", "--scheme", str(desc_path), "--samples", str(samples_path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_forward_counts_mismatch_message(tmp_path, grid, capsys):
     desc_path = write_default_descriptor(tmp_path, grid)
     samples_path = tmp_path / "short.txt"

@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import roots_genlaguerre, sph_harm_y
 
+import qspf.multishell
 from qspf.multishell import (
     _BLOCK,
     SpfCoefficients,
@@ -16,8 +18,8 @@ from qspf.multishell import (
     staircase_index,
     synthesize_on_grid,
 )
-from qspf.angular import _scheme, _sh_position, make_angular_scheme
-from qspf.cli import format_coefficients_csv
+from qspf.angular import _scheme, _sh_position, forward_sht, inverse_sht, make_angular_scheme
+from qspf.cli import descriptor_from_grid, format_coefficients_csv, grid_from_descriptor
 from qspf.errors import ConditioningError
 from qspf.radial import BConvention, radial_basis_eval
 from qspf.signals import random_staircase_signal
@@ -206,7 +208,7 @@ def test_grid_arguments_are_checked_on_every_call():
             build_grid(4, 8000.0, (11, 9, 5, 3))
     latitudes = [None, None, None, make_angular_scheme(11).thetas]
     refused = [(3, 8000.0, DEFAULTS), (4, -1.0, DEFAULTS), (4, float("inf"), DEFAULTS),
-               (4, 8000.0, (3, 4, 9, 11)), (4.0, 8000.0, DEFAULTS), (4, 1e300, DEFAULTS),
+               (4, 8000.0, (3, 4, 9, 11)), (4.5, 8000.0, DEFAULTS), (4, 1e300, DEFAULTS),
                (4, 8000.0, DEFAULTS, BConvention(), latitudes[:3]),
                (4, 8000.0, DEFAULTS, BConvention(), latitudes[:3] + [latitudes[3].reshape(2, 3)]),
                (4, 8000.0, DEFAULTS, BConvention(), latitudes, [None] * 3 + [[np.nan] * 6])]
@@ -214,6 +216,16 @@ def test_grid_arguments_are_checked_on_every_call():
         for _ in range(2):
             with pytest.raises((TypeError, ValueError)):
                 build_grid(*args)
+
+
+@pytest.mark.parametrize("n_shells", ["4", 4.5, float("nan")])
+def test_build_grid_refuses_a_shell_count_that_is_not_an_integer(n_shells):
+    with pytest.raises(ValueError, match="n_shells"):
+        build_grid(n_shells, 8000.0, DEFAULTS)
+
+
+def test_build_grid_takes_an_integral_float_shell_count():
+    assert build_grid(4.0, 8000.0, DEFAULTS) is build_grid(4, 8000.0, DEFAULTS)
 
 
 def test_default_grid_shape(grid):
@@ -354,6 +366,78 @@ def test_forward_validation(grid):
             samples[where] = np.nan
             with pytest.raises(ValueError, match="finite"):
                 forward_spf(grid, samples, radial_mode=mode)
+
+
+LADDER = ((3, 5, 9, 11), (5, 9, 13, 17), (7, 11, 15, 21), (9, 15, 21, 31), (11, 19, 29, 41),
+          (15, 25, 41, 63))
+
+
+def _grid_with_ring_offsets():
+    """The default grid rebuilt from a descriptor whose every ring has its own azimuth offset."""
+    desc = json.loads(json.dumps(descriptor_from_grid(build_grid(4, 8000.0, DEFAULTS))))
+    for i, shell in enumerate(desc["shells"]):
+        shell["ring_phi_offsets"] = [0.1 * (i + 1) + 0.013 * k
+                                     for k in range(len(shell["ring_phi_offsets"]))]
+    return grid_from_descriptor(desc)
+
+
+@pytest.mark.parametrize("layout", [*LADDER, (11, 9, 5, 3), (11,), tuple(range(1, 24, 2)),
+                                    "ring offsets"], ids=str)
+def test_grid_transforms_are_the_shell_transforms_bit_for_bit(layout):
+    # forward_spf and synthesize_on_grid take each ring size's FFT across all shells at once;
+    # per shell, every bit must be what forward_sht and inverse_sht give on that shell alone
+    if layout == "ring offsets":
+        g = _grid_with_ring_offsets()
+        assert all(np.all(s.phi_offsets != 0) for s in g.angular)
+    else:
+        with pytest.warns(UserWarning) if layout == (11, 9, 5, 3) else contextlib.nullcontext():
+            g = build_grid(len(layout), 8000.0, layout)
+    samples = np.random.default_rng(31).standard_normal(g.n_samples)
+    table = np.zeros((max(s.n_points for s in g.angular), g.n_shells), dtype=complex)
+    for i, scheme in enumerate(g.angular):
+        table[: scheme.n_points, i] = forward_sht(samples[g.shell_slice(i)], scheme)
+    for mode in ("staircase", "zero_padded"):
+        index, maps, _ = g.radial_maps[mode]
+        want = np.empty(index.size, dtype=complex)
+        for (shells, entries, rows), radial_map in zip(index.runs, maps):
+            want[entries] = (table[rows, shells] @ radial_map.T).ravel()
+        assert forward_spf(g, samples, radial_mode=mode).values.tobytes() == want.tobytes()
+
+    coeffs = random_staircase_signal(32, g)
+    table[:] = 0
+    for shells, entries, rows in g.index.runs:
+        table[rows] = coeffs.values[entries].reshape(-1, len(shells)) @ g.radial.basis[: len(shells)]
+    want = [inverse_sht(table[: s.n_points, i], s) for i, s in enumerate(g.angular)]
+    assert synthesize_on_grid(coeffs, g).tobytes() == np.concatenate(want).tobytes()
+
+
+def test_grid_transforms_take_one_fft_call_per_ring_size(grid, monkeypatch):
+    calls = {"fft": 0, "ifft": 0}
+    for name in calls:
+        def counted(*args, name=name, original=getattr(np.fft, name), **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    synthesize_on_grid(forward_spf(grid, np.ones(grid.n_samples)), grid)
+    # 6 ring sizes; the 2 + 3 + 5 + 6 = 16 rings of the default grid once took a call each
+    assert calls == {"fft": 6, "ifft": 6}
+
+
+def test_forward_checks_every_shell_before_any_fft(grid, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a ring FFT ran before the checks")
+    monkeypatch.setattr(qspf.multishell, "_ring_dft", no_work)
+    samples = np.ones(grid.n_samples)
+    samples[0] = np.inf
+    with pytest.raises(ValueError, match="samples must be finite"):
+        forward_spf(grid, samples)
+    # the outermost shell's first two rings nearly coincide, so its order-0 system is singular
+    latitudes = make_angular_scheme(11).thetas.copy()
+    latitudes[1] = latitudes[0] + 1e-12
+    nearly = build_grid(4, 8000.0, DEFAULTS, ring_latitudes=[None, None, None, latitudes])
+    with pytest.raises(ConditioningError, match="angular scheme is too ill-conditioned") as excinfo:
+        forward_spf(nearly, np.ones(nearly.n_samples))
+    assert excinfo.value.condition == nearly.angular[3].condition > 1e8
 
 
 def test_inverse_spf_basics(grid):

@@ -19,6 +19,14 @@ def test_run_validation_rejects_a_negative_seed():
         run_validation(grid, seed=-1, n_draws=1)
 
 
+@pytest.mark.parametrize("argument", ["n_draws", "seed"])
+def test_run_validation_refuses_a_count_that_is_not_an_integer(argument):
+    grid = build_grid(1, 1000.0, (1,))
+    with pytest.raises(ValueError, match=f"{argument} must be an integer, got 2.5"):
+        run_validation(grid, **{argument: 2.5})
+    assert run_validation(grid, **{argument: 2.0}) == run_validation(grid, **{argument: 2})
+
+
 def test_conditioning_report_lists_every_order_of_every_shell():
     grid = build_grid(4, 8000.0, (3, 5, 9, 11))
     check = run_validation(grid, n_draws=1)["checks"]["sht_conditioning"]

@@ -22,18 +22,23 @@ at once. Ring k holds 4k+1 samples on every scheme that has it, so the
 ring FFTs of several schemes laid end to end take one np.fft call per
 ring index, a 2-D call with one row per scheme: a grid's shells at band
 limits 3/5/9/11 take 6 calls instead of 16, at 15/25/41/63 32 instead of
-74. forward_spf and synthesize_on_grid run every shell's rings that way;
-a lone scheme is the one-row case, its rings taken in place. The index
-arrays are built once per tuple of schemes (the most recent 32 tuples),
-read-only.
+74. The transforms' two halves, _analyse and _synthesise, work that way
+on any tuple of schemes: forward_sht and inverse_sht are the one-scheme
+case, its rings taken in place; forward_spf and synthesize_on_grid the
+grid case; run_validation's angular round trip takes every shell of a
+grid per draw. The index arrays are built once per tuple of schemes (the
+most recent 32 tuples), read-only.
 Only the FFT bins depend on the samples. make_angular_scheme stores the
 rest as arrays indexed by |m| (see AngularScheme), with each ring's
 Legendre systems QR-factored once, and both transforms read them directly.
 +m and -m share one real matrix, so per ring the forward transform applies
 the stored Q^T, then R^-1, to Re and Im of +-|m| as four columns per
-order; the inverse adds all orders at once, one batched matmul and one
-scatter-add. Every scatter is a ufunc.at, which adds up the bins +m and
--m share on ring 0 and wherever 4k+1 divides m.
+order, and takes their spill off the smaller rings' bins with a
+np.subtract.at. The inverse adds all orders of a scheme at once, one
+batched matmul, and one np.bincount over the Re and Im slots of every
+scheme's bins folds them all. Both scatters add up the bins +m and -m
+share on ring 0 and wherever 4k+1 divides m, bincount each bin from 0.0
+in index order, as np.add.at would.
 
 A scheme depends on its band limit and ring placements alone, so
 make_angular_scheme builds each once per process and hands every caller
@@ -275,7 +280,7 @@ def forward_sht(values, scheme: AngularScheme) -> np.ndarray:
     """
     values = _flat(values, scheme, "samples")
     _check_conditioning(scheme)
-    return _solve_rings(_ring_dft(values, (scheme,)), scheme)
+    return _analyse(values, (scheme,))[0]
 
 
 def _check_conditioning(scheme: AngularScheme) -> None:
@@ -285,6 +290,15 @@ def _check_conditioning(scheme: AngularScheme) -> None:
             "angular scheme is too ill-conditioned for a trustworthy transform",
             scheme.condition,
         )
+
+
+def _analyse(values, schemes: tuple) -> list:
+    """forward_sht of the samples of schemes laid end to end, unchecked: one array per scheme."""
+    bins, start, out = _ring_dft(values, schemes), 0, []
+    for scheme in schemes:
+        out.append(_solve_rings(bins[start : start + scheme.n_points], scheme))
+        start += scheme.n_points
+    return out
 
 
 def _solve_rings(bins, scheme: AngularScheme) -> np.ndarray:
@@ -312,34 +326,46 @@ def inverse_sht(coeffs, scheme: AngularScheme) -> np.ndarray:
     for band-limited coefficients. ValueError unless coeffs holds
     scheme.n_points finite values.
     """
-    coeffs = _flat(coeffs, scheme, "coefficients")
-    return _ring_dft(_fold_bins(coeffs, scheme), (scheme,), inverse=True)
+    return _synthesise([_flat(coeffs, scheme, "coefficients")], (scheme,))
 
 
-def _fold_bins(coeffs, scheme: AngularScheme) -> np.ndarray:
-    """The ring FFT bins of a coefficient array: every order's content, folded onto its bins."""
-    # (order, ring, sign) content of every order at once
-    padded = np.append(coeffs, 0j)[scheme.positions]
-    content = (scheme.rows @ padded.view(float)).view(complex) * scheme.phase
-    bins = np.zeros(scheme.n_points, dtype=complex)
-    np.add.at(bins, scheme.bins, content)
-    return bins
+def _synthesise(coeffs, schemes: tuple) -> np.ndarray:
+    """inverse_sht of one coefficient array per scheme, unchecked: the samples laid end to end.
+
+    Each scheme's (order, ring, sign) content of every order comes from one
+    batched matmul, and one np.bincount adds all of it into the Re and Im
+    slots of the bins of every scheme, each bin from 0.0 in the order
+    np.add.at would take.
+    """
+    content = np.concatenate(
+        [(s.rows @ np.append(values, 0j)[s.positions].view(float)).view(complex) * s.phase
+         for values, s in zip(coeffs, schemes)], axis=None)
+    _, _, slots = _ring_plan(schemes)
+    bins = np.bincount(slots, content.view(float), 2 * sum(s.n_points for s in schemes))
+    del content  # not held through the inverse FFTs
+    return _ring_dft(bins.view(complex), schemes, inverse=True)
 
 
 @functools.lru_cache(maxsize=32)
 def _ring_plan(schemes: tuple):
-    """_ring_dft's blocks for schemes laid end to end, and the order that puts their bins back.
+    """_ring_dft's blocks for schemes laid end to end, and where _synthesise adds each bin.
 
     Ring k holds 4k+1 samples on every scheme that has it, so one block
     takes ring k of all of them, one row per scheme: an index array of
-    (schemes, 4k+1). Returns (unorder, blocks), where the blocks' samples
-    read one after another and taken at unorder are in sample order again.
-    A single scheme is ring-major already: its blocks are its ring slices
+    (schemes, 4k+1). Returns (unorder, blocks, slots), where the blocks'
+    samples read one after another and taken at unorder are in sample
+    order again, and slots holds the Re and Im slots, in the float view of
+    the bins laid end to end, of every scheme's bins entry in turn. A
+    single scheme is ring-major already: its blocks are its ring slices
     and unorder is None, so its samples are never gathered.
     """
-    if len(schemes) == 1:
-        return None, schemes[0].rings
     starts = np.cumsum([0] + [s.n_points for s in schemes])
+    bins = np.concatenate([start + s.bins.ravel() for start, s in zip(starts, schemes)])
+    # int32 halves the memo; np.bincount takes it to intp as it reads it
+    slots = np.stack([2 * bins, 2 * bins + 1], axis=-1).astype(np.int32).ravel()
+    slots.flags.writeable = False
+    if len(schemes) == 1:
+        return None, schemes[0].rings, slots
     blocks = tuple(
         np.array([start + s.rings[k].start for start, s in zip(starts, schemes)
                   if k < len(s.rings)])[:, None] + np.arange(4 * k + 1)
@@ -348,7 +374,7 @@ def _ring_plan(schemes: tuple):
     unorder = np.argsort(np.concatenate([block.ravel() for block in blocks]))
     for array in (unorder, *blocks):
         array.flags.writeable = False
-    return unorder, blocks
+    return unorder, blocks, slots
 
 
 def _ring_dft(values, schemes: tuple, inverse: bool = False) -> np.ndarray:
@@ -359,7 +385,7 @@ def _ring_dft(values, schemes: tuple, inverse: bool = False) -> np.ndarray:
     _ring_plan goes in as one 2-D call, whose rows come out bit for bit as
     the 1-D calls on each ring would. The result is in the order of values.
     """
-    unorder, blocks = _ring_plan(schemes)
+    unorder, blocks, _ = _ring_plan(schemes)
     dft = np.fft.ifft if inverse else np.fft.fft
     out = np.concatenate([dft(values[block], norm="forward") for block in blocks], axis=None)
     return out if unorder is None else out[unorder]

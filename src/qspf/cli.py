@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConditioningError
 from .multishell import (MultiShellGrid, SpfCoefficients, _checked_bandlimits, _finite_values,
-                         build_grid, forward_spf, inverse_spf, staircase_index)
+                         _shell_count, build_grid, forward_spf, inverse_spf, staircase_index)
 from .radial import BConvention
 from .validate import run_validation
 
@@ -103,7 +103,7 @@ def grid_from_descriptor(desc: dict) -> MultiShellGrid:
             raise CliError("descriptor convention must be a JSON object")
         convention = BConvention(conv.get("mode", "normalized"), conv.get("tau"))
         shells = desc["shells"]
-        if len(shells) != desc["n_shells"]:
+        if len(shells) != _shell_count(desc["n_shells"]):  # the count's type first
             raise CliError("descriptor shell list does not match n_shells")
         for i, (shell, L) in enumerate(zip(shells, desc["bandlimits"])):
             if shell["bandlimit"] != L:

@@ -22,8 +22,8 @@ run; forward_spf and synthesize_on_grid make one matrix product per run
 against an (l, m) x shell table of per-shell harmonic coefficients. Their
 angular side goes by ring index across all shells, not shell by shell:
 one FFT call per ring size takes that ring on every shell that has it
-(6 calls at the defaults, against 16 rings), and each shell then runs its
-own ring cascade or bin fold.
+(6 calls at the defaults, against 16 rings). Each shell runs its own ring
+cascade; the inverse folds the bins of all shells with one np.bincount.
 inverse_spf, the read side, goes one even degree at a time, its Legendre
 rows made by recurrence for every order at once, over blocks of a fixed
 number of points, so its working memory does not grow with the batch.
@@ -49,8 +49,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .angular import (_as_int, _check_conditioning, _flat, _fold_bins, _odd_bandlimit,
-                      _read_only, _ring_dft, _sh_position, _solve_rings, make_angular_scheme)
+from .angular import (_analyse, _as_int, _check_conditioning, _flat, _odd_bandlimit, _read_only,
+                      _sh_position, _synthesise, make_angular_scheme)
 from .errors import COND_LIMIT, ConditioningError
 from .radial import BConvention, RadialScheme, _basis_table, _radial_map, make_radial_scheme
 from .specfun import _legendre_by_degree
@@ -116,6 +116,14 @@ def _checked_bandlimits(bandlimits) -> tuple:
     if not bandlimits:
         raise ValueError("need at least one band limit")
     return bandlimits
+
+
+def _shell_count(n_shells) -> int:
+    """The shell count as an int; ValueError unless it is an integer (4.0 passes, 4.5, "4" not)."""
+    count = _as_int(n_shells)
+    if count is None:
+        raise ValueError(f"n_shells must be an integer, got {n_shells!r}")
+    return count
 
 
 def staircase_index(bandlimits) -> StaircaseIndex:
@@ -217,9 +225,7 @@ def build_grid(
     read-only grid, though the checks and the warning run on every call.
     """
     bandlimits = _checked_bandlimits(bandlimits)
-    n_shells, given = _as_int(n_shells), n_shells
-    if n_shells is None:
-        raise ValueError(f"n_shells must be an integer, got {given!r}")
+    n_shells = _shell_count(n_shells)
     if len(bandlimits) != n_shells:
         raise ValueError(f"{n_shells} shells need {n_shells} band limits, got {len(bandlimits)}")
     if any(b > a for a, b in zip(bandlimits[1:], bandlimits)):
@@ -345,10 +351,9 @@ def forward_spf(grid: MultiShellGrid, samples, radial_mode: str = "staircase") -
     out_index, maps, cond = grid.radial_maps[radial_mode]
     if not cond < COND_LIMIT:
         raise ConditioningError("radial collocation matrix is ill-conditioned", cond)
-    bins = _ring_dft(values, grid.angular)
     table = np.zeros((max(s.n_points for s in grid.angular), grid.n_shells), dtype=complex)
-    for i, scheme in enumerate(grid.angular):
-        table[: scheme.n_points, i] = _solve_rings(bins[grid.shell_slice(i)], scheme)
+    for i, shell in enumerate(_analyse(values, grid.angular)):
+        table[: len(shell), i] = shell
     out = np.empty(out_index.size, dtype=complex)
     for (shells, entries, rows), radial_map in zip(out_index.runs, maps):
         out[entries] = (table[rows, shells] @ radial_map.T).ravel()
@@ -536,6 +541,5 @@ def synthesize_on_grid(coeffs: SpfCoefficients, grid: MultiShellGrid) -> np.ndar
     table = np.zeros((top * (top + 1) // 2, grid.n_shells), dtype=complex)
     for shells, entries, rows in coeffs.index.runs:
         table[rows] = coeffs.values[entries].reshape(-1, len(shells)) @ basis[: len(shells)]
-    bins = [_fold_bins(_flat(table[: s.n_points, i], s, "coefficients"), s)
-            for i, s in enumerate(grid.angular)]
-    return _ring_dft(np.concatenate(bins), grid.angular, inverse=True)
+    shells = [_flat(table[: s.n_points, i], s, "coefficients") for i, s in enumerate(grid.angular)]
+    return _synthesise(shells, grid.angular)

@@ -6,18 +6,20 @@ a pass flag; the two randomised round trips also name, under "draws", how
 they draw their inputs from the seed. The checks mirror the package's
 headline guarantees: exact radial quadrature on its design space (and
 demonstrable failure just beyond it), well-conditioned angular systems,
-and transform round trips at numerical precision.
+and transform round trips at numerical precision. Each round trip takes
+one draw at a time through every shell at once, so a report makes one
+np.fft call per ring size and direction per draw and round trip.
 """
 
 from __future__ import annotations
 
-from math import gamma
+from math import lgamma, log
 
 import numpy as np
 
 from .errors import ConditioningError
 from .multishell import MultiShellGrid, forward_spf, synthesize_on_grid
-from .angular import _as_int, forward_sht, inverse_sht
+from .angular import _analyse, _as_int, _check_conditioning, _synthesise
 from .signals import random_staircase_signal
 
 __all__ = ["run_validation", "REPORT_THRESHOLDS"]
@@ -50,6 +52,12 @@ def run_validation(grid: MultiShellGrid, seed: int = 0, n_draws: int = 100) -> d
     conjunction of all checks. n_draws and seed are integers (2.0 passes as
     2, 2.5 does not); n_draws < 1 is an error, since nothing would be
     checked, and so is seed < 0, which no random generator takes.
+
+    The angular round trip checks every shell's conditioning, then draws
+    all its inputs before the first transform, shell by shell in the order
+    one draw per shell at a time would take them: n_draws x n_samples
+    complex values, 211 kB at the default grid with 100 draws and 5.3 MB at
+    band limits 15/25/41/63.
     """
     for name, value, least in (("n_draws", n_draws, 1), ("seed", seed, 0)):
         if _as_int(value) is None:
@@ -68,14 +76,15 @@ def run_validation(grid: MultiShellGrid, seed: int = 0, n_draws: int = 100) -> d
         REPORT_THRESHOLDS["radial_orthonormality"],
     )
 
-    # Gaussian moments: the rule matches the closed-form integrals up to
-    # polynomial degree 2N-1 and must visibly break at 2N; in x = q^2/zeta, so
-    # that no power of zeta overflows
-    moment_residuals = []
-    weights = radial.weights / radial.zeta**1.5 * np.exp(-radial.roots)
-    for j in range(2 * radial.n_shells + 1):
-        rhs = 0.5 * gamma(j + 1.5)
-        moment_residuals.append(abs(np.sum(weights * radial.roots**j) - rhs) / rhs)
+    # Gaussian moments: the rule matches the closed-form integrals Gamma(j + 3/2) / 2
+    # up to polynomial degree 2N-1 and must visibly break at 2N. In x = q^2/zeta, each
+    # term w_i e^(-x_i) x_i^j / zeta^1.5 over its integral is the exp of a sum of logs,
+    # which stays in the float range where x^j (65 shells on) and Gamma (86 on) do not
+    j = np.arange(2 * radial.n_shells + 1)
+    log_integrals = np.array([lgamma(k + 1.5) for k in j]) + log(0.5)
+    log_weights = np.log(radial.weights) - 1.5 * log(radial.zeta) - radial.roots
+    terms = np.exp(log_weights + np.outer(j, np.log(radial.roots)) - log_integrals[:, None])
+    moment_residuals = np.abs(terms.sum(axis=1) - 1.0).tolist()
     checks["gaussian_moments"] = _check(
         max(moment_residuals[: 2 * radial.n_shells]),
         REPORT_THRESHOLDS["gaussian_moments"],
@@ -94,15 +103,18 @@ def run_validation(grid: MultiShellGrid, seed: int = 0, n_draws: int = 100) -> d
     )
     checks["sht_conditioning"]["per_shell"] = per_shell_cond
 
-    # angular round trip per shell on random band-limited signals
+    # angular round trip on random band-limited signals: every shell's draws come first,
+    # shell by shell as one draw per shell at a time would take them, then each draw goes
+    # through inverse_sht and forward_sht of all shells at once
     try:
-        worst = 0.0
         for scheme in grid.angular:
-            size = scheme.n_points
-            for _ in range(n_draws):
-                coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-                back = forward_sht(inverse_sht(coeffs, scheme), scheme)
-                worst = max(worst, np.max(np.abs(back - coeffs)))
+            _check_conditioning(scheme)
+        draws = [z[:, 0] + 1j * z[:, 1]
+                 for z in (rng.standard_normal((n_draws, 2, s.n_points)) for s in grid.angular)]
+        worst = 0.0
+        for coeffs in zip(*draws):
+            back = _analyse(_synthesise(coeffs, grid.angular), grid.angular)
+            worst = max(worst, *(np.max(np.abs(b - c)) for b, c in zip(back, coeffs)))
         checks["sht_round_trip"] = _check(worst, REPORT_THRESHOLDS["sht_round_trip"])
     except ConditioningError as exc:
         checks["sht_round_trip"] = _failed(REPORT_THRESHOLDS["sht_round_trip"], str(exc))

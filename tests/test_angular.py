@@ -12,6 +12,8 @@ from qspf.angular import (
     make_angular_scheme,
 )
 from qspf.errors import ConditioningError
+from qspf.multishell import build_grid, synthesize_on_grid
+from qspf.signals import random_staircase_signal
 from qspf.specfun import normalized_legendre, spherical_harmonic
 
 
@@ -204,6 +206,38 @@ def test_scheme_folds_the_bins_signs_and_phases():
     # +m and -m share a bin on ring 0 and on every ring whose size divides m
     shared = scheme.bins[..., 0] == scheme.bins[..., 1]
     assert np.array_equal(shared, np.arange(9)[:, None] % sizes == 0)
+
+
+def add_at_synthesis(coeffs, scheme):
+    """inverse_sht with the bins folded by np.add.at and one 1-D inverse FFT per ring."""
+    padded = np.append(coeffs, 0j)[scheme.positions]
+    content = (scheme.rows @ padded.view(float)).view(complex) * scheme.phase
+    bins = np.zeros(scheme.n_points, dtype=complex)
+    np.add.at(bins, scheme.bins, content)
+    return np.concatenate([np.fft.ifft(bins[ring], norm="forward") for ring in scheme.rings])
+
+
+@pytest.mark.parametrize("bandlimit", [1, 11, 21, 63])
+def test_bincount_fold_is_bit_identical_to_add_at(bandlimit):
+    # every order adds into bin 0 of ring 0, and +m and -m share a bin wherever 4k + 1 divides m
+    scheme = make_angular_scheme(bandlimit)
+    if bandlimit > 1:
+        assert (scheme.bins[5:, 1:2, 0] == scheme.bins[5:, 1:2, 1]).any()
+    rng = np.random.default_rng(bandlimit)
+    for coeffs in (random_coefficients(bandlimit, rng), np.zeros(scheme.n_points),
+                   -random_coefficients(bandlimit, rng).real):
+        assert inverse_sht(coeffs, scheme).tobytes() == add_at_synthesis(coeffs, scheme).tobytes()
+
+
+def test_grid_synthesis_is_bit_identical_to_add_at():
+    grid = build_grid(4, 8000.0, (1, 11, 21, 63))
+    coeffs = random_staircase_signal(8, grid)
+    table = np.zeros((grid.angular[-1].n_points, grid.n_shells), dtype=complex)
+    for shells, entries, rows in grid.index.runs:
+        radial = grid.radial.basis[: len(shells)]
+        table[rows] = coeffs.values[entries].reshape(-1, len(shells)) @ radial
+    want = [add_at_synthesis(table[: s.n_points, i], s) for i, s in enumerate(grid.angular)]
+    assert synthesize_on_grid(coeffs, grid).tobytes() == np.concatenate(want).tobytes()
 
 
 def per_order_cascade(values, scheme, lapack=False):

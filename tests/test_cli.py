@@ -150,6 +150,22 @@ def test_descriptor_takes_an_integral_float_shell_count(tmp_path, grid, capsys):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("n_shells", ["4", 4.5, 4.0], ids=repr)
+def test_descriptor_shell_count_is_checked_before_the_shell_list(tmp_path, grid, capsys, n_shells):
+    # the shell list was compared with the count first, so a count of the wrong type beside
+    # four shells read as a mismatched list
+    desc = descriptor_from_grid(grid)
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps({**desc, "n_shells": n_shells}))
+    code = main(["grid", "--from-descriptor", str(path), "--format", "json"])
+    out, err = capsys.readouterr()
+    if n_shells == 4.0:
+        assert code == 0 and json.loads(out) == json.loads(json.dumps(desc))
+    else:
+        assert code == 1 and out == ""
+        assert err == f"error: bad descriptor: n_shells must be an integer, got {n_shells!r}\n"
+
+
 def test_forward_counts_mismatch_message(tmp_path, grid, capsys):
     desc_path = write_default_descriptor(tmp_path, grid)
     samples_path = tmp_path / "short.txt"

@@ -426,7 +426,7 @@ def test_grid_transforms_take_one_fft_call_per_ring_size(grid, monkeypatch):
 def test_forward_checks_every_shell_before_any_fft(grid, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a ring FFT ran before the checks")
-    monkeypatch.setattr(qspf.multishell, "_ring_dft", no_work)
+    monkeypatch.setattr(qspf.multishell, "_analyse", no_work)
     samples = np.ones(grid.n_samples)
     samples[0] = np.inf
     with pytest.raises(ValueError, match="samples must be finite"):

@@ -1,9 +1,19 @@
+import json
+import math
+import warnings
+
+import numpy as np
 import pytest
 
 import qspf.signals
 import qspf.validate
 from qspf import build_grid
-from qspf.validate import run_validation
+from qspf.angular import forward_sht, inverse_sht, make_angular_scheme
+from qspf.errors import ConditioningError
+from qspf.validate import REPORT_THRESHOLDS, run_validation
+
+LADDER = ((3, 5, 9, 11), (5, 9, 13, 17), (7, 11, 15, 21), (9, 15, 21, 31), (11, 19, 29, 41),
+          (15, 25, 41, 63))
 
 
 @pytest.mark.parametrize("n_draws", [0, -3])
@@ -69,3 +79,87 @@ def test_randomised_checks_name_how_they_draw():
     assert "error" in checks["sht_round_trip"] and "error" in checks["spf_round_trip"]
     assert checks["sht_round_trip"]["draws"] == "default_rng(seed)"
     assert checks["spf_round_trip"]["draws"] == "SeedSequence(seed).spawn(n_draws)"
+
+
+def per_shell_sht_round_trip(grid, seed, n_draws):
+    """The angular round trip shell by shell, one draw at a time: the report entry to match."""
+    rng, bound = np.random.default_rng(seed), REPORT_THRESHOLDS["sht_round_trip"]
+    try:
+        worst = 0.0
+        for scheme in grid.angular:
+            size = scheme.n_points
+            for _ in range(n_draws):
+                coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+                back = forward_sht(inverse_sht(coeffs, scheme), scheme)
+                worst = max(worst, np.max(np.abs(back - coeffs)))
+        check = {"value": float(worst), "threshold": bound, "passed": bool(worst <= bound)}
+    except ConditioningError as exc:
+        check = {"value": None, "threshold": bound, "passed": False, "error": str(exc)}
+    return {**check, "draws": "default_rng(seed)"}
+
+
+def _degenerate_grid():
+    """(3, 5, 5) with the first two rings of the outer shells merged or 1e-13 apart."""
+    merged, nearly = make_angular_scheme(5).thetas.copy(), make_angular_scheme(5).thetas.copy()
+    merged[1], nearly[1] = merged[0], nearly[0] + 1e-13
+    return build_grid(3, 1000.0, (3, 5, 5), ring_latitudes=[None, merged, nearly])
+
+
+@pytest.mark.parametrize("layout", [*LADDER, (11, 9, 5, 3), (1,), (3, 3, 3), "degenerate"], ids=str)
+def test_round_trip_across_shells_reports_what_the_per_shell_loop_did(layout):
+    if layout == "degenerate":
+        grid = _degenerate_grid()
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # (11, 9, 5, 3) decreases with b
+            grid = build_grid(len(layout), 8000.0, layout)
+    for n_draws in (1, 3):
+        for seed in (0, 1):
+            report = run_validation(grid, seed=seed, n_draws=n_draws)
+            want = json.loads(json.dumps(report))
+            want["checks"]["sht_round_trip"] = per_shell_sht_round_trip(grid, seed, n_draws)
+            want["passed"] = all(c["passed"] for c in want["checks"].values())
+            assert json.dumps(report) == json.dumps(want)
+    if layout == "degenerate":
+        # the first ill-conditioned shell names the failure, as it did when it ran first
+        first, second = (f"{s.condition:.3e}" for s in grid.angular[1:])
+        assert first != second and first in report["checks"]["sht_round_trip"]["error"]
+
+
+def test_validation_takes_one_fft_call_per_ring_size_per_round_trip(monkeypatch):
+    calls = {"fft": 0, "ifft": 0}
+    for name in calls:
+        def counted(*args, name=name, original=getattr(np.fft, name), **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    run_validation(build_grid(4, 8000.0, (3, 5, 9, 11)), n_draws=1)
+    # 6 ring sizes, once for the angular and once for the full round trip; 16 + 6 when the
+    # angular round trip went shell by shell
+    assert calls == {"fft": 12, "ifft": 12}
+
+
+@pytest.mark.parametrize("n_shells", [65, 86, 362])
+def test_moment_checks_stay_finite_on_many_shells(n_shells):
+    # x^j overflowed from 65 shells and Gamma(j + 3/2) from 86
+    grid = build_grid(n_shells, 8000.0, (1,) * n_shells)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        checks = run_validation(grid, n_draws=1)["checks"]
+    moments, sharpness = checks["gaussian_moments"], checks["quadrature_sharpness"]
+    assert len(moments["residuals"]) == 2 * n_shells + 1
+    assert np.all(np.isfinite(moments["residuals"]))
+    assert moments["passed"] and moments["value"] <= 1e-11
+    # on this many shells the degree-2N miss lies far below rounding, so the check fails, finitely
+    assert not sharpness["passed"] and np.isfinite(sharpness["value"])
+
+
+@pytest.mark.parametrize("n_shells", [1, 4, 12])
+def test_quadrature_sharpness_matches_its_closed_form(n_shells):
+    # the degree-2N moment misses by N! Gamma(N + 3/2) / Gamma(2N + 3/2): 0.4, 1.05e-2, 2.65e-7
+    grid = build_grid(n_shells, 8000.0, (1,) * n_shells)
+    sharpness = run_validation(grid, n_draws=1)["checks"]["quadrature_sharpness"]
+    N = n_shells
+    closed_form = math.factorial(N) * math.gamma(N + 1.5) / math.gamma(2 * N + 1.5)
+    assert sharpness["value"] == pytest.approx(closed_form, rel=1e-6)
+    assert sharpness["passed"] == (n_shells < 12)

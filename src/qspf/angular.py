@@ -31,6 +31,9 @@ most recent 32 tuples), read-only.
 Only the FFT bins depend on the samples. make_angular_scheme stores the
 rest as arrays indexed by |m| (see AngularScheme), with each ring's
 Legendre systems QR-factored once, and both transforms read them directly.
+A scheme not below the 1e8 condition limit stores no factors, and _analyse,
+the one code that applies them, refuses it before its first ring FFT: every
+forward transform, of one shell or of a grid, passes that one gate.
 +m and -m share one real matrix, so per ring the forward transform applies
 the stored Q^T, then R^-1, to Re and Im of +-|m| as four columns per
 order, and takes their spill off the smaller rings' bins with a
@@ -57,7 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import COND_LIMIT, ConditioningError
+from .errors import COND_LIMIT, _as_int, _refuse_ill_conditioned
 from .specfun import _legendre_by_degree, normalized_legendre
 
 __all__ = [
@@ -124,15 +127,6 @@ def _default_scale(bandlimit: int) -> float:
     return 1.04 if bandlimit <= 7 else 1.02 if bandlimit <= 11 else 1.0 if bandlimit <= 17 else 0.98
 
 
-def _as_int(value):
-    """value as an int if it equals one, else None: 11.0 gives 11; 11.5, "11", NaN and inf None."""
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return number if number == value else None
-
-
 def _odd_bandlimit(bandlimit) -> int:
     """The band limit as an int; ValueError unless it is an odd integer in [1, 133].
 
@@ -149,11 +143,11 @@ def _odd_bandlimit(bandlimit) -> int:
     return L
 
 
-def _flat(values, scheme: AngularScheme, what: str) -> np.ndarray:
-    """values as an array; ValueError unless it holds scheme.n_points finite entries."""
+def _flat(values, count: int, what: str) -> np.ndarray:
+    """values as an array; ValueError unless it holds count finite entries."""
     values = np.asarray(values)
-    if values.shape != (scheme.n_points,):
-        raise ValueError(f"expected {scheme.n_points} {what}, got shape {values.shape}")
+    if values.shape != (count,):
+        raise ValueError(f"expected {count} {what}, got shape {values.shape}")
     if not np.isfinite(values).all():
         raise ValueError(f"{what} must be finite")
     return values
@@ -213,7 +207,7 @@ def _scheme(bandlimit: int, thetas, phi_offsets) -> AngularScheme:
     conditions = np.array([np.linalg.cond(rows[mu, first:, first:])
                            for mu, first in enumerate(np.arange(1, bandlimit + 1) // 2)])
     factors = []
-    if conditions.max() < COND_LIMIT:  # else forward_sht refuses the scheme before any step
+    if conditions.max() < COND_LIMIT:  # else _analyse refuses the scheme before any step
         for f in range(n_rings):  # ring f's step stacks |m| = 2f, 2f - 1 (ring 0: just 0)
             q, r = np.linalg.qr(rows[2 * f :: -1][:2, f:, f:])
             factors.append((q.swapaxes(1, 2).copy(), np.linalg.inv(r)))
@@ -278,22 +272,18 @@ def forward_sht(values, scheme: AngularScheme) -> np.ndarray:
     ConditioningError
         If any per-order system has condition number above 1e8.
     """
-    values = _flat(values, scheme, "samples")
-    _check_conditioning(scheme)
-    return _analyse(values, (scheme,))[0]
-
-
-def _check_conditioning(scheme: AngularScheme) -> None:
-    """ConditioningError unless every per-order system of scheme is below COND_LIMIT."""
-    if not scheme.condition < COND_LIMIT:
-        raise ConditioningError(
-            "angular scheme is too ill-conditioned for a trustworthy transform",
-            scheme.condition,
-        )
+    return _analyse(_flat(values, scheme.n_points, "samples"), (scheme,))[0]
 
 
 def _analyse(values, schemes: tuple) -> list:
-    """forward_sht of the samples of schemes laid end to end, unchecked: one array per scheme."""
+    """forward_sht of the samples of schemes laid end to end: one array per scheme.
+
+    The one code that applies the stored factors, so the gate: it refuses the first
+    scheme whose condition is not below COND_LIMIT before any ring FFT.
+    """
+    for scheme in schemes:
+        _refuse_ill_conditioned("angular scheme is too ill-conditioned for a trustworthy transform",
+                                scheme.condition)
     bins, start, out = _ring_dft(values, schemes), 0, []
     for scheme in schemes:
         out.append(_solve_rings(bins[start : start + scheme.n_points], scheme))
@@ -326,7 +316,7 @@ def inverse_sht(coeffs, scheme: AngularScheme) -> np.ndarray:
     for band-limited coefficients. ValueError unless coeffs holds
     scheme.n_points finite values.
     """
-    return _synthesise([_flat(coeffs, scheme, "coefficients")], (scheme,))
+    return _synthesise([_flat(coeffs, scheme.n_points, "coefficients")], (scheme,))
 
 
 def _synthesise(coeffs, schemes: tuple) -> np.ndarray:
@@ -398,7 +388,7 @@ def dense_sht_oracle(values, scheme: AngularScheme) -> np.ndarray:
     directly. Cubic in the point count, so only sensible at small band
     limits; the FFT path should agree with this to rounding.
     """
-    values = _flat(values, scheme, "samples")
+    values = _flat(values, scheme.n_points, "samples")
     # column (l, m) is Y_l^m at every point, from one table: Y_l^{-m} = (-1)^m conj Y_l^m
     L = scheme.bandlimit
     l = np.repeat(np.arange(0, L, 2), np.arange(1, 2 * L, 4))
@@ -406,8 +396,6 @@ def dense_sht_oracle(values, scheme: AngularScheme) -> np.ndarray:
     legendre = normalized_legendre(L - 1, np.cos(scheme.theta))[l, np.abs(m)].T
     sign = np.where((m < 0) & (m % 2 == 1), -1.0, 1.0)
     matrix = sign * legendre * np.exp(1j * np.outer(scheme.phi, m))
-    cond = np.linalg.cond(matrix)
-    if not cond < COND_LIMIT:
-        raise ConditioningError("dense harmonic matrix is ill-conditioned", cond)
+    _refuse_ill_conditioned("dense harmonic matrix is ill-conditioned", np.linalg.cond(matrix))
     return np.linalg.solve(matrix, values.astype(complex))
 

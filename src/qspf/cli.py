@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import ConditioningError
 from .multishell import (MultiShellGrid, SpfCoefficients, _checked_bandlimits, _finite_values,
-                         _shell_count, build_grid, forward_spf, inverse_spf, staircase_index)
-from .radial import BConvention
+                         build_grid, forward_spf, inverse_spf, staircase_index)
+from .radial import BConvention, _shell_count
 from .validate import run_validation
 
 __all__ = [
@@ -342,10 +342,6 @@ def cmd_grid(args) -> int:
 def cmd_forward(args) -> int:
     grid = _load_descriptor(args.scheme)
     samples = parse_samples(_read_text(args.samples))
-    if samples.shape != (grid.n_samples,):
-        raise CliError(
-            f"scheme expects {grid.n_samples} samples, file has {len(samples)}"
-        )
     coeffs = forward_spf(grid, samples, radial_mode=args.radial_mode)
     _write_text(format_coefficients_csv(coeffs), args.output)
     return 0

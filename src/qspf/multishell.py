@@ -49,10 +49,11 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .angular import (_analyse, _as_int, _check_conditioning, _flat, _odd_bandlimit, _read_only,
-                      _sh_position, _synthesise, make_angular_scheme)
-from .errors import COND_LIMIT, ConditioningError
-from .radial import BConvention, RadialScheme, _basis_table, _radial_map, make_radial_scheme
+from .angular import (_analyse, _flat, _odd_bandlimit, _read_only, _sh_position, _synthesise,
+                      make_angular_scheme)
+from .errors import _refuse_ill_conditioned
+from .radial import (BConvention, RadialScheme, _basis_table, _radial_map, _shell_count,
+                     make_radial_scheme)
 from .specfun import _legendre_by_degree
 
 __all__ = [
@@ -118,14 +119,6 @@ def _checked_bandlimits(bandlimits) -> tuple:
     return bandlimits
 
 
-def _shell_count(n_shells) -> int:
-    """The shell count as an int; ValueError unless it is an integer (4.0 passes, 4.5, "4" not)."""
-    count = _as_int(n_shells)
-    if count is None:
-        raise ValueError(f"n_shells must be an integer, got {n_shells!r}")
-    return count
-
-
 def staircase_index(bandlimits) -> StaircaseIndex:
     """Enumerate the recoverable (n, l, m) set for per-shell band limits.
 
@@ -179,7 +172,6 @@ class MultiShellGrid:
     points: np.ndarray
     radii: np.ndarray
     bvalues: np.ndarray
-    shell_starts: np.ndarray
     radial_maps: MappingProxyType = field(repr=False)
 
     @property
@@ -193,9 +185,6 @@ class MultiShellGrid:
     @property
     def bandlimits(self) -> tuple:
         return self.index.bandlimits
-
-    def shell_slice(self, i: int) -> slice:
-        return slice(self.shell_starts[i], self.shell_starts[i] + self.angular[i].n_points)
 
 
 def build_grid(
@@ -247,7 +236,6 @@ def _grid(b_max, convention, index, padded, schemes) -> MultiShellGrid:
     n_shells = len(schemes)
     radial = _read_only(make_radial_scheme(n_shells, b_max, convention))
     counts = np.array([s.n_points for s in schemes])
-    shell_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
     shell_of = np.repeat(np.arange(n_shells), counts)
     points = np.vstack([s.points for s in schemes])
     radii = np.repeat(radial.radii, counts)
@@ -256,7 +244,7 @@ def _grid(b_max, convention, index, padded, schemes) -> MultiShellGrid:
     for mode, mode_index in (("staircase", index), ("zero_padded", padded)):
         maps, conds = zip(*(_radial_map(radial, shells) for shells, _, _ in mode_index.runs))
         radial_maps[mode] = (mode_index, maps, max(conds))
-    grid = MultiShellGrid(radial, schemes, index, shell_of, points, radii, bvalues, shell_starts,
+    grid = MultiShellGrid(radial, schemes, index, shell_of, points, radii, bvalues,
                           MappingProxyType(radial_maps))
     return _read_only(grid, *(m for _, maps, _ in radial_maps.values() for m in maps))
 
@@ -321,7 +309,9 @@ def forward_spf(grid: MultiShellGrid, samples, radial_mode: str = "staircase") -
     shell table, zero above its band limit; each run of degrees then takes
     one product with the mode's radial map: the exact radial quadrature
     when every shell carries the run, else the inverse collocation matrix.
-    Every check runs before any of this work.
+    The samples and the mode's radial map are checked before any of this
+    work, and every shell's angular conditioning in _analyse, the one gate
+    on the stored factors, before the first ring FFT.
 
     radial_mode "staircase" (default) returns the bijective coefficient
     set. Mode "zero_padded" instead treats degrees above a shell's band
@@ -341,16 +331,9 @@ def forward_spf(grid: MultiShellGrid, samples, radial_mode: str = "staircase") -
     """
     if radial_mode not in ("staircase", "zero_padded"):
         raise ValueError(f"unknown radial_mode {radial_mode!r}")
-    values = np.asarray(samples)
-    if values.shape != (grid.n_samples,):
-        raise ValueError(f"grid has {grid.n_samples} samples, got values of shape {values.shape}")
-    if not np.isfinite(values).all():
-        raise ValueError("samples must be finite")
-    for scheme in grid.angular:
-        _check_conditioning(scheme)
+    values = _flat(samples, grid.n_samples, "samples")
     out_index, maps, cond = grid.radial_maps[radial_mode]
-    if not cond < COND_LIMIT:
-        raise ConditioningError("radial collocation matrix is ill-conditioned", cond)
+    _refuse_ill_conditioned("radial collocation matrix is ill-conditioned", cond)
     table = np.zeros((max(s.n_points for s in grid.angular), grid.n_shells), dtype=complex)
     for i, shell in enumerate(_analyse(values, grid.angular)):
         table[: len(shell), i] = shell
@@ -541,5 +524,6 @@ def synthesize_on_grid(coeffs: SpfCoefficients, grid: MultiShellGrid) -> np.ndar
     table = np.zeros((top * (top + 1) // 2, grid.n_shells), dtype=complex)
     for shells, entries, rows in coeffs.index.runs:
         table[rows] = coeffs.values[entries].reshape(-1, len(shells)) @ basis[: len(shells)]
-    shells = [_flat(table[: s.n_points, i], s, "coefficients") for i, s in enumerate(grid.angular)]
+    shells = [_flat(table[: s.n_points, i], s.n_points, "coefficients")
+              for i, s in enumerate(grid.angular)]
     return _synthesise(shells, grid.angular)

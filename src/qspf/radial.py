@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import COND_LIMIT, ConditioningError
+from .errors import _as_int, _refuse_ill_conditioned
 from .specfun import _laguerre_rows, laguerre_deriv, laguerre_eval, laguerre_roots
 
 __all__ = [
@@ -98,13 +98,14 @@ def make_radial_scheme(
     Parameters
     ----------
     n_shells : int
-        Number of shells N >= 1 (4 is the recommended default elsewhere).
+        Number of shells N >= 1, an integer: 4.0 passes as 4, 4.5 and "4" do not.
     b_max : float
         b-value of the outermost shell, s/mm^2, > 0; ValueError if a
         quadrature weight then overflows or underflows.
     convention : BConvention
         b <-> q mapping; the default absorbs the diffusion-time constant.
     """
+    n_shells = _shell_count(n_shells)
     if n_shells < 1:
         raise ValueError(f"need at least one shell, got {n_shells}")
     if not 0 < b_max < math.inf:
@@ -130,6 +131,14 @@ def make_radial_scheme(
         basis=basis,
         convention=convention,
     )
+
+
+def _shell_count(n_shells) -> int:
+    """The shell count as an int; ValueError unless it is an integer (4.0 passes, 4.5, "4" not)."""
+    count = _as_int(n_shells)
+    if count is None:
+        raise ValueError(f"n_shells must be an integer, got {n_shells!r}")
+    return count
 
 
 def radial_basis_eval(n: int, q, zeta: float):
@@ -255,6 +264,5 @@ def radial_collocation_solve(values, shells, scheme: RadialScheme) -> np.ndarray
     if outside.size:
         raise ValueError(f"shell index {outside[0]} is outside 0 .. {scheme.n_shells - 1}")
     radial_map, cond = _radial_map(scheme, shells)
-    if not cond < COND_LIMIT:
-        raise ConditioningError("radial collocation matrix is ill-conditioned", cond)
+    _refuse_ill_conditioned("radial collocation matrix is ill-conditioned", cond)
     return radial_map @ values

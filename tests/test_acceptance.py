@@ -50,7 +50,7 @@ def test_criterion_2_sample_budget():
     start = time.perf_counter()
     grid = build_grid(4, 8000.0, (3, 5, 9, 11))
     elapsed = time.perf_counter() - start
-    counts = [grid.shell_slice(i).stop - grid.shell_slice(i).start for i in range(4)]
+    counts = np.bincount(grid.shell_of).tolist()
     print(f"total {grid.points.shape[0]}, per shell {counts}")
     assert grid.points.shape[0] == 132
     assert counts == [6, 15, 45, 66]

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qspf.angular
 from qspf.angular import (
+    _analyse,
     _sh_position,
     dense_sht_oracle,
     forward_sht,
@@ -12,7 +14,8 @@ from qspf.angular import (
     make_angular_scheme,
 )
 from qspf.errors import ConditioningError
-from qspf.multishell import build_grid, synthesize_on_grid
+from qspf.multishell import build_grid, forward_spf, synthesize_on_grid
+from qspf.radial import make_radial_scheme, radial_collocation_solve
 from qspf.signals import random_staircase_signal
 from qspf.specfun import normalized_legendre, spherical_harmonic
 
@@ -357,6 +360,45 @@ def test_nearly_coincident_latitudes_build_and_raise_on_transform():
     with pytest.raises(ConditioningError) as excinfo:
         forward_sht(np.ones(scheme.n_points), scheme)
     assert excinfo.value.condition == scheme.condition
+
+
+def test_analyse_refuses_the_first_ill_conditioned_scheme_before_any_ring_fft(monkeypatch):
+    def no_fft(*args, **kwargs):
+        raise AssertionError("a ring FFT ran before the conditioning gate")
+    monkeypatch.setattr(qspf.angular, "_ring_dft", no_fft)
+    good = make_angular_scheme(5)
+    nearly = make_angular_scheme(5, thetas=[0.4, 0.4 + 1e-9, 1.0])
+    merged = make_angular_scheme(5, thetas=[0.4, 0.4, 1.0])
+    with pytest.raises(ConditioningError) as excinfo:
+        _analyse(np.ones(3 * good.n_points), (good, nearly, merged))
+    assert excinfo.value.condition == nearly.condition != merged.condition
+
+
+def test_conditioning_error_messages():
+    nearly = make_angular_scheme(5, thetas=[0.4, 0.4 + 1e-9, 1.0])
+    collocated = build_grid(16, 8000.0, (1,) * 8 + (3,) * 8)
+    # radially and angularly ill-conditioned: the radial map is named first
+    both = build_grid(16, 8000.0, (1,) * 8 + (3,) * 8,
+                      ring_latitudes=[None] * 15 + [[0.4, 0.4 + 1e-9]])
+    assert not both.angular[15].condition < 1e8
+    refusals = [
+        (lambda: forward_sht(np.ones(nearly.n_points), nearly),
+         "angular scheme is too ill-conditioned for a trustworthy transform"),
+        (lambda: dense_sht_oracle(np.ones(nearly.n_points), nearly),
+         "dense harmonic matrix is ill-conditioned"),
+        (lambda: radial_collocation_solve(np.ones(2), [3, 3], make_radial_scheme(4, 8000.0)),
+         "radial collocation matrix is ill-conditioned"),
+        (lambda: forward_spf(collocated, np.zeros(collocated.n_samples)),
+         "radial collocation matrix is ill-conditioned"),
+        (lambda: forward_spf(both, np.zeros(both.n_samples)),
+         "radial collocation matrix is ill-conditioned"),
+    ]
+    for refused, message in refusals:
+        with pytest.raises(ConditioningError) as excinfo:
+            refused()
+        condition = excinfo.value.condition
+        assert not condition < 1e8
+        assert str(excinfo.value) == f"{message} (condition estimate {condition:.3e})"
 
 
 def test_forward_input_validation():

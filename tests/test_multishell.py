@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import roots_genlaguerre, sph_harm_y
 
+import qspf.angular
 import qspf.multishell
 from qspf.multishell import (
     _BLOCK,
@@ -24,6 +25,7 @@ from qspf.errors import ConditioningError
 from qspf.radial import BConvention, radial_basis_eval
 from qspf.signals import random_staircase_signal
 from qspf.specfun import spherical_harmonic
+from qspf.validate import run_validation
 
 DEFAULTS = (3, 5, 9, 11)
 
@@ -152,8 +154,8 @@ def _assert_read_only(grid):
     arrays = [value for part in (grid, grid.radial) for value in vars(part).values()
               if isinstance(value, np.ndarray)]
     arrays += [m for _, maps, _ in grid.radial_maps.values() for m in maps]
-    # 5 grid arrays, 5 radial arrays (basis among them), 4 staircase runs and 1 zero_padded run
-    assert len(arrays) == 5 + 5 + 5
+    # 4 grid arrays, 5 radial arrays (basis among them), 4 staircase runs and 1 zero_padded run
+    assert len(arrays) == 4 + 5 + 5
     for array in arrays:
         with pytest.raises(ValueError):
             array[...] = array
@@ -395,7 +397,7 @@ def test_grid_transforms_are_the_shell_transforms_bit_for_bit(layout):
     samples = np.random.default_rng(31).standard_normal(g.n_samples)
     table = np.zeros((max(s.n_points for s in g.angular), g.n_shells), dtype=complex)
     for i, scheme in enumerate(g.angular):
-        table[: scheme.n_points, i] = forward_sht(samples[g.shell_slice(i)], scheme)
+        table[: scheme.n_points, i] = forward_sht(samples[g.shell_of == i], scheme)
     for mode in ("staircase", "zero_padded"):
         index, maps, _ = g.radial_maps[mode]
         want = np.empty(index.size, dtype=complex)
@@ -426,7 +428,7 @@ def test_grid_transforms_take_one_fft_call_per_ring_size(grid, monkeypatch):
 def test_forward_checks_every_shell_before_any_fft(grid, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a ring FFT ran before the checks")
-    monkeypatch.setattr(qspf.multishell, "_analyse", no_work)
+    monkeypatch.setattr(qspf.angular, "_ring_dft", no_work)
     samples = np.ones(grid.n_samples)
     samples[0] = np.inf
     with pytest.raises(ValueError, match="samples must be finite"):
@@ -438,6 +440,38 @@ def test_forward_checks_every_shell_before_any_fft(grid, monkeypatch):
     with pytest.raises(ConditioningError, match="angular scheme is too ill-conditioned") as excinfo:
         forward_spf(nearly, np.ones(nearly.n_samples))
     assert excinfo.value.condition == nearly.angular[3].condition > 1e8
+
+
+@pytest.mark.parametrize("transform", ["forward_sht", "staircase", "zero_padded", "run_validation"])
+def test_every_forward_transform_refuses_an_ill_conditioned_shell_before_any_ring_fft(
+        transform, monkeypatch):
+    latitudes = make_angular_scheme(11).thetas.copy()
+    latitudes[1] = latitudes[0] + 1e-12
+    nearly = build_grid(4, 8000.0, DEFAULTS, ring_latitudes=[None, None, None, latitudes])
+    bad = nearly.angular[3]
+    inverse_calls = []
+
+    def inverse_only(values, schemes, inverse=False, original=qspf.angular._ring_dft):
+        if not inverse:
+            raise AssertionError("a forward ring FFT ran on an ill-conditioned shell")
+        inverse_calls.append(schemes)
+        return original(values, schemes, inverse=True)
+    monkeypatch.setattr(qspf.angular, "_ring_dft", inverse_only)
+    message = ("angular scheme is too ill-conditioned for a trustworthy transform "
+               f"(condition estimate {bad.condition:.3e})")
+    if transform == "run_validation":
+        checks = run_validation(nearly, n_draws=2)["checks"]
+        assert checks["sht_round_trip"]["error"] == checks["spf_round_trip"]["error"] == message
+        # each round trip synthesises its first draw, then its forward transform refuses
+        assert inverse_calls == [nearly.angular] * 2
+        return
+    with pytest.raises(ConditioningError) as excinfo:
+        if transform == "forward_sht":
+            forward_sht(np.ones(bad.n_points), bad)
+        else:
+            forward_spf(nearly, np.ones(nearly.n_samples), radial_mode=transform)
+    assert str(excinfo.value) == message and excinfo.value.condition == bad.condition
+    assert inverse_calls == []
 
 
 def test_inverse_spf_basics(grid):

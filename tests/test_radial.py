@@ -228,6 +228,19 @@ def test_collocation_flags_singular_systems(scheme):
     assert excinfo.value.condition > 1e8
 
 
+def test_shell_count_is_taken_as_build_grid_takes_it():
+    scheme, again = make_radial_scheme(4.0, 8000.0), make_radial_scheme(4, 8000.0)
+    assert type(scheme.n_shells) is int and scheme.n_shells == 4 and scheme.zeta == again.zeta
+    for name in ("roots", "radii", "bvalues", "weights", "basis"):
+        assert getattr(scheme, name).tobytes() == getattr(again, name).tobytes()
+
+
+@pytest.mark.parametrize("n_shells", [4.5, "4", float("nan")])
+def test_make_radial_scheme_refuses_a_shell_count_that_is_not_an_integer(n_shells):
+    with pytest.raises(ValueError, match="n_shells must be an integer"):
+        make_radial_scheme(n_shells, 8000.0)
+
+
 def test_bconvention_round_trip():
     conv = BConvention("physical", tau=0.05)
     b = np.array([0.0, 411.3, 8000.0])

@@ -25,9 +25,20 @@ limits 3/5/9/11 take 6 calls instead of 16, at 15/25/41/63 32 instead of
 74. The transforms' two halves, _analyse and _synthesise, work that way
 on any tuple of schemes: forward_sht and inverse_sht are the one-scheme
 case, its rings taken in place; forward_spf and synthesize_on_grid the
-grid case; run_validation's angular round trip takes every shell of a
-grid per draw. The index arrays are built once per tuple of schemes (the
+grid case. The index arrays are built once per tuple of schemes (the
 most recent 32 tuples), read-only.
+
+Samples, bins and coefficients may also carry a trailing column axis,
+(n, V): V signals through the same schemes at once. Every step of either
+half then handles all V columns in the calls one column takes, the ring
+FFTs, each ring step's gather, its R^-1 (Q^T rhs) on 4V columns, its
+spill and the one np.bincount; run_validation sends both its round trips
+through that way, a chunk of draws per pass. A flat (n,) array is the
+one-column case of the same code, and it is what forward_sht and
+inverse_sht pass, so one voxel keeps numpy's 1-D indexing. A column comes
+out bit for bit as alone while every ring system has fewer than 16
+unknowns (band limits below 31); from 16 on, OpenBLAS takes another
+kernel for the wider products and the columns round apart.
 Only the FFT bins depend on the samples. make_angular_scheme stores the
 rest as arrays indexed by |m| (see AngularScheme), with each ring's
 Legendre systems QR-factored once, and both transforms read them directly.
@@ -56,6 +67,7 @@ even degree l ascending, then m from -l to l: (l, m) sits at l(l+1)/2 + m.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,10 +156,12 @@ def _odd_bandlimit(bandlimit) -> int:
 
 
 def _flat(values, count: int, what: str) -> np.ndarray:
-    """values as an array; ValueError unless it holds count finite entries."""
+    """values as an array; ValueError unless it holds count finite numbers (bool to complex)."""
     values = np.asarray(values)
     if values.shape != (count,):
         raise ValueError(f"expected {count} {what}, got shape {values.shape}")
+    if values.dtype.kind not in "biufc":  # np.isfinite raises TypeError on strings and objects
+        raise ValueError(f"{what} must be numbers, got dtype {values.dtype}")
     if not np.isfinite(values).all():
         raise ValueError(f"{what} must be finite")
     return values
@@ -278,8 +292,10 @@ def forward_sht(values, scheme: AngularScheme) -> np.ndarray:
 def _analyse(values, schemes: tuple) -> list:
     """forward_sht of the samples of schemes laid end to end: one array per scheme.
 
-    The one code that applies the stored factors, so the gate: it refuses the first
-    scheme whose condition is not below COND_LIMIT before any ring FFT.
+    Samples (n,) or (n, V) give each scheme's coefficients as (n_points,) or
+    (n_points, V). The one code that applies the stored factors, so the gate:
+    it refuses the first scheme whose condition is not below COND_LIMIT before
+    any ring FFT.
     """
     for scheme in schemes:
         _refuse_ill_conditioned("angular scheme is too ill-conditioned for a trustworthy transform",
@@ -292,18 +308,25 @@ def _analyse(values, schemes: tuple) -> list:
 
 
 def _solve_rings(bins, scheme: AngularScheme) -> np.ndarray:
-    """forward_sht's ring cascade on one shell's FFT bins, which it uses up as it goes."""
-    out = np.zeros(scheme.n_points + 1, dtype=complex)  # one coefficient per point; -0 at the end
+    """forward_sht's ring cascade on one shell's FFT bins, which it uses up as it goes.
+
+    The bins are (n_points,) or (n_points, V), and so is the result.
+    """
+    columns = bins.shape[1:]
+    out = np.zeros((scheme.n_points + 1, *columns), dtype=complex)  # -0 goes to the last row
+    phase = scheme.phase.reshape(scheme.phase.shape + (1,) * len(columns))
+    unphase = phase.conj()
     for f in reversed(range(len(scheme.rings))):
         # ring f first resolves |m| = 2f, 2f - 1 (ring 0: just 0); neither reads the other's spill
         pair, (qt, rinv) = slice(2 * f, 2 * f - 2 if f else None, -1), scheme.factors[f]
-        rows, where, phase = scheme.rows[pair], scheme.bins[pair], scheme.phase[pair]
-        rhs = (bins[where[:, f:]] * phase[:, f:].conj()).view(float)  # Re, Im of +mu, -mu
-        solved = rinv @ (qt @ rhs)
-        out[scheme.positions[pair, f:]] = solved.view(complex)
-        # lower orders read these bins on rings too small to separate the pair
-        spill = (rows[:, :f, f:] @ solved).view(complex) * phase[:, :f]
-        np.subtract.at(bins, where[:, :f], spill)
+        # (order, ring, sign of m, columns): Re and Im of every column of +mu, then of -mu
+        rhs = bins[scheme.bins[pair, f:]] * unphase[pair, f:]
+        solved = rinv @ (qt @ rhs.reshape(rhs.shape[:2] + (-1,)).view(float))
+        out[scheme.positions[pair, f:]] = solved.view(complex).reshape(rhs.shape)
+        if f:  # lower orders read these bins on rings too small to separate the pair
+            lower = scheme.bins[pair, :f]
+            spill = (scheme.rows[pair, :f, f:] @ solved).view(complex)
+            np.subtract.at(bins, lower, spill.reshape(lower.shape + columns) * phase[pair, :f])
     return out[:-1]
 
 
@@ -322,18 +345,31 @@ def inverse_sht(coeffs, scheme: AngularScheme) -> np.ndarray:
 def _synthesise(coeffs, schemes: tuple) -> np.ndarray:
     """inverse_sht of one coefficient array per scheme, unchecked: the samples laid end to end.
 
-    Each scheme's (order, ring, sign) content of every order comes from one
-    batched matmul, and one np.bincount adds all of it into the Re and Im
-    slots of the bins of every scheme, each bin from 0.0 in the order
-    np.add.at would take.
+    Coefficients (n_points,) or (n_points, V) per scheme give samples (n,)
+    or (n, V). Each scheme's (order, ring, sign) content of every order and
+    column comes from one batched matmul, and one np.bincount adds all of it
+    into the Re and Im slots of the bins of every scheme and column, each
+    bin from 0.0 in the order np.add.at would take.
     """
-    content = np.concatenate(
-        [(s.rows @ np.append(values, 0j)[s.positions].view(float)).view(complex) * s.phase
-         for values, s in zip(coeffs, schemes)], axis=None)
+    columns = coeffs[0].shape[1:]
+    width, n = math.prod(columns), sum(s.n_points for s in schemes)
     _, _, slots = _ring_plan(schemes)
-    bins = np.bincount(slots, content.view(float), 2 * sum(s.n_points for s in schemes))
+    content, start = np.empty((width, len(slots) // 2), dtype=complex), 0  # column by column
+    for values, s in zip(coeffs, schemes):
+        # (order, degree or ring, sign of m, columns)
+        by_degree = np.append(values, np.zeros((1, *columns), complex), axis=0)[s.positions]
+        by_ring = (s.rows @ by_degree.reshape(*s.rows.shape[:2], -1).view(float)).view(complex)
+        by_ring = by_ring.reshape(by_degree.shape)
+        by_ring *= s.phase.reshape(s.phase.shape + (1,) * len(columns))
+        content[:, start : start + s.bins.size] = by_ring.reshape(-1, width).T
+        start += s.bins.size
+    del by_degree, by_ring
+    # column v's Re and Im slots follow all of column v - 1's
+    slots = (slots + 2 * n * np.arange(width)[:, None]).ravel()
+    bins = np.bincount(slots, content.view(float).ravel(), 2 * n * width)
     del content  # not held through the inverse FFTs
-    return _ring_dft(bins.view(complex), schemes, inverse=True)
+    return _ring_dft(bins.view(complex).reshape(width, n).T.reshape(n, *columns), schemes,
+                     inverse=True)
 
 
 @functools.lru_cache(maxsize=32)
@@ -351,7 +387,7 @@ def _ring_plan(schemes: tuple):
     """
     starts = np.cumsum([0] + [s.n_points for s in schemes])
     bins = np.concatenate([start + s.bins.ravel() for start, s in zip(starts, schemes)])
-    # int32 halves the memo; np.bincount takes it to intp as it reads it
+    # int32 halves the memo; adding _synthesise's column offsets takes it to intp
     slots = np.stack([2 * bins, 2 * bins + 1], axis=-1).astype(np.int32).ravel()
     slots.flags.writeable = False
     if len(schemes) == 1:
@@ -372,12 +408,16 @@ def _ring_dft(values, schemes: tuple, inverse: bool = False) -> np.ndarray:
 
     norm="forward" puts the 1/n_k on the FFT, so a bin holds its order's
     amplitude. One np.fft call per ring index, not per ring: each block of
-    _ring_plan goes in as one 2-D call, whose rows come out bit for bit as
-    the 1-D calls on each ring would. The result is in the order of values.
+    _ring_plan takes ring k of every scheme and column in one call, whose
+    lines come out bit for bit as the 1-D calls on each ring would. The
+    result is in the order of values.
     """
     unorder, blocks, _ = _ring_plan(schemes)
     dft = np.fft.ifft if inverse else np.fft.fft
-    out = np.concatenate([dft(values[block], norm="forward") for block in blocks], axis=None)
+    # the ring axis: 0 of a ring slice, 1 of an index block's (schemes, 4k+1)
+    axis = -values.ndim
+    out = np.concatenate([dft(values[block], axis=axis, norm="forward") for block in blocks],
+                         axis=None).reshape(values.shape)
     return out if unorder is None else out[unorder]
 
 

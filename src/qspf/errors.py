@@ -19,7 +19,8 @@ def _refuse_ill_conditioned(message: str, condition: float) -> None:
     """ConditioningError(message, condition) unless condition is below COND_LIMIT; NaN is not.
 
     Every transform refuses through this: the angular one in angular._analyse, the dense
-    oracle, and the radial collocation in forward_spf and radial_collocation_solve.
+    oracle, and the radial collocation in multishell._radial_gate (forward_spf's and
+    run_validation's) and radial_collocation_solve.
     """
     if not condition < COND_LIMIT:
         raise ConditioningError(message, condition)

@@ -24,6 +24,9 @@ angular side goes by ring index across all shells, not shell by shell:
 one FFT call per ring size takes that ring on every shell that has it
 (6 calls at the defaults, against 16 rings). Each shell runs its own ring
 cascade; the inverse folds the bins of all shells with one np.bincount.
+The radial halves, _from_shells and _to_shells, take one column or a
+trailing axis of V, as the angular core does, so run_validation sends a
+chunk of draws through the same code as one call.
 inverse_spf, the read side, goes one even degree at a time, its Legendre
 rows made by recurrence for every order at once, over blocks of a fixed
 number of points, so its working memory does not grow with the batch.
@@ -43,6 +46,7 @@ grid itself on b_max, convention, indexes and schemes (the most recent
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -332,15 +336,36 @@ def forward_spf(grid: MultiShellGrid, samples, radial_mode: str = "staircase") -
     if radial_mode not in ("staircase", "zero_padded"):
         raise ValueError(f"unknown radial_mode {radial_mode!r}")
     values = _flat(samples, grid.n_samples, "samples")
-    out_index, maps, cond = grid.radial_maps[radial_mode]
-    _refuse_ill_conditioned("radial collocation matrix is ill-conditioned", cond)
-    table = np.zeros((max(s.n_points for s in grid.angular), grid.n_shells), dtype=complex)
-    for i, shell in enumerate(_analyse(values, grid.angular)):
-        table[: len(shell), i] = shell
-    out = np.empty(out_index.size, dtype=complex)
-    for (shells, entries, rows), radial_map in zip(out_index.runs, maps):
-        out[entries] = (table[rows, shells] @ radial_map.T).ravel()
+    out_index = _radial_gate(grid, radial_mode)
+    out = _from_shells(_analyse(values, grid.angular), grid, radial_mode)
     return SpfCoefficients(out_index, grid.radial.zeta, grid.radial.convention, out)
+
+
+def _radial_gate(grid: MultiShellGrid, radial_mode: str) -> StaircaseIndex:
+    """The mode's output index; ConditioningError unless its radial maps are well conditioned."""
+    out_index, _, cond = grid.radial_maps[radial_mode]
+    _refuse_ill_conditioned("radial collocation matrix is ill-conditioned", cond)
+    return out_index
+
+
+def _from_shells(shells, grid: MultiShellGrid, radial_mode: str) -> np.ndarray:
+    """forward_spf's radial half, unchecked: per-shell harmonic columns to table columns.
+
+    Each shell's coefficients are (n_points,) or (n_points, V). A column by
+    (l, m) by shell table, zero above each shell's band limit, takes one
+    product per run of degrees with the mode's radial map.
+    """
+    out_index, maps, _ = grid.radial_maps[radial_mode]
+    columns = shells[0].shape[1:]
+    table = np.zeros((math.prod(columns), max(map(len, shells)), grid.n_shells), dtype=complex)
+    for i, shell in enumerate(shells):
+        table[:, : len(shell), i] = shell.T
+    out = np.empty((out_index.size, *columns), dtype=complex)
+    by_column = out.T
+    for (carried, entries, rows), radial_map in zip(out_index.runs, maps):
+        solved = table[:, rows][..., carried].reshape(-1, len(carried)) @ radial_map.T
+        by_column[..., entries] = solved.reshape(len(table), -1)  # (l, m) by n, row-major
+    return out
 
 
 def _paired(radii, directions, what: str):
@@ -518,12 +543,25 @@ def synthesize_on_grid(coeffs: SpfCoefficients, grid: MultiShellGrid) -> np.ndar
         raise ValueError("coefficient table and grid use different radial scales")
     if len(coeffs.index.bandlimits) > grid.n_shells:
         raise ValueError("coefficient table has more radial orders than the grid has shells")
-    basis = grid.radial.basis
-    # row (l, m), column i: sum_n c_{n,l,m} R_n(q_i); shell i reads its leading rows only
-    top = max(coeffs.index.bandlimits + grid.bandlimits)
-    table = np.zeros((top * (top + 1) // 2, grid.n_shells), dtype=complex)
-    for shells, entries, rows in coeffs.index.runs:
-        table[rows] = coeffs.values[entries].reshape(-1, len(shells)) @ basis[: len(shells)]
-    shells = [_flat(table[: s.n_points, i], s.n_points, "coefficients")
-              for i, s in enumerate(grid.angular)]
-    return _synthesise(shells, grid.angular)
+    return _synthesise(_to_shells(coeffs.values, coeffs.index, grid), grid.angular)
+
+
+def _to_shells(values, index: StaircaseIndex, grid: MultiShellGrid) -> list:
+    """synthesize_on_grid's radial half: table columns to per-shell harmonic columns.
+
+    values is (index.size,) or (index.size, V). Row (l, m), column v, shell i
+    of the table is sum_n c_{n,l,m,v} R_n(q_i), one product per run of
+    degrees; shell i reads its leading rows, which must be finite.
+    """
+    basis, columns = grid.radial.basis, values.shape[1:]
+    width = math.prod(columns)
+    top = max(index.bandlimits + grid.bandlimits)
+    table = np.zeros((top * (top + 1) // 2, width, grid.n_shells), dtype=complex)
+    for carried, entries, rows in index.runs:
+        n = len(carried)
+        by_n = values[entries].reshape(-1, n, width).swapaxes(1, 2).reshape(-1, n)
+        table[rows] = (by_n @ basis[:n]).reshape(-1, width, grid.n_shells)
+    shells = [table[: s.n_points, :, i].reshape(-1, *columns) for i, s in enumerate(grid.angular)]
+    if not all(np.isfinite(shell).all() for shell in shells):
+        raise ValueError("coefficients must be finite")
+    return shells

@@ -6,9 +6,11 @@ a pass flag; the two randomised round trips also name, under "draws", how
 they draw their inputs from the seed. The checks mirror the package's
 headline guarantees: exact radial quadrature on its design space (and
 demonstrable failure just beyond it), well-conditioned angular systems,
-and transform round trips at numerical precision. Each round trip takes
-one draw at a time through every shell at once, so a report makes one
-np.fft call per ring size and direction per draw and round trip.
+and transform round trips at numerical precision. The two round trips
+go through the transforms together, a chunk of draws at a time: each
+chunk is one block of columns, one synthesis and one analysis pass over
+every shell, so a report makes one np.fft call per ring size and
+direction per chunk (6 + 6 at the default grid, whatever the draws).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .angular import _analyse, _synthesise
 from .errors import ConditioningError, _as_int
-from .multishell import MultiShellGrid, forward_spf, synthesize_on_grid
+from .multishell import MultiShellGrid, _from_shells, _radial_gate, _to_shells
 from .signals import random_staircase_signal
 
 __all__ = ["run_validation", "REPORT_THRESHOLDS"]
@@ -34,6 +36,17 @@ REPORT_THRESHOLDS = {
 }
 
 
+# Working memory of one chunk of round-trip columns, beyond the held draws. On a 2-core
+# x86-64 host, 100-draw reports ran faster with more columns per pass up to about this on
+# every band-limit ladder rung from 3/5/9/11 to 15/25/41/63, and no more than 12 % faster
+# with four times as much
+_CHUNK_BYTES = 8 << 20
+# what a chunk holds per draw (its two columns), in bytes per sample and per harmonic table
+# cell: tracemalloc read 56-75 from 4 draws per chunk at 11/19/29/41 and 15/25/41/63, and 64
+# at 64 draws per chunk at 3/5/9/11, where fixed costs weigh more in smaller chunks
+_BYTES_PER_DRAW = 80
+
+
 def _check(value: float, threshold: float, larger_is_better: bool = False) -> dict:
     value = float(value)
     passed = value > threshold if larger_is_better else value <= threshold
@@ -42,6 +55,47 @@ def _check(value: float, threshold: float, larger_is_better: bool = False) -> di
 
 def _failed(threshold: float, reason: str) -> dict:
     return {"value": None, "threshold": threshold, "passed": False, "error": reason}
+
+
+def _complex_normals(rng, rows: int, size: int) -> np.ndarray:
+    """(rows, size) values re + i im, each row's re and im drawn after the previous row's.
+
+    The same values as one rng.standard_normal((rows, 2, size)), drawn in pieces
+    of at most half of _CHUNK_BYTES.
+    """
+    out = np.empty((rows, size), dtype=complex)
+    piece = max(1, _CHUNK_BYTES // (32 * size))
+    for start in range(0, rows, piece):
+        z = rng.standard_normal((min(piece, rows - start), 2, size))
+        out[start : start + len(z)].real = z[:, 0]
+        out[start : start + len(z)].imag = z[:, 1]
+        del z  # not held while the next piece is drawn
+    return out
+
+
+def _draws_per_chunk(grid: MultiShellGrid) -> int:
+    """How many draws of both round trips one chunk of columns takes: at least one."""
+    top = max(s.n_points for s in grid.angular)
+    return max(1, _CHUNK_BYTES // (_BYTES_PER_DRAW * (grid.n_samples + top * grid.n_shells)))
+
+
+def _round_trips(grid: MultiShellGrid, sht: list, spf) -> tuple:
+    """One chunk of both round trips, in one synthesis and one analysis pass over every shell.
+
+    sht holds each shell's (n_points, k) angular coefficient columns, spf the full round
+    trip's (index.size, k) table columns, or None to leave that round trip out. Returns
+    what comes back of each: the per-shell columns, and the table columns or None.
+    """
+    k = sht[0].shape[1]
+    columns = sht if spf is None else [
+        np.hstack(pair) for pair in zip(sht, _to_shells(spf, grid.index, grid))]
+    back = _analyse(_synthesise(columns, grid.angular), grid.angular)
+    if spf is None:
+        return back, None
+    table = _from_shells([b[:, k:] for b in back], grid, "staircase")
+    if not np.isfinite(table).all():
+        raise ValueError("coefficient values must be finite")
+    return [b[:, :k] for b in back], table
 
 
 def run_validation(grid: MultiShellGrid, seed: int = 0, n_draws: int = 100) -> dict:
@@ -55,10 +109,19 @@ def run_validation(grid: MultiShellGrid, seed: int = 0, n_draws: int = 100) -> d
 
     The angular round trip draws all its inputs before the first transform,
     shell by shell in the order one draw per shell at a time would take
-    them: n_draws x n_samples complex values, 211 kB at the default grid
-    with 100 draws and 5.3 MB at band limits 15/25/41/63. Its first forward
-    transform refuses an ill-conditioned shell before any ring FFT, so such
-    a grid costs the draws and one synthesis, and its report is the same.
+    them: n_draws x n_samples complex values are held, 211 kB at the
+    default grid with 100 draws and 5.3 MB at band limits 15/25/41/63. The
+    full round trip draws one child of the seed per draw, a chunk at a time.
+    Each chunk of draws then makes one block of columns, its angular draws
+    and the per-shell harmonic columns of its full-round-trip tables, and
+    takes one synthesis and one analysis pass: one np.fft call per ring size
+    and direction. A chunk takes as many draws as fit in 8 MB of working
+    memory (_CHUNK_BYTES): all of up to 264 at the default grid, so a
+    100-draw report makes 6 + 6 calls where one draw at a time made 1200 +
+    1200, and 9 at 15/25/41/63, 12 chunks for 100 draws. The first chunk's
+    analysis refuses an ill-conditioned shell before any ring FFT, so such a
+    grid costs the draws, the first chunk's tables and one synthesis pass,
+    and its report is the same.
     """
     for name, value, least in (("n_draws", n_draws, 1), ("seed", seed, 0)):
         if _as_int(value) is None:
@@ -104,33 +167,36 @@ def run_validation(grid: MultiShellGrid, seed: int = 0, n_draws: int = 100) -> d
     )
     checks["sht_conditioning"]["per_shell"] = per_shell_cond
 
-    # angular round trip on random band-limited signals: every shell's draws come first,
-    # shell by shell as one draw per shell at a time would take them, then each draw goes
-    # through inverse_sht and forward_sht of all shells at once
+    # the two randomised round trips: the angular draws come first, then both round trips go
+    # through the transforms together, one chunk of draws at a time
+    sht_draws = [_complex_normals(rng, n_draws, s.n_points) for s in grid.angular]
+    children = np.random.SeedSequence(seed).spawn(n_draws)
+    worst, errors = {"sht_round_trip": 0.0, "spf_round_trip": 0.0}, {}
     try:
-        draws = [z[:, 0] + 1j * z[:, 1]
-                 for z in (rng.standard_normal((n_draws, 2, s.n_points)) for s in grid.angular)]
-        worst = 0.0
-        for coeffs in zip(*draws):
-            back = _analyse(_synthesise(coeffs, grid.angular), grid.angular)
-            worst = max(worst, *(np.max(np.abs(b - c)) for b, c in zip(back, coeffs)))
-        checks["sht_round_trip"] = _check(worst, REPORT_THRESHOLDS["sht_round_trip"])
+        _radial_gate(grid, "staircase")
     except ConditioningError as exc:
-        checks["sht_round_trip"] = _failed(REPORT_THRESHOLDS["sht_round_trip"], str(exc))
-    checks["sht_round_trip"]["draws"] = "default_rng(seed)"
-
-    # full transform round trip on the staircase model space, one child of the seed per draw
+        errors["spf_round_trip"] = str(exc)
+    step = _draws_per_chunk(grid)
     try:
-        worst = 0.0
-        for child in np.random.SeedSequence(seed).spawn(n_draws):
-            coeffs = random_staircase_signal(child, grid)
-            samples = synthesize_on_grid(coeffs, grid)
-            back = forward_spf(grid, samples)
-            worst = max(worst, np.max(np.abs(back.values - coeffs.values)))
-        checks["spf_round_trip"] = _check(worst, REPORT_THRESHOLDS["spf_round_trip"])
+        for start in range(0, n_draws, step):
+            sht = [draws[start : start + step].T for draws in sht_draws]
+            spf = None if "spf_round_trip" in errors else np.array(
+                [random_staircase_signal(c, grid).values for c in children[start : start + step]]).T
+            sht_back, spf_back = _round_trips(grid, sht, spf)
+            worst["sht_round_trip"] = max(worst["sht_round_trip"],
+                                          *(np.max(np.abs(b - c)) for b, c in zip(sht_back, sht)))
+            if spf is not None:
+                worst["spf_round_trip"] = max(worst["spf_round_trip"],
+                                              np.max(np.abs(spf_back - spf)))
     except ConditioningError as exc:
-        checks["spf_round_trip"] = _failed(REPORT_THRESHOLDS["spf_round_trip"], str(exc))
-    checks["spf_round_trip"]["draws"] = "SeedSequence(seed).spawn(n_draws)"
+        for name in worst:
+            errors.setdefault(name, str(exc))
+    for name, draws in (("sht_round_trip", "default_rng(seed)"),
+                        ("spf_round_trip", "SeedSequence(seed).spawn(n_draws)")):
+        threshold = REPORT_THRESHOLDS[name]
+        checks[name] = (_failed(threshold, errors[name]) if name in errors
+                        else _check(worst[name], threshold))
+        checks[name]["draws"] = draws
 
     return {
         "passed": all(c["passed"] for c in checks.values()),

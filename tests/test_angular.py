@@ -419,6 +419,23 @@ def test_forward_input_validation():
             inverse_sht(coeffs, scheme)
 
 
+def test_transforms_refuse_values_that_are_not_numbers_with_a_value_error():
+    # np.isfinite raised numpy's TypeError on strings and objects
+    scheme, grid = make_angular_scheme(5), build_grid(4, 8000.0, (3, 5, 9, 11))
+    transforms = [
+        (lambda v: forward_sht(v, scheme), scheme.n_points, "samples"),
+        (lambda v: inverse_sht(v, scheme), scheme.n_points, "coefficients"),
+        (lambda v: dense_sht_oracle(v, scheme), scheme.n_points, "samples"),
+        (lambda v: forward_spf(grid, v), grid.n_samples, "samples"),
+    ]
+    for transform, count, what in transforms:
+        for bad in (["a"] * count, np.full(count, None, dtype=object)):
+            with pytest.raises(ValueError, match=f"{what} must be numbers, got dtype"):
+                transform(bad)
+        for good in (np.ones(count, dtype=bool), np.ones(count, dtype=int), [1.0] * count):
+            transform(good)
+
+
 def test_coefficient_indexing():
     assert _sh_position(0, 0) == 0
     assert _sh_position(2, -2) == 1

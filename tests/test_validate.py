@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 import qspf.signals
 import qspf.validate
 from qspf import build_grid
-from qspf.angular import forward_sht, inverse_sht, make_angular_scheme
+from qspf.angular import _analyse, _synthesise, make_angular_scheme
 from qspf.errors import ConditioningError
+from qspf.multishell import _to_shells
+from qspf.signals import random_staircase_signal
 from qspf.validate import REPORT_THRESHOLDS, run_validation
 
 LADDER = ((3, 5, 9, 11), (5, 9, 13, 17), (7, 11, 15, 21), (9, 15, 21, 31), (11, 19, 29, 41),
@@ -82,16 +85,27 @@ def test_randomised_checks_name_how_they_draw():
 
 
 def per_shell_sht_round_trip(grid, seed, n_draws):
-    """The angular round trip shell by shell, one draw at a time: the report entry to match."""
+    """The angular round trip shell by shell, one draw at a time: the report entry to match.
+
+    Each shell runs on the column block run_validation sends it, its chunk's angular draws
+    and then the full round trip's columns of that shell: from 16 unknowns on, a ring
+    system's products round by the width of the block they are taken on.
+    """
     rng, bound = np.random.default_rng(seed), REPORT_THRESHOLDS["sht_round_trip"]
+    draws = [[rng.standard_normal(s.n_points) + 1j * rng.standard_normal(s.n_points)
+              for _ in range(n_draws)] for s in grid.angular]
+    spf = np.array([random_staircase_signal(child, grid).values
+                    for child in np.random.SeedSequence(seed).spawn(n_draws)])
+    step = qspf.validate._draws_per_chunk(grid)
     try:
         worst = 0.0
-        for scheme in grid.angular:
-            size = scheme.n_points
-            for _ in range(n_draws):
-                coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-                back = forward_sht(inverse_sht(coeffs, scheme), scheme)
-                worst = max(worst, np.max(np.abs(back - coeffs)))
+        for i, scheme in enumerate(grid.angular):
+            for start in range(0, n_draws, step):
+                coeffs = np.array(draws[i][start : start + step]).T
+                shells = _to_shells(spf[start : start + step].T, grid.index, grid)
+                block = np.hstack([coeffs, shells[i]])
+                back = _analyse(_synthesise([block], (scheme,)), (scheme,))[0]
+                worst = max(worst, np.max(np.abs(back[:, : coeffs.shape[1]] - coeffs)))
         check = {"value": float(worst), "threshold": bound, "passed": bool(worst <= bound)}
     except ConditioningError as exc:
         check = {"value": None, "threshold": bound, "passed": False, "error": str(exc)}
@@ -126,17 +140,48 @@ def test_round_trip_across_shells_reports_what_the_per_shell_loop_did(layout):
         assert first != second and first in report["checks"]["sht_round_trip"]["error"]
 
 
-def test_validation_takes_one_fft_call_per_ring_size_per_round_trip(monkeypatch):
+def count_fft_calls(monkeypatch):
     calls = {"fft": 0, "ifft": 0}
     for name in calls:
         def counted(*args, name=name, original=getattr(np.fft, name), **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def test_validation_takes_one_fft_call_per_ring_size_per_round_trip(monkeypatch):
+    calls = count_fft_calls(monkeypatch)
     run_validation(build_grid(4, 8000.0, (3, 5, 9, 11)), n_draws=1)
-    # 6 ring sizes, once for the angular and once for the full round trip; 16 + 6 when the
-    # angular round trip went shell by shell
-    assert calls == {"fft": 12, "ifft": 12}
+    # 6 ring sizes, the angular and the full round trip's columns in one block; 12 when
+    # the two round trips took a pass each, 16 + 6 when the angular one went shell by shell
+    assert calls == {"fft": 6, "ifft": 6}
+
+
+@pytest.mark.parametrize("bandlimits", [(3, 5, 9, 11), (15, 25, 41, 63)], ids=str)
+def test_validation_takes_one_fft_call_per_ring_size_per_chunk(bandlimits, monkeypatch):
+    grid = build_grid(4, 8000.0, bandlimits)
+    chunks = -(-100 // qspf.validate._draws_per_chunk(grid))
+    assert chunks == (1 if bandlimits == (3, 5, 9, 11) else 12)
+    calls = count_fft_calls(monkeypatch)
+    run_validation(grid, n_draws=100)
+    ring_sizes = max(bandlimits) // 2 + 1
+    assert calls == {"fft": ring_sizes * chunks, "ifft": ring_sizes * chunks}
+
+
+@pytest.mark.parametrize("n_draws", [100, 400])
+def test_validation_memory_above_the_draws_stays_within_the_chunk_budget(n_draws):
+    grid = build_grid(4, 8000.0, (15, 25, 41, 63))
+    run_validation(grid, n_draws=1)  # memos
+    held = n_draws * grid.n_samples * 16  # the angular round trip's draws
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_validation(grid, n_draws=n_draws)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= qspf.validate._CHUNK_BYTES
 
 
 @pytest.mark.parametrize("n_shells", [65, 86, 362])

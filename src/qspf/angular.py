@@ -16,15 +16,19 @@ system over its usable rings, and ring f's step solves |m| = 2f and 2f-1.
 The built-in ring latitudes rescale a uniform layout by a factor recorded
 per band limit, the one whose worst such system is best conditioned.
 
-Both transforms keep the per-ring FFT bins in one flat array in sample
-order, so order m sits at ring k's first sample + m mod n_k on all rings
-at once. Ring k holds 4k+1 samples on every scheme that has it, so the
-ring FFTs of several schemes laid end to end take one np.fft call per
-ring index, a 2-D call with one row per scheme: a grid's shells at band
-limits 3/5/9/11 take 6 calls instead of 16, at 15/25/41/63 32 instead of
-74. The transforms' two halves, _analyse and _synthesise, work that way
-on any tuple of schemes: forward_sht and inverse_sht are the one-scheme
-case, its rings taken in place; forward_spf and synthesize_on_grid the
+Both transforms keep the per-ring FFT bins in one flat array, so order m
+sits at ring k's first bin + m mod n_k on all rings at once. Ring k holds
+4k+1 samples on every scheme that has it, so the ring FFTs of several
+schemes laid end to end take one np.fft call per ring index, a 2-D call
+with one row per scheme, and ring 0, one point, takes none: a grid's
+shells at band limits 3/5/9/11 take 5 calls instead of 16, at 15/25/41/63
+31 instead of 74. The forward transform gathers its samples into ring
+order, ring k of every scheme one after another, and the inverse's fold
+writes its bins in that order, so each ring index is one slice,
+transformed in place, and one gather puts the result in sample order.
+The transforms' two halves, _analyse and _synthesise, work that way on
+any tuple of schemes: forward_sht and inverse_sht are the one-scheme
+case, whose two orders are one; forward_spf and synthesize_on_grid the
 grid case. The index arrays are built once per tuple of schemes (the
 most recent 32 tuples), read-only.
 
@@ -48,11 +52,11 @@ forward transform, of one shell or of a grid, passes that one gate.
 +m and -m share one real matrix, so per ring the forward transform applies
 the stored Q^T, then R^-1, to Re and Im of +-|m| as four columns per
 order, and takes their spill off the smaller rings' bins with a
-np.subtract.at. The inverse adds all orders of a scheme at once, one
-batched matmul, and one np.bincount over the Re and Im slots of every
-scheme's bins folds them all. Both scatters add up the bins +m and -m
-share on ring 0 and wherever 4k+1 divides m, bincount each bin from 0.0
-in index order, as np.add.at would.
+np.subtract.at. The inverse gathers every scheme's coefficients at once,
+adds all orders of a scheme in one batched matmul, and one np.bincount
+over the Re and Im slots of every scheme's bins folds them all. Both
+scatters add up the bins +m and -m share on ring 0 and wherever 4k+1
+divides m, bincount each bin from 0.0 in index order, as np.add.at would.
 
 A scheme depends on its band limit and ring placements alone, so
 make_angular_scheme builds each once per process and hands every caller
@@ -69,6 +73,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -300,7 +305,7 @@ def _analyse(values, schemes: tuple) -> list:
     for scheme in schemes:
         _refuse_ill_conditioned("angular scheme is too ill-conditioned for a trustworthy transform",
                                 scheme.condition)
-    bins, start, out = _ring_dft(values, schemes), 0, []
+    bins, start, out = _ring_dft(np.asarray(values, dtype=complex), schemes), 0, []
     for scheme in schemes:
         out.append(_solve_rings(bins[start : start + scheme.n_points], scheme))
         start += scheme.n_points
@@ -346,79 +351,107 @@ def _synthesise(coeffs, schemes: tuple) -> np.ndarray:
     """inverse_sht of one coefficient array per scheme, unchecked: the samples laid end to end.
 
     Coefficients (n_points,) or (n_points, V) per scheme give samples (n,)
-    or (n, V). Each scheme's (order, ring, sign) content of every order and
-    column comes from one batched matmul, and one np.bincount adds all of it
-    into the Re and Im slots of the bins of every scheme and column, each
-    bin from 0.0 in the order np.add.at would take.
+    or (n, V). One gather takes every scheme's coefficients to its (order,
+    degree, sign) layout, one batched matmul per scheme makes their (order,
+    ring, sign) content, one product applies every phase, and one
+    np.bincount adds all of it into the Re and Im slots of the bins of every
+    scheme and column, each bin from 0.0 in the order np.add.at would take.
     """
     columns = coeffs[0].shape[1:]
     width, n = math.prod(columns), sum(s.n_points for s in schemes)
-    _, _, slots = _ring_plan(schemes)
-    content, start = np.empty((width, len(slots) // 2), dtype=complex), 0  # column by column
-    for values, s in zip(coeffs, schemes):
-        # (order, degree or ring, sign of m, columns)
-        by_degree = np.append(values, np.zeros((1, *columns), complex), axis=0)[s.positions]
-        by_ring = (s.rows @ by_degree.reshape(*s.rows.shape[:2], -1).view(float)).view(complex)
-        by_ring = by_ring.reshape(by_degree.shape)
-        by_ring *= s.phase.reshape(s.phase.shape + (1,) * len(columns))
-        content[:, start : start + s.bins.size] = by_ring.reshape(-1, width).T
-        start += s.bins.size
-    del by_degree, by_ring
-    # column v's Re and Im slots follow all of column v - 1's
-    slots = (slots + 2 * n * np.arange(width)[:, None]).ravel()
+    plan = _ring_plan(schemes)
+    # (entry, columns): each scheme's entries are its (order, degree or ring, sign of m)
+    by_degree = np.concatenate([*coeffs, np.zeros((1, *columns), complex)])[plan.positions]
+    content, start = np.empty_like(by_degree), 0
+    for s in schemes:
+        block = slice(start, start + s.bins.size)
+        np.matmul(s.rows, by_degree[block].reshape(*s.rows.shape[:2], -1).view(float),
+                  out=content[block].reshape(*s.rows.shape[:2], -1).view(float))
+        start = block.stop
+    del by_degree
+    content *= plan.phase.reshape(-1, *(1,) * len(columns))
+    slots = plan.slots
+    if width > 1:  # entry e's bin b takes slots 2 (b V + v) and 2 (b V + v) + 1 in column v
+        slots = (slots[::2, None] * np.intp(width) + np.arange(2 * width)).ravel()
     bins = np.bincount(slots, content.view(float).ravel(), 2 * n * width)
     del content  # not held through the inverse FFTs
-    return _ring_dft(bins.view(complex).reshape(width, n).T.reshape(n, *columns), schemes,
-                     inverse=True)
+    return _ring_dft(bins.view(complex).reshape(n, *columns), schemes, inverse=True)
+
+
+class _RingPlan(NamedTuple):
+    """Where the transforms of schemes laid end to end find their rings; see _ring_plan."""
+
+    order: np.ndarray
+    unorder: np.ndarray
+    rings: tuple
+    slots: np.ndarray
+    positions: np.ndarray
+    phase: np.ndarray
 
 
 @functools.lru_cache(maxsize=32)
-def _ring_plan(schemes: tuple):
-    """_ring_dft's blocks for schemes laid end to end, and where _synthesise adds each bin.
+def _ring_plan(schemes: tuple) -> _RingPlan:
+    """_ring_dft's ring order for schemes laid end to end, and _synthesise's gather and fold.
 
-    Ring k holds 4k+1 samples on every scheme that has it, so one block
-    takes ring k of all of them, one row per scheme: an index array of
-    (schemes, 4k+1). Returns (unorder, blocks, slots), where the blocks'
-    samples read one after another and taken at unorder are in sample
-    order again, and slots holds the Re and Im slots, in the float view of
-    the bins laid end to end, of every scheme's bins entry in turn. A
-    single scheme is ring-major already: its blocks are its ring slices
-    and unorder is None, so its samples are never gathered.
+    Ring k holds 4k+1 samples on every scheme that has it, so in ring order,
+    ring 0 of every scheme, then ring 1 of every scheme and so on, ring k
+    of all of them is one (schemes, 4k+1) block: rings holds (slice, shape)
+    of each for k >= 1. Ring 0, one sample per scheme, has none: its
+    one-point DFT is the identity. Samples taken at order are in ring order,
+    and ring-order values taken at unorder are in sample order again (None
+    for a single scheme, whose two orders are one).
+
+    Over every scheme's (order, degree or ring, sign) entries in turn, slots
+    holds each entry's Re and Im slots in the float view of the ring-order
+    bins, positions where it reads its coefficient among the schemes'
+    coefficients laid end to end with one zero after them (that zero for -0
+    and 2j < mu), and phase its phase.
     """
     starts = np.cumsum([0] + [s.n_points for s in schemes])
-    bins = np.concatenate([start + s.bins.ravel() for start, s in zip(starts, schemes)])
+    blocks = [np.array([start + s.rings[k].start for start, s in zip(starts, schemes)
+                        if k < len(s.rings)])[:, None] + np.arange(4 * k + 1)
+              for k in range(max(len(s.rings) for s in schemes))]
+    order = np.concatenate([block.ravel() for block in blocks])
+    unorder = np.argsort(order)
+    ends = np.cumsum([block.size for block in blocks])
+    rings = tuple((slice(end - block.size, end), block.shape)
+                  for end, block in zip(ends[1:], blocks[1:]))
+    bins = unorder[np.concatenate([start + s.bins.ravel() for start, s in zip(starts, schemes)])]
     # int32 halves the memo; adding _synthesise's column offsets takes it to intp
     slots = np.stack([2 * bins, 2 * bins + 1], axis=-1).astype(np.int32).ravel()
-    slots.flags.writeable = False
+    positions = np.concatenate([np.where(s.positions == s.n_points, starts[-1], start + s.positions)
+                                for start, s in zip(starts, schemes)], axis=None)
+    phase = np.concatenate([s.phase for s in schemes], axis=None)
     if len(schemes) == 1:
-        return None, schemes[0].rings, slots
-    blocks = tuple(
-        np.array([start + s.rings[k].start for start, s in zip(starts, schemes)
-                  if k < len(s.rings)])[:, None] + np.arange(4 * k + 1)
-        for k in range(max(len(s.rings) for s in schemes))
-    )
-    unorder = np.argsort(np.concatenate([block.ravel() for block in blocks]))
-    for array in (unorder, *blocks):
-        array.flags.writeable = False
-    return unorder, blocks, slots
+        unorder = None
+    for array in (order, unorder, slots, positions, phase):
+        if array is not None:
+            array.flags.writeable = False
+    return _RingPlan(order, unorder, rings, slots, positions, phase)
 
 
 def _ring_dft(values, schemes: tuple, inverse: bool = False) -> np.ndarray:
-    """Every ring's FFT, or inverse FFT, of the samples or bins of schemes laid end to end.
+    """Every ring's FFT of samples, or inverse FFT of bins, of schemes laid end to end.
 
+    The forward transform takes samples in sample order and gathers them
+    into ring order (see _ring_plan); the inverse takes bins that
+    _synthesise's fold wrote in ring order, and transforms them in place.
+    Either way each ring index k >= 1 is one slice, ring k of every scheme
+    and column, and takes one np.fft call in place (out=, which numpy.fft
+    takes from numpy 2.0 on, the floor in pyproject.toml), whose lines come out
+    bit for bit as the 1-D calls on each ring would; ring 0 stays as it is,
+    as its one-point DFT would leave it. The result is in sample order.
     norm="forward" puts the 1/n_k on the FFT, so a bin holds its order's
-    amplitude. One np.fft call per ring index, not per ring: each block of
-    _ring_plan takes ring k of every scheme and column in one call, whose
-    lines come out bit for bit as the 1-D calls on each ring would. The
-    result is in the order of values.
+    amplitude.
     """
-    unorder, blocks, _ = _ring_plan(schemes)
+    plan = _ring_plan(schemes)
     dft = np.fft.ifft if inverse else np.fft.fft
-    # the ring axis: 0 of a ring slice, 1 of an index block's (schemes, 4k+1)
-    axis = -values.ndim
-    out = np.concatenate([dft(values[block], axis=axis, norm="forward") for block in blocks],
-                         axis=None).reshape(values.shape)
-    return out if unorder is None else out[unorder]
+    if not inverse:
+        values = values[plan.order]  # a copy: the caller's samples stay as they are
+    for ring, shape in plan.rings:
+        block = values[ring].reshape(shape + values.shape[1:])
+        dft(block, axis=1, norm="forward", out=block)
+    return values if plan.unorder is None else values[plan.unorder]
 
 
 def dense_sht_oracle(values, scheme: AngularScheme) -> np.ndarray:

@@ -22,11 +22,14 @@ run; forward_spf and synthesize_on_grid make one matrix product per run
 against an (l, m) x shell table of per-shell harmonic coefficients. Their
 angular side goes by ring index across all shells, not shell by shell:
 one FFT call per ring size takes that ring on every shell that has it
-(6 calls at the defaults, against 16 rings). Each shell runs its own ring
-cascade; the inverse folds the bins of all shells with one np.bincount.
-The radial halves, _from_shells and _to_shells, take one column or a
-trailing axis of V, as the angular core does, so run_validation sends a
-chunk of draws through the same code as one call.
+(5 calls at the defaults, against 16 rings: ring 0's one point needs
+none). Each shell runs its own ring cascade; the inverse folds the bins
+of all shells with one np.bincount. The radial halves take a trailing
+axis of V columns, as the angular core does (_from_shells also one flat
+column, synthesize_on_grid's is V = 1), so run_validation sends a chunk of
+draws through the same code as one call; _to_shells also writes each
+shell's columns beside columns the caller already has for that shell,
+run_validation's angular draws.
 inverse_spf, the read side, goes one even degree at a time, its Legendre
 rows made by recurrence for every order at once, over blocks of a fixed
 number of points, so its working memory does not grow with the batch.
@@ -307,15 +310,15 @@ def _finite_values(coeffs: SpfCoefficients) -> np.ndarray:
 def forward_spf(grid: MultiShellGrid, samples, radial_mode: str = "staircase") -> SpfCoefficients:
     """Transform grid samples to coefficients, angularly then radially.
 
-    The ring FFTs of all shells come first, one call per ring size across
-    the shells (6 at the defaults). Each shell's ring cascade, the rest of
-    its exact angular transform, then fills one column of an (l, m) x
-    shell table, zero above its band limit; each run of degrees then takes
-    one product with the mode's radial map: the exact radial quadrature
-    when every shell carries the run, else the inverse collocation matrix.
-    The samples and the mode's radial map are checked before any of this
-    work, and every shell's angular conditioning in _analyse, the one gate
-    on the stored factors, before the first ring FFT.
+    The ring FFTs of all shells come first, one call per ring size above
+    one point across the shells (5 at the defaults). Each shell's ring
+    cascade, the rest of its exact angular transform, then fills one column
+    of an (l, m) x shell table, zero above its band limit; each run of
+    degrees then takes one product with the mode's radial map: the exact
+    radial quadrature when every shell carries the run, else the inverse
+    collocation matrix. The samples and the mode's radial map are checked
+    before any of this work, and every shell's angular conditioning in
+    _analyse, the one gate on the stored factors, before the first ring FFT.
 
     radial_mode "staircase" (default) returns the bijective coefficient
     set. Mode "zero_padded" instead treats degrees above a shell's band
@@ -536,32 +539,44 @@ def synthesize_on_grid(coeffs: SpfCoefficients, grid: MultiShellGrid) -> np.ndar
     which is where this differs from pointwise inverse_spf evaluation.
     A table with more radial orders than the grid has shells is refused.
     Each shell folds its harmonic coefficients onto its ring bins, and the
-    inverse ring FFTs of all shells take one call per ring size, so the
-    result is bit for bit the concatenated per-shell inverse_sht.
+    inverse ring FFTs of all shells take one call per ring size above one
+    point, so the result is bit for bit the concatenated per-shell
+    inverse_sht.
     """
     if abs(coeffs.zeta - grid.radial.zeta) > 1e-9 * max(coeffs.zeta, grid.radial.zeta):
         raise ValueError("coefficient table and grid use different radial scales")
     if len(coeffs.index.bandlimits) > grid.n_shells:
         raise ValueError("coefficient table has more radial orders than the grid has shells")
-    return _synthesise(_to_shells(coeffs.values, coeffs.index, grid), grid.angular)
+    shells = _to_shells(coeffs.values[:, None], coeffs.index, grid)
+    return _synthesise([shell[:, 0] for shell in shells], grid.angular)
 
 
-def _to_shells(values, index: StaircaseIndex, grid: MultiShellGrid) -> list:
+def _to_shells(values, index: StaircaseIndex, grid: MultiShellGrid, lead=None) -> list:
     """synthesize_on_grid's radial half: table columns to per-shell harmonic columns.
 
-    values is (index.size,) or (index.size, V). Row (l, m), column v, shell i
-    of the table is sum_n c_{n,l,m,v} R_n(q_i), one product per run of
-    degrees; shell i reads its leading rows, which must be finite.
+    values is (index.size, V). Row (l, m), column v, shell i of the table is
+    sum_n c_{n,l,m,v} R_n(q_i), one product per run of degrees, zero on rows
+    past the index's; shell i takes its leading rows, which must be finite.
+    Shell i's (n_points, K + V) result holds lead[i], its (n_points, K)
+    columns (K = 0 without lead), and then its V table columns.
     """
-    basis, columns = grid.radial.basis, values.shape[1:]
-    width = math.prod(columns)
-    top = max(index.bandlimits + grid.bandlimits)
-    table = np.zeros((top * (top + 1) // 2, width, grid.n_shells), dtype=complex)
+    basis, width = grid.radial.basis, values.shape[1]
+    top = index.runs[-1][2].stop
+    table = np.empty((top, width, grid.n_shells), dtype=complex)
     for carried, entries, rows in index.runs:
         n = len(carried)
         by_n = values[entries].reshape(-1, n, width).swapaxes(1, 2).reshape(-1, n)
-        table[rows] = (by_n @ basis[:n]).reshape(-1, width, grid.n_shells)
-    shells = [table[: s.n_points, :, i].reshape(-1, *columns) for i, s in enumerate(grid.angular)]
-    if not all(np.isfinite(shell).all() for shell in shells):
-        raise ValueError("coefficients must be finite")
+        np.matmul(by_n, basis[:n], out=table[rows].reshape(-1, grid.n_shells))
+    if lead is None:
+        lead = [np.empty((s.n_points, 0), dtype=complex) for s in grid.angular]
+    shells = []
+    for i, (s, before) in enumerate(zip(grid.angular, lead)):
+        k = before.shape[1]
+        shell = np.empty((s.n_points, k + width), dtype=complex)
+        shell[:, :k] = before
+        shell[:top, k:] = table[: s.n_points, :, i]
+        shell[top:, k:] = 0.0
+        if not np.isfinite(shell).all():
+            raise ValueError("coefficients must be finite")
+        shells.append(shell)
     return shells

@@ -250,12 +250,17 @@ def radial_collocation_solve(values, shells, scheme: RadialScheme) -> np.ndarray
     Raises
     ------
     ValueError
-        If a shell index is outside 0 .. N - 1, or values do not pair with shells.
+        If a shell index is not an integer (1.0 passes as 1, 0.5 does not) or
+        is outside 0 .. N - 1, or values do not pair with shells.
     ConditioningError
         If the collocation matrix condition number exceeds 1e8.
     """
-    values = np.asarray(values)
-    shells = np.asarray(shells, dtype=int)
+    values, shells = np.asarray(values), np.asarray(shells)
+    given = shells.ravel().tolist()
+    indices = [_as_int(shell) for shell in given]
+    if None in indices:
+        raise ValueError(f"shell index {given[indices.index(None)]!r} is not an integer")
+    shells = np.array(indices, dtype=int).reshape(shells.shape)
     if values.shape != shells.shape:
         raise ValueError(f"{len(shells)} shells but {values.shape} values")
     if len(shells) > scheme.n_shells:

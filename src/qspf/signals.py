@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multishell import MultiShellGrid, SpfCoefficients, _paired
+from .multishell import MultiShellGrid, SpfCoefficients, StaircaseIndex, _paired
 
 __all__ = [
     "TensorComponent",
@@ -107,16 +107,38 @@ def random_staircase_signal(seed, grid: MultiShellGrid) -> SpfCoefficients:
     (-1)^m conj(c_{n,l,m}), so the synthesized samples are real. seed is
     anything numpy's default_rng takes, an int or a SeedSequence.
     """
-    index = grid.index
+    values = _staircase_values([seed], _draw_layout(grid.index))[0]
+    return SpfCoefficients(grid.index, grid.radial.zeta, grid.radial.convention, values)
+
+
+def _draw_layout(index: StaircaseIndex) -> tuple:
+    """Where random_staircase_signal's draws go: (count, re_at, im_at, re_sign, im_sign).
+
+    Of count draws d in entry order, one per m = 0 entry, (re, im) per m > 0
+    and none for m < 0, entry k holds re_sign[k] d[re_at[k]] + i im_sign[k]
+    d[im_at[k]], where d[count] = 0 is the imaginary part at m = 0 and an
+    entry m < 0 reads its partner's draws: (-1)^m conj(c_{n,l,|m|}).
+    """
     m = index.orders
-    # draws in entry order: one per m = 0 entry, (re, im) per m > 0, none (two pads) for m < 0
     counts = np.sign(m) + 1
     first = np.cumsum(counts) - counts
-    draws = np.append(np.random.default_rng(seed).standard_normal(counts.sum()), [0.0, 0.0])
-    imag = np.where(m > 0, draws[first + 1], 0.0)
-    values = draws[first] + 1j * imag
-    return SpfCoefficients(index, grid.radial.zeta, grid.radial.convention,
-                           np.where(m < 0, index.mirrored(values), values))
+    count = int(counts.sum())
+    own, sign = m >= 0, np.where(m % 2, -1.0, 1.0)
+    re_at = np.where(own, first, first[index.partner])
+    im_at = np.where(m > 0, first + 1, np.where(own, count, first[index.partner] + 1))
+    return count, re_at, im_at, np.where(own, 1.0, sign), np.where(own, 1.0, -sign)
+
+
+def _staircase_values(seeds, layout: tuple) -> np.ndarray:
+    """random_staircase_signal's values for each seed, a row per seed, laid out by _draw_layout."""
+    count, re_at, im_at, re_sign, im_sign = layout
+    draws = np.zeros((len(seeds), count + 1))
+    for row, seed in zip(draws, seeds):
+        np.random.default_rng(seed).standard_normal(out=row[:count])
+    values = np.empty((len(seeds), len(re_at)), dtype=complex)
+    np.multiply(draws[:, re_at], re_sign, out=values.real)
+    np.multiply(draws[:, im_at], im_sign, out=values.imag)
+    return values
 
 
 def add_rician_noise(values, sigma: float, seed: int):

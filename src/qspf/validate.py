@@ -9,12 +9,16 @@ demonstrable failure just beyond it), well-conditioned angular systems,
 and transform round trips at numerical precision. The two round trips
 go through the transforms together, a chunk of draws at a time: each
 chunk is one block of columns, one synthesis and one analysis pass over
-every shell, so a report makes one np.fft call per ring size and
-direction per chunk (6 + 6 at the default grid, whatever the draws).
+every shell, so a report makes one np.fft call per ring size above one
+point and direction per chunk (5 + 5 at the default grid, whatever the
+draws). What depends on the grid alone, the radial and angular checks
+and the layout of the draws, is computed once per grid and kept, so a
+report's own work is its draws and those two passes.
 """
 
 from __future__ import annotations
 
+import functools
 from math import lgamma, log
 
 import numpy as np
@@ -22,7 +26,7 @@ import numpy as np
 from .angular import _analyse, _synthesise
 from .errors import ConditioningError, _as_int
 from .multishell import MultiShellGrid, _from_shells, _radial_gate, _to_shells
-from .signals import random_staircase_signal
+from .signals import _draw_layout, _staircase_values
 
 __all__ = ["run_validation", "REPORT_THRESHOLDS"]
 
@@ -42,9 +46,9 @@ REPORT_THRESHOLDS = {
 # with four times as much
 _CHUNK_BYTES = 8 << 20
 # what a chunk holds per draw (its two columns), in bytes per sample and per harmonic table
-# cell: tracemalloc read 56-75 from 4 draws per chunk at 11/19/29/41 and 15/25/41/63, and 64
-# at 64 draws per chunk at 3/5/9/11, where fixed costs weigh more in smaller chunks
-_BYTES_PER_DRAW = 80
+# cell: tracemalloc's peak above the held draws, over two chunks of 8 and of 64 draws, grew
+# by 66.5 per draw at 3/5/9/11 and 60.7 at 15/25/41/63
+_BYTES_PER_DRAW = 67
 
 
 def _check(value: float, threshold: float, larger_is_better: bool = False) -> dict:
@@ -57,20 +61,19 @@ def _failed(threshold: float, reason: str) -> dict:
     return {"value": None, "threshold": threshold, "passed": False, "error": reason}
 
 
-def _complex_normals(rng, rows: int, size: int) -> np.ndarray:
-    """(rows, size) values re + i im, each row's re and im drawn after the previous row's.
+def _complex_normals(rng, out: np.ndarray) -> None:
+    """Fill out, (rows, size), with re + i im, each row's re and im drawn after the previous row's.
 
     The same values as one rng.standard_normal((rows, 2, size)), drawn in pieces
     of at most half of _CHUNK_BYTES.
     """
-    out = np.empty((rows, size), dtype=complex)
+    rows, size = out.shape
     piece = max(1, _CHUNK_BYTES // (32 * size))
     for start in range(0, rows, piece):
         z = rng.standard_normal((min(piece, rows - start), 2, size))
         out[start : start + len(z)].real = z[:, 0]
         out[start : start + len(z)].imag = z[:, 1]
         del z  # not held while the next piece is drawn
-    return out
 
 
 def _draws_per_chunk(grid: MultiShellGrid) -> int:
@@ -79,58 +82,18 @@ def _draws_per_chunk(grid: MultiShellGrid) -> int:
     return max(1, _CHUNK_BYTES // (_BYTES_PER_DRAW * (grid.n_samples + top * grid.n_shells)))
 
 
-def _round_trips(grid: MultiShellGrid, sht: list, spf) -> tuple:
-    """One chunk of both round trips, in one synthesis and one analysis pass over every shell.
+@functools.lru_cache(maxsize=16)
+def _grid_checks(grid: MultiShellGrid) -> tuple:
+    """What a report takes from the grid alone, once per grid: (checks, radial_error, layout).
 
-    sht holds each shell's (n_points, k) angular coefficient columns, spf the full round
-    trip's (index.size, k) table columns, or None to leave that round trip out. Returns
-    what comes back of each: the per-shell columns, and the table columns or None.
+    checks holds the radial orthonormality, Gaussian-moment, quadrature
+    sharpness and angular conditioning checks, their lists as tuples;
+    radial_error is the staircase radial map's refusal, or None; layout is
+    random_staircase_signal's draw layout over the grid's index. Keyed on the
+    grid object, the most recent 16 grids; a grid rebuilt from a descriptor is
+    another object with its own entry.
     """
-    k = sht[0].shape[1]
-    columns = sht if spf is None else [
-        np.hstack(pair) for pair in zip(sht, _to_shells(spf, grid.index, grid))]
-    back = _analyse(_synthesise(columns, grid.angular), grid.angular)
-    if spf is None:
-        return back, None
-    table = _from_shells([b[:, k:] for b in back], grid, "staircase")
-    if not np.isfinite(table).all():
-        raise ValueError("coefficient values must be finite")
-    return [b[:, :k] for b in back], table
-
-
-def run_validation(grid: MultiShellGrid, seed: int = 0, n_draws: int = 100) -> dict:
-    """Run every scheme self-check on a grid and collect a report dictionary.
-
-    A ConditioningError raised by any transform marks that check failed
-    rather than aborting the run. The report's top-level "passed" is the
-    conjunction of all checks. n_draws and seed are integers (2.0 passes as
-    2, 2.5 does not); n_draws < 1 is an error, since nothing would be
-    checked, and so is seed < 0, which no random generator takes.
-
-    The angular round trip draws all its inputs before the first transform,
-    shell by shell in the order one draw per shell at a time would take
-    them: n_draws x n_samples complex values are held, 211 kB at the
-    default grid with 100 draws and 5.3 MB at band limits 15/25/41/63. The
-    full round trip draws one child of the seed per draw, a chunk at a time.
-    Each chunk of draws then makes one block of columns, its angular draws
-    and the per-shell harmonic columns of its full-round-trip tables, and
-    takes one synthesis and one analysis pass: one np.fft call per ring size
-    and direction. A chunk takes as many draws as fit in 8 MB of working
-    memory (_CHUNK_BYTES): all of up to 264 at the default grid, so a
-    100-draw report makes 6 + 6 calls where one draw at a time made 1200 +
-    1200, and 9 at 15/25/41/63, 12 chunks for 100 draws. The first chunk's
-    analysis refuses an ill-conditioned shell before any ring FFT, so such a
-    grid costs the draws, the first chunk's tables and one synthesis pass,
-    and its report is the same.
-    """
-    for name, value, least in (("n_draws", n_draws, 1), ("seed", seed, 0)):
-        if _as_int(value) is None:
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
-    n_draws, seed = int(n_draws), int(seed)
     radial = grid.radial
-    rng = np.random.default_rng(seed)
     checks = {}
 
     # orthonormality of the radial basis under the shell quadrature
@@ -148,7 +111,7 @@ def run_validation(grid: MultiShellGrid, seed: int = 0, n_draws: int = 100) -> d
     log_integrals = np.array([lgamma(k + 1.5) for k in j]) + log(0.5)
     log_weights = np.log(radial.weights) - 1.5 * log(radial.zeta) - radial.roots
     terms = np.exp(log_weights + np.outer(j, np.log(radial.roots)) - log_integrals[:, None])
-    moment_residuals = np.abs(terms.sum(axis=1) - 1.0).tolist()
+    moment_residuals = tuple(np.abs(terms.sum(axis=1) - 1.0).tolist())
     checks["gaussian_moments"] = _check(
         max(moment_residuals[: 2 * radial.n_shells]),
         REPORT_THRESHOLDS["gaussian_moments"],
@@ -161,33 +124,108 @@ def run_validation(grid: MultiShellGrid, seed: int = 0, n_draws: int = 100) -> d
     )
 
     # per-order conditioning of every shell's angular solve
-    per_shell_cond = [scheme.order_conditions.tolist() for scheme in grid.angular]
+    per_shell_cond = tuple(tuple(scheme.order_conditions.tolist()) for scheme in grid.angular)
     checks["sht_conditioning"] = _check(
         max(max(c) for c in per_shell_cond), REPORT_THRESHOLDS["sht_conditioning"]
     )
     checks["sht_conditioning"]["per_shell"] = per_shell_cond
 
-    # the two randomised round trips: the angular draws come first, then both round trips go
-    # through the transforms together, one chunk of draws at a time
-    sht_draws = [_complex_normals(rng, n_draws, s.n_points) for s in grid.angular]
-    children = np.random.SeedSequence(seed).spawn(n_draws)
-    worst, errors = {"sht_round_trip": 0.0, "spf_round_trip": 0.0}, {}
     try:
         _radial_gate(grid, "staircase")
+        radial_error = None
     except ConditioningError as exc:
-        errors["spf_round_trip"] = str(exc)
+        radial_error = str(exc)
+    return checks, radial_error, _draw_layout(grid.index)
+
+
+def _round_trips(grid: MultiShellGrid, sht: list, spf) -> tuple:
+    """One chunk of both round trips, in one synthesis and one analysis pass over every shell.
+
+    sht holds each shell's (n_points, k) angular coefficient columns, spf the full round
+    trip's (index.size, k) table columns, or None to leave that round trip out. Returns
+    what comes back of each: the per-shell columns, and the table columns or None.
+    """
+    k = sht[0].shape[1]
+    columns = sht if spf is None else _to_shells(spf, grid.index, grid, lead=sht)
+    back = _analyse(_synthesise(columns, grid.angular), grid.angular)
+    if spf is None:
+        return back, None
+    return [b[:, :k] for b in back], _from_shells([b[:, k:] for b in back], grid, "staircase")
+
+
+def run_validation(grid: MultiShellGrid, seed: int = 0, n_draws: int = 100) -> dict:
+    """Run every scheme self-check on a grid and collect a report dictionary.
+
+    A ConditioningError raised by any transform marks that check failed
+    rather than aborting the run. The report's top-level "passed" is the
+    conjunction of all checks. n_draws and seed are integers (2.0 passes as
+    2, 2.5 does not); n_draws < 1 is an error, since nothing would be
+    checked, and so is seed < 0, which no random generator takes.
+
+    The checks that depend on the grid alone (radial orthonormality, the
+    Gaussian moments and quadrature sharpness, the angular conditioning and
+    whether the staircase radial maps are well conditioned) are computed
+    once per grid object and kept, as is the layout of the full round
+    trip's draws (the most recent 16 grids); each report gets its own
+    copies of their dicts and lists. A report's own work is its draws and
+    the two round trips.
+
+    The angular round trip draws all its inputs before the first transform,
+    shell by shell in the order one draw per shell at a time would take
+    them: n_draws x n_samples complex values are held, 211 kB at the
+    default grid with 100 draws and 5.3 MB at band limits 15/25/41/63. The
+    full round trip draws one child of the seed per draw, a chunk at a time,
+    the values random_staircase_signal gives for it. Each chunk of draws
+    then makes one block of columns, its angular draws beside the per-shell
+    harmonic columns of its full-round-trip tables, and takes one synthesis
+    and one analysis pass: one np.fft call per ring size above one point
+    and direction. A chunk takes as many draws as fit in 8 MB of working
+    memory (_CHUNK_BYTES): all of up to 316 at the default grid, so a
+    100-draw report makes 5 + 5 calls where one draw at a time made 1200 +
+    1200, and 10 at 15/25/41/63, 10 chunks for 100 draws. Each round trip's
+    miss over a chunk is one reduction over every shell, NaN included. The
+    first chunk's analysis refuses an ill-conditioned shell before any ring
+    FFT, so such a grid costs the draws, the first chunk's tables and one
+    synthesis pass, and its report is the same.
+    """
+    for name, value, least in (("n_draws", n_draws, 1), ("seed", seed, 0)):
+        if _as_int(value) is None:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+    n_draws, seed = int(n_draws), int(seed)
+    memo, radial_error, layout = _grid_checks(grid)
+    checks = {name: dict(check) for name, check in memo.items()}
+    checks["gaussian_moments"]["residuals"] = list(checks["gaussian_moments"]["residuals"])
+    checks["sht_conditioning"]["per_shell"] = [
+        list(c) for c in checks["sht_conditioning"]["per_shell"]]
+
+    # the two randomised round trips: the angular draws come first, then both round trips go
+    # through the transforms together, one chunk of draws at a time
+    rng, shells, start = np.random.default_rng(seed), [], 0
+    sht_draws = np.empty((n_draws, grid.n_samples), dtype=complex)
+    for scheme in grid.angular:
+        shells.append(slice(start, start + scheme.n_points))
+        _complex_normals(rng, sht_draws[:, shells[-1]])
+        start += scheme.n_points
+    children = np.random.SeedSequence(seed).spawn(n_draws)
+    worst = {"sht_round_trip": 0.0, "spf_round_trip": 0.0}
+    errors = {} if radial_error is None else {"spf_round_trip": radial_error}
     step = _draws_per_chunk(grid)
     try:
         for start in range(0, n_draws, step):
-            sht = [draws[start : start + step].T for draws in sht_draws]
-            spf = None if "spf_round_trip" in errors else np.array(
-                [random_staircase_signal(c, grid).values for c in children[start : start + step]]).T
-            sht_back, spf_back = _round_trips(grid, sht, spf)
-            worst["sht_round_trip"] = max(worst["sht_round_trip"],
-                                          *(np.max(np.abs(b - c)) for b, c in zip(sht_back, sht)))
+            sht = sht_draws[start : start + step].T
+            spf = None if radial_error is not None else _staircase_values(
+                children[start : start + step], layout).T
+            sht_back, spf_back = _round_trips(grid, [sht[shell] for shell in shells], spf)
+            miss = np.max(np.abs(np.concatenate(sht_back) - sht))
+            worst["sht_round_trip"] = np.maximum(worst["sht_round_trip"], miss)
             if spf is not None:
-                worst["spf_round_trip"] = max(worst["spf_round_trip"],
-                                              np.max(np.abs(spf_back - spf)))
+                miss = np.max(np.abs(spf_back - spf))
+                if not np.isfinite(miss):
+                    raise ValueError("coefficient values must be finite")
+                worst["spf_round_trip"] = np.maximum(worst["spf_round_trip"], miss)
+            del spf, sht_back, spf_back  # not held while the next chunk is drawn and run
     except ConditioningError as exc:
         for name in worst:
             errors.setdefault(name, str(exc))
@@ -201,7 +239,7 @@ def run_validation(grid: MultiShellGrid, seed: int = 0, n_draws: int = 100) -> d
     return {
         "passed": all(c["passed"] for c in checks.values()),
         "n_shells": grid.n_shells,
-        "b_max": radial.b_max,
+        "b_max": grid.radial.b_max,
         "bandlimits": list(grid.bandlimits),
         "n_samples": grid.n_samples,
         "checks": checks,

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -219,6 +220,22 @@ def test_collocation_refuses_shell_indices_outside_the_scheme(scheme):
     for shells, named in (([-1], "-1"), ([n], str(n)), ([1, n + 2], str(n + 2)), ([-3, 2], "-3")):
         with pytest.raises(ValueError, match=f"shell index {named} is outside 0 .. {n - 1}"):
             radial_collocation_solve(np.ones(len(shells)), shells, scheme)
+
+
+@pytest.mark.parametrize("shells, bad", [([0.5], 0.5), ([1, 2.5], 2.5), (["1"], "1"),
+                                         ([float("nan")], float("nan"))], ids=str)
+def test_collocation_refuses_shell_indices_that_are_not_integers(scheme, shells, bad):
+    # 0.5 once truncated to shell 0 and solved there
+    with pytest.raises(ValueError, match=f"shell index {re.escape(repr(bad))} is not an integer"):
+        radial_collocation_solve(np.ones(len(shells)), shells, scheme)
+
+
+def test_collocation_takes_integral_floats_as_their_integers(scheme):
+    values = np.array([0.3, -1.2])
+    want = radial_collocation_solve(values, [2, 3], scheme)
+    for shells in ([2.0, 3.0], np.array([2.0, 3.0]), np.array([2, 3], dtype=np.int32)):
+        assert radial_collocation_solve(values, shells, scheme).tobytes() == want.tobytes()
+    assert radial_collocation_solve([1.0], [1.0], scheme) == radial_collocation_solve([1], [1], scheme)
 
 
 def test_collocation_flags_singular_systems(scheme):

@@ -13,6 +13,8 @@ from qspf.multishell import (
 )
 from qspf.signals import (
     TensorComponent,
+    _draw_layout,
+    _staircase_values,
     add_rician_noise,
     multi_tensor_eval,
     random_staircase_signal,
@@ -155,6 +157,11 @@ def test_random_staircase_signal_matches_per_entry_draws(bandlimits):
         assert coeffs.index is grid.index
         assert (coeffs.zeta, coeffs.convention) == (grid.radial.zeta, convention)
         assert np.array_equal(coeffs.values, _per_entry_staircase_signal(seed, bandlimits))
+    # run_validation draws a chunk's tables for several seeds at once, SeedSequence children
+    seeds = [0, 1, 17, 2024, *np.random.SeedSequence(7).spawn(3)]
+    rows = _staircase_values(seeds, _draw_layout(grid.index))
+    for row, seed in zip(rows, seeds, strict=True):
+        assert np.array_equal(row, _per_entry_staircase_signal(seed, bandlimits))
 
 
 def test_random_staircase_signal_validation():

@@ -10,6 +10,7 @@ import qspf.signals
 import qspf.validate
 from qspf import build_grid
 from qspf.angular import _analyse, _synthesise, make_angular_scheme
+from qspf.cli import descriptor_from_grid, grid_from_descriptor
 from qspf.errors import ConditioningError
 from qspf.multishell import _to_shells
 from qspf.signals import random_staircase_signal
@@ -54,12 +55,12 @@ def test_full_transform_draws_differ_across_seeds(monkeypatch):
     # seeds s and s + 1 once shared all but one of their draws
     drawn = []
 
-    def recording(*args, **kwargs):
-        coeffs = qspf.signals.random_staircase_signal(*args, **kwargs)
-        drawn.append(coeffs.values)
-        return coeffs
+    def recording(seeds, layout):
+        values = qspf.signals._staircase_values(seeds, layout)
+        drawn.extend(values)
+        return values
 
-    monkeypatch.setattr(qspf.validate, "random_staircase_signal", recording)
+    monkeypatch.setattr(qspf.validate, "_staircase_values", recording)
     grid = build_grid(2, 1000.0, (3, 5))
     for seed in (0, 1):
         run_validation(grid, seed=seed, n_draws=3)
@@ -153,19 +154,20 @@ def count_fft_calls(monkeypatch):
 def test_validation_takes_one_fft_call_per_ring_size_per_round_trip(monkeypatch):
     calls = count_fft_calls(monkeypatch)
     run_validation(build_grid(4, 8000.0, (3, 5, 9, 11)), n_draws=1)
-    # 6 ring sizes, the angular and the full round trip's columns in one block; 12 when
-    # the two round trips took a pass each, 16 + 6 when the angular one went shell by shell
-    assert calls == {"fft": 6, "ifft": 6}
+    # 6 ring sizes, the one-point ring 0 taking no call, the angular and the full round trip's
+    # columns in one block; 12 + 12 when the two round trips took a pass each and ring 0 a
+    # call, 16 + 6 when the angular one went shell by shell
+    assert calls == {"fft": 5, "ifft": 5}
 
 
 @pytest.mark.parametrize("bandlimits", [(3, 5, 9, 11), (15, 25, 41, 63)], ids=str)
 def test_validation_takes_one_fft_call_per_ring_size_per_chunk(bandlimits, monkeypatch):
     grid = build_grid(4, 8000.0, bandlimits)
     chunks = -(-100 // qspf.validate._draws_per_chunk(grid))
-    assert chunks == (1 if bandlimits == (3, 5, 9, 11) else 12)
+    assert chunks == (1 if bandlimits == (3, 5, 9, 11) else 10)
     calls = count_fft_calls(monkeypatch)
     run_validation(grid, n_draws=100)
-    ring_sizes = max(bandlimits) // 2 + 1
+    ring_sizes = max(bandlimits) // 2  # of more than one point
     assert calls == {"fft": ring_sizes * chunks, "ifft": ring_sizes * chunks}
 
 
@@ -182,6 +184,43 @@ def test_validation_memory_above_the_draws_stays_within_the_chunk_budget(n_draws
     finally:
         tracemalloc.stop()
     assert peak - held <= qspf.validate._CHUNK_BYTES
+
+
+def _mutate(value):
+    """Change every entry of value, a dict or list, and of every dict and list in it, in place."""
+    for key, item in list(value.items() if isinstance(value, dict) else enumerate(value)):
+        if isinstance(item, (dict, list)):
+            _mutate(item)
+        else:
+            value[key] = "mutated"
+    if isinstance(value, dict):
+        value["added"] = True
+    else:
+        value.append("added")
+
+
+@pytest.mark.parametrize("layout", [(3, 5, 9, 11), (1,), "degenerate"], ids=str)
+def test_report_memo_hands_every_report_its_own_dicts_and_lists(layout):
+    grid = _degenerate_grid() if layout == "degenerate" else build_grid(
+        len(layout), 8000.0, layout)
+    report = run_validation(grid, seed=3, n_draws=1)
+    want = json.dumps(report)
+    _mutate(report)
+    assert report["checks"]["sht_conditioning"]["per_shell"][0][-1] == "added"
+    assert json.dumps(run_validation(grid, seed=3, n_draws=1)) == want
+
+
+def test_report_memo_gives_a_default_grid_and_its_rebuild_the_same_report():
+    # the built-in layout and a descriptor's explicit ring placements make two grids, so two
+    # memo entries, which must report the same bytes
+    for bandlimits in LADDER:
+        grid = build_grid(4, 8000.0, bandlimits)
+        rebuilt = grid_from_descriptor(json.loads(json.dumps(descriptor_from_grid(grid))))
+        assert rebuilt is not grid
+        assert qspf.validate._grid_checks(rebuilt) is not qspf.validate._grid_checks(grid)
+        for seed in (0, 1):
+            assert (json.dumps(run_validation(rebuilt, seed=seed, n_draws=1))
+                    == json.dumps(run_validation(grid, seed=seed, n_draws=1)))
 
 
 @pytest.mark.parametrize("n_shells", [65, 86, 362])

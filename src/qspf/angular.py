@@ -27,10 +27,12 @@ order, ring k of every scheme one after another, and the inverse's fold
 writes its bins in that order, so each ring index is one slice,
 transformed in place, and one gather puts the result in sample order.
 The transforms' two halves, _analyse and _synthesise, work that way on
-any tuple of schemes: forward_sht and inverse_sht are the one-scheme
-case, whose two orders are one; forward_spf and synthesize_on_grid the
-grid case. The index arrays are built once per tuple of schemes (the
-most recent 32 tuples), read-only.
+any tuple of schemes (forward_sht and inverse_sht are the one-scheme case,
+forward_spf and synthesize_on_grid the grid case), with index arrays built
+once per tuple of schemes (the most recent 32 tuples), read-only. Their
+coefficients are one harmonic table (_table), which the radial halves in
+multishell take and give too: row r = l(l+1)/2 + m of scheme i holds its
+(l, m) coefficient, and its rows from its own n_points up are zero.
 
 Samples, bins and coefficients may also carry a trailing column axis,
 (n, V): V signals through the same schemes at once. Every step of either
@@ -102,8 +104,9 @@ class AngularScheme:
     P_{2j}^mu(cos theta_k), zero for 2j < mu, serves +mu and -mu
     (Y_l^{-m} = (-1)^m conj Y_l^m). Along the last axis (+mu, -mu), bins
     is m's flat FFT bin on each ring, phase is exp(i m phi_k) negated for
-    negative odd m, and positions[mu, j] the place of (2j, m) in the
-    coefficient array, or one past the end for 2j < mu and for -0.
+    negative odd m, and positions[mu, j] the row of (2j, m) in the
+    coefficient array, or -1 for 2j < mu and for -0: the last row of a
+    harmonic table (see _table), which stays zero.
     rings slices each ring's samples, 4k+1 on ring k. Rings from first =
     (mu+1)//2 on resolve mu, so rows[mu, first:, first:] is its solve
     matrix; order_conditions[mu] is that matrix's condition number, and
@@ -249,13 +252,13 @@ def _scheme(bandlimit: int, thetas, phi_offsets) -> AngularScheme:
     points = np.column_stack(
         [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
     )
-    # (order mu, ring or degree, sign): m = +mu, -mu; -0 and l < mu point past the coefficients
+    # (order mu, ring or degree, sign): m = +mu, -mu; -0 and l < mu point at the table's last row
     mu, sign = np.arange(bandlimit)[:, None, None], np.array([1, -1])
     m = mu * sign
     bins = ring_starts[:, None] + m % ring_sizes[:, None]
     phase = np.where((m < 0) & (m % 2 == 1), -1.0, 1.0) * np.exp(1j * m * phi_offsets[:, None])
     l = 2 * np.arange(n_rings)[:, None]
-    positions = np.where((l >= mu) & ((mu > 0) | (sign > 0)), _sh_position(l, m), len(theta))
+    positions = np.where((l >= mu) & ((mu > 0) | (sign > 0)), _sh_position(l, m), -1)
     return _read_only(AngularScheme(
         bandlimit=bandlimit,
         thetas=thetas,
@@ -291,34 +294,44 @@ def forward_sht(values, scheme: AngularScheme) -> np.ndarray:
     ConditioningError
         If any per-order system has condition number above 1e8.
     """
-    return _analyse(_flat(values, scheme.n_points, "samples"), (scheme,))[0]
+    return _analyse(_flat(values, scheme.n_points, "samples"), (scheme,))[0, :-1]
 
 
-def _analyse(values, schemes: tuple) -> list:
-    """forward_sht of the samples of schemes laid end to end: one array per scheme.
+def _table(schemes: tuple, columns: tuple = ()) -> np.ndarray:
+    """A zero harmonic table, (len(schemes), rows + 1, *columns), rows the largest n_points.
 
-    Samples (n,) or (n, V) give each scheme's coefficients as (n_points,) or
-    (n_points, V). The one code that applies the stored factors, so the gate:
-    it refuses the first scheme whose condition is not below COND_LIMIT before
-    any ring FFT.
+    Row r of scheme i holds its coefficient at r; its rows from its own n_points up stay
+    zero, the last row too, where its positions of -1 (-0 and l < |m|) point.
+    """
+    return np.zeros((len(schemes), max(s.n_points for s in schemes) + 1, *columns), dtype=complex)
+
+
+def _analyse(values, schemes: tuple) -> np.ndarray:
+    """forward_sht of the samples of schemes laid end to end, as their harmonic table (_table).
+
+    Samples (n,) or (n, V) give a (len(schemes), rows + 1) or (len(schemes), rows + 1, V)
+    table. The one code that applies the stored factors, so the gate: it refuses the first
+    scheme whose condition is not below COND_LIMIT before any ring FFT.
     """
     for scheme in schemes:
         _refuse_ill_conditioned("angular scheme is too ill-conditioned for a trustworthy transform",
                                 scheme.condition)
-    bins, start, out = _ring_dft(np.asarray(values, dtype=complex), schemes), 0, []
-    for scheme in schemes:
-        out.append(_solve_rings(bins[start : start + scheme.n_points], scheme))
+    bins, start = _ring_dft(np.asarray(values, dtype=complex), schemes), 0
+    table = _table(schemes, bins.shape[1:])
+    for scheme, out in zip(schemes, table):
+        _solve_rings(bins[start : start + scheme.n_points], scheme, out)
         start += scheme.n_points
-    return out
+    table[:, -1] = 0.0  # where the cascade wrote -0
+    return table
 
 
-def _solve_rings(bins, scheme: AngularScheme) -> np.ndarray:
+def _solve_rings(bins, scheme: AngularScheme, out: np.ndarray) -> None:
     """forward_sht's ring cascade on one shell's FFT bins, which it uses up as it goes.
 
-    The bins are (n_points,) or (n_points, V), and so is the result.
+    The bins are (n_points,) or (n_points, V); the coefficients go to out's
+    rows, one shell of a harmonic table, and -0 to its last row.
     """
     columns = bins.shape[1:]
-    out = np.zeros((scheme.n_points + 1, *columns), dtype=complex)  # -0 goes to the last row
     phase = scheme.phase.reshape(scheme.phase.shape + (1,) * len(columns))
     unphase = phase.conj()
     for f in reversed(range(len(scheme.rings))):
@@ -332,7 +345,6 @@ def _solve_rings(bins, scheme: AngularScheme) -> np.ndarray:
             lower = scheme.bins[pair, :f]
             spill = (scheme.rows[pair, :f, f:] @ solved).view(complex)
             np.subtract.at(bins, lower, spill.reshape(lower.shape + columns) * phase[pair, :f])
-    return out[:-1]
 
 
 def inverse_sht(coeffs, scheme: AngularScheme) -> np.ndarray:
@@ -344,24 +356,26 @@ def inverse_sht(coeffs, scheme: AngularScheme) -> np.ndarray:
     for band-limited coefficients. ValueError unless coeffs holds
     scheme.n_points finite values.
     """
-    return _synthesise([_flat(coeffs, scheme.n_points, "coefficients")], (scheme,))
+    coeffs = _flat(coeffs, scheme.n_points, "coefficients")
+    return _synthesise(np.append(coeffs, 0j)[None], (scheme,))  # a one-shell harmonic table
 
 
-def _synthesise(coeffs, schemes: tuple) -> np.ndarray:
-    """inverse_sht of one coefficient array per scheme, unchecked: the samples laid end to end.
+def _synthesise(table, schemes: tuple) -> np.ndarray:
+    """inverse_sht of a harmonic table (see _table), unchecked: the samples laid end to end.
 
-    Coefficients (n_points,) or (n_points, V) per scheme give samples (n,)
-    or (n, V). One gather takes every scheme's coefficients to its (order,
-    degree, sign) layout, one batched matmul per scheme makes their (order,
-    ring, sign) content, one product applies every phase, and one
-    np.bincount adds all of it into the Re and Im slots of the bins of every
-    scheme and column, each bin from 0.0 in the order np.add.at would take.
+    A (len(schemes), rows + 1) or (len(schemes), rows + 1, V) table gives samples (n,) or
+    (n, V). One gather takes every scheme's coefficients to its (order, degree, sign) layout
+    and lets the table go, one batched matmul per scheme makes their (order, ring, sign)
+    content, one product applies every phase, and one np.bincount adds all of it into the Re
+    and Im slots of the bins of every scheme and column, each bin from 0.0 in the order
+    np.add.at would take.
     """
-    columns = coeffs[0].shape[1:]
+    columns = table.shape[2:]
     width, n = math.prod(columns), sum(s.n_points for s in schemes)
     plan = _ring_plan(schemes)
     # (entry, columns): each scheme's entries are its (order, degree or ring, sign of m)
-    by_degree = np.concatenate([*coeffs, np.zeros((1, *columns), complex)])[plan.positions]
+    by_degree = table.reshape(-1, *columns)[plan.positions]
+    del table
     content, start = np.empty_like(by_degree), 0
     for s in schemes:
         block = slice(start, start + s.bins.size)
@@ -403,9 +417,9 @@ def _ring_plan(schemes: tuple) -> _RingPlan:
 
     Over every scheme's (order, degree or ring, sign) entries in turn, slots
     holds each entry's Re and Im slots in the float view of the ring-order
-    bins, positions where it reads its coefficient among the schemes'
-    coefficients laid end to end with one zero after them (that zero for -0
-    and 2j < mu), and phase its phase.
+    bins, positions where it reads its coefficient in the flattened harmonic
+    table of the schemes (see _table; its scheme's zero last row for -0 and
+    2j < mu), and phase its phase.
     """
     starts = np.cumsum([0] + [s.n_points for s in schemes])
     blocks = [np.array([start + s.rings[k].start for start, s in zip(starts, schemes)
@@ -419,8 +433,9 @@ def _ring_plan(schemes: tuple) -> _RingPlan:
     bins = unorder[np.concatenate([start + s.bins.ravel() for start, s in zip(starts, schemes)])]
     # int32 halves the memo; adding _synthesise's column offsets takes it to intp
     slots = np.stack([2 * bins, 2 * bins + 1], axis=-1).astype(np.int32).ravel()
-    positions = np.concatenate([np.where(s.positions == s.n_points, starts[-1], start + s.positions)
-                                for start, s in zip(starts, schemes)], axis=None)
+    rows = max(s.n_points for s in schemes) + 1  # a harmonic table's rows per scheme (_table)
+    positions = np.concatenate([i * rows + s.positions % rows for i, s in enumerate(schemes)],
+                               axis=None)
     phase = np.concatenate([s.phase for s in schemes], axis=None)
     if len(schemes) == 1:
         unorder = None

@@ -264,9 +264,9 @@ def parse_queries(text: str):
 
 
 def _is_real_signal(coeffs: SpfCoefficients) -> bool:
-    """True when the table obeys the real-signal conjugation symmetry."""
+    """True when the table obeys the real-signal symmetry, to 1e-9 of its largest entry."""
     values = coeffs.values
-    scale = max(np.max(np.abs(values)), 1.0)
+    scale = np.max(np.abs(values))
     # c_{n,l,-m} = (-1)^m conj(c_{n,l,m}); at m = 0 this asks for a zero imaginary part
     return bool(np.all(np.abs(values - coeffs.index.mirrored(values)) <= 1e-9 * scale))
 

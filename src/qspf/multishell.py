@@ -18,18 +18,16 @@ simply cannot represent that content.
 staircase_index owns the table layout: runs of adjacent degrees carried
 by the same shells, each m-major and n-minor, and per-entry n, l, m and
 partner arrays. build_grid makes each radial mode's maps once, one per
-run; forward_spf and synthesize_on_grid make one matrix product per run
-against an (l, m) x shell table of per-shell harmonic coefficients. Their
-angular side goes by ring index across all shells, not shell by shell:
-one FFT call per ring size takes that ring on every shell that has it
-(5 calls at the defaults, against 16 rings: ring 0's one point needs
-none). Each shell runs its own ring cascade; the inverse folds the bins
-of all shells with one np.bincount. The radial halves take a trailing
-axis of V columns, as the angular core does (_from_shells also one flat
-column, synthesize_on_grid's is V = 1), so run_validation sends a chunk of
-draws through the same code as one call; _to_shells also writes each
-shell's columns beside columns the caller already has for that shell,
-run_validation's angular draws.
+run. The two halves of forward_spf and synthesize_on_grid meet in one
+harmonic table (angular._table), (shell, row, column): row r of shell i
+holds that shell's coefficient at r = l(l+1)/2 + m, zero from its own
+n_points up. The radial halves, _from_shells and _to_shells, make one
+matrix product per run of degrees on that table's rows; the angular side
+goes by ring index across all shells, one FFT call per ring size above
+one point (5 at the defaults, against 16 rings), each shell its own ring
+cascade, and one np.bincount folds the bins of all shells. The table may
+carry V columns, so run_validation sends a chunk of draws, its angular
+draws beside _to_shells' columns (out=), through the same code.
 inverse_spf, the read side, goes one even degree at a time, its Legendre
 rows made by recurrence for every order at once, over blocks of a fixed
 number of points, so its working memory does not grow with the batch.
@@ -49,7 +47,6 @@ grid itself on b_max, convention, indexes and schemes (the most recent
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -57,8 +54,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .angular import (_analyse, _flat, _odd_bandlimit, _read_only, _sh_position, _synthesise,
-                      make_angular_scheme)
-from .errors import _refuse_ill_conditioned
+                      _table, make_angular_scheme)
+from .errors import _as_int, _refuse_ill_conditioned
 from .radial import (BConvention, RadialScheme, _basis_table, _radial_map, _shell_count,
                      make_radial_scheme)
 from .specfun import _legendre_by_degree
@@ -110,12 +107,15 @@ class StaircaseIndex:
         return np.where(self.orders % 2, -1.0, 1.0) * np.conj(values[self.partner])
 
     def locate(self, n: int, l: int, m: int) -> int:
-        if l % 2 == 0 and 0 <= l < max(self.bandlimits) and -l <= m <= l:
+        """Position of (n, l, m); integral floats pass (2.0 as 2), any other non-integer not."""
+        outside = ValueError(f"(n={n}, l={l}, m={m}) is outside the coefficient set")
+        n, l, m = map(_as_int, (n, l, m))
+        if None not in (n, l, m) and l % 2 == 0 and 0 <= l < max(self.bandlimits) and -l <= m <= l:
             row = _sh_position(l, m)
             shells, entries, rows = next(run for run in self.runs if row < run[2].stop)
             if 0 <= n < len(shells):
                 return entries.start + (row - rows.start) * len(shells) + n
-        raise ValueError(f"(n={n}, l={l}, m={m}) is outside the coefficient set")
+        raise outside
 
 
 def _checked_bandlimits(bandlimits) -> tuple:
@@ -351,23 +351,19 @@ def _radial_gate(grid: MultiShellGrid, radial_mode: str) -> StaircaseIndex:
     return out_index
 
 
-def _from_shells(shells, grid: MultiShellGrid, radial_mode: str) -> np.ndarray:
-    """forward_spf's radial half, unchecked: per-shell harmonic columns to table columns.
+def _from_shells(table, grid: MultiShellGrid, radial_mode: str) -> np.ndarray:
+    """forward_spf's radial half, unchecked: a harmonic table to coefficient table columns.
 
-    Each shell's coefficients are (n_points,) or (n_points, V). A column by
-    (l, m) by shell table, zero above each shell's band limit, takes one
-    product per run of degrees with the mode's radial map.
+    The grid's harmonic table (angular._table), (n_shells, rows + 1) or (n_shells, rows + 1, V),
+    takes one product per run of degrees with the mode's radial map, on the run's rows and
+    shells: zero above a shell's band limit, which zero_padded reads.
     """
     out_index, maps, _ = grid.radial_maps[radial_mode]
-    columns = shells[0].shape[1:]
-    table = np.zeros((math.prod(columns), max(map(len, shells)), grid.n_shells), dtype=complex)
-    for i, shell in enumerate(shells):
-        table[:, : len(shell), i] = shell.T
-    out = np.empty((out_index.size, *columns), dtype=complex)
-    by_column = out.T
+    out = np.empty((out_index.size, *table.shape[2:]), dtype=complex)
+    by_column, by_shell = out.T, table.reshape(*table.shape[:2], -1).T  # (column, row, shell)
     for (carried, entries, rows), radial_map in zip(out_index.runs, maps):
-        solved = table[:, rows][..., carried].reshape(-1, len(carried)) @ radial_map.T
-        by_column[..., entries] = solved.reshape(len(table), -1)  # (l, m) by n, row-major
+        solved = by_shell[:, rows][..., carried].reshape(-1, len(carried)) @ radial_map.T
+        by_column[..., entries] = solved.reshape(len(by_shell), -1)  # (l, m) by n, row-major
     return out
 
 
@@ -547,36 +543,25 @@ def synthesize_on_grid(coeffs: SpfCoefficients, grid: MultiShellGrid) -> np.ndar
         raise ValueError("coefficient table and grid use different radial scales")
     if len(coeffs.index.bandlimits) > grid.n_shells:
         raise ValueError("coefficient table has more radial orders than the grid has shells")
-    shells = _to_shells(coeffs.values[:, None], coeffs.index, grid)
-    return _synthesise([shell[:, 0] for shell in shells], grid.angular)
+    return _synthesise(_to_shells(coeffs.values[:, None], coeffs.index, grid)[..., 0], grid.angular)
 
 
-def _to_shells(values, index: StaircaseIndex, grid: MultiShellGrid, lead=None) -> list:
-    """synthesize_on_grid's radial half: table columns to per-shell harmonic columns.
+def _to_shells(values, index: StaircaseIndex, grid: MultiShellGrid, out=None) -> np.ndarray:
+    """synthesize_on_grid's radial half: table columns to the grid's harmonic table.
 
-    values is (index.size, V). Row (l, m), column v, shell i of the table is
-    sum_n c_{n,l,m,v} R_n(q_i), one product per run of degrees, zero on rows
-    past the index's; shell i takes its leading rows, which must be finite.
-    Shell i's (n_points, K + V) result holds lead[i], its (n_points, K)
-    columns (K = 0 without lead), and then its V table columns.
+    values is (index.size, V). Row (l, m), column v, shell i of the harmonic table
+    (angular._table), (n_shells, rows + 1, V), is sum_n c_{n,l,m,v} R_n(q_i), one product per
+    run of degrees, written into out when given (a table or a view of one, V columns). Shell i
+    keeps its leading rows, which must be finite; its rows from its n_points up are zero.
     """
     basis, width = grid.radial.basis, values.shape[1]
-    top = index.runs[-1][2].stop
-    table = np.empty((top, width, grid.n_shells), dtype=complex)
+    out = _table(grid.angular, (width,)) if out is None else out
     for carried, entries, rows in index.runs:
-        n = len(carried)
-        by_n = values[entries].reshape(-1, n, width).swapaxes(1, 2).reshape(-1, n)
-        np.matmul(by_n, basis[:n], out=table[rows].reshape(-1, grid.n_shells))
-    if lead is None:
-        lead = [np.empty((s.n_points, 0), dtype=complex) for s in grid.angular]
-    shells = []
-    for i, (s, before) in enumerate(zip(grid.angular, lead)):
-        k = before.shape[1]
-        shell = np.empty((s.n_points, k + width), dtype=complex)
-        shell[:, :k] = before
-        shell[:top, k:] = table[: s.n_points, :, i]
-        shell[top:, k:] = 0.0
-        if not np.isfinite(shell).all():
-            raise ValueError("coefficients must be finite")
-        shells.append(shell)
-    return shells
+        n, shells = len(carried), out[:, rows]  # no rows past out's, whatever the index's
+        product = values[entries].reshape(-1, n, width).swapaxes(1, 2).reshape(-1, n) @ basis[:n]
+        shells[:] = product.reshape(-1, width, grid.n_shells)[: shells.shape[1]].transpose(2, 0, 1)
+    for shell, s in zip(out, grid.angular):
+        shell[min(s.n_points, index.runs[-1][2].stop) :] = 0.0
+    if not np.isfinite(out).all():
+        raise ValueError("coefficients must be finite")
+    return out

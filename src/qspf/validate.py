@@ -8,10 +8,10 @@ headline guarantees: exact radial quadrature on its design space (and
 demonstrable failure just beyond it), well-conditioned angular systems,
 and transform round trips at numerical precision. The two round trips
 go through the transforms together, a chunk of draws at a time: each
-chunk is one block of columns, one synthesis and one analysis pass over
-every shell, so a report makes one np.fft call per ring size above one
-point and direction per chunk (5 + 5 at the default grid, whatever the
-draws). What depends on the grid alone, the radial and angular checks
+chunk is one harmonic table of columns, one synthesis and one analysis
+pass over every shell, so a report makes one np.fft call per ring size
+above one point and direction per chunk (5 + 5 at the default grid,
+whatever the draws). What depends on the grid alone, the radial and angular checks
 and the layout of the draws, is computed once per grid and kept, so a
 report's own work is its draws and those two passes.
 """
@@ -23,7 +23,7 @@ from math import lgamma, log
 
 import numpy as np
 
-from .angular import _analyse, _synthesise
+from .angular import _analyse, _synthesise, _table
 from .errors import ConditioningError, _as_int
 from .multishell import MultiShellGrid, _from_shells, _radial_gate, _to_shells
 from .signals import _draw_layout, _staircase_values
@@ -138,19 +138,18 @@ def _grid_checks(grid: MultiShellGrid) -> tuple:
     return checks, radial_error, _draw_layout(grid.index)
 
 
-def _round_trips(grid: MultiShellGrid, sht: list, spf) -> tuple:
-    """One chunk of both round trips, in one synthesis and one analysis pass over every shell.
+def _chunk_table(grid: MultiShellGrid, within, sht: np.ndarray, spf) -> np.ndarray:
+    """One chunk's harmonic table (angular._table): its k angular draws, then its k spf columns.
 
-    sht holds each shell's (n_points, k) angular coefficient columns, spf the full round
-    trip's (index.size, k) table columns, or None to leave that round trip out. Returns
-    what comes back of each: the per-shell columns, and the table columns or None.
+    sht, the chunk's (n_samples, k) angular draws, goes to (shell_of, within: row in its shell);
+    spf, the full round trip's (index.size, k) table columns, through _to_shells, unless None.
     """
-    k = sht[0].shape[1]
-    columns = sht if spf is None else _to_shells(spf, grid.index, grid, lead=sht)
-    back = _analyse(_synthesise(columns, grid.angular), grid.angular)
-    if spf is None:
-        return back, None
-    return [b[:, :k] for b in back], _from_shells([b[:, k:] for b in back], grid, "staircase")
+    k = sht.shape[1]
+    table = _table(grid.angular, (k if spf is None else 2 * k,))
+    table[grid.shell_of, within, :k] = sht
+    if spf is not None:
+        _to_shells(spf, grid.index, grid, out=table[..., k:])
+    return table
 
 
 def run_validation(grid: MultiShellGrid, seed: int = 0, n_draws: int = 100) -> dict:
@@ -174,19 +173,19 @@ def run_validation(grid: MultiShellGrid, seed: int = 0, n_draws: int = 100) -> d
     shell by shell in the order one draw per shell at a time would take
     them: n_draws x n_samples complex values are held, 211 kB at the
     default grid with 100 draws and 5.3 MB at band limits 15/25/41/63. The
-    full round trip draws one child of the seed per draw, a chunk at a time,
-    the values random_staircase_signal gives for it. Each chunk of draws
-    then makes one block of columns, its angular draws beside the per-shell
-    harmonic columns of its full-round-trip tables, and takes one synthesis
-    and one analysis pass: one np.fft call per ring size above one point
-    and direction. A chunk takes as many draws as fit in 8 MB of working
-    memory (_CHUNK_BYTES): all of up to 316 at the default grid, so a
-    100-draw report makes 5 + 5 calls where one draw at a time made 1200 +
-    1200, and 10 at 15/25/41/63, 10 chunks for 100 draws. Each round trip's
-    miss over a chunk is one reduction over every shell, NaN included. The
-    first chunk's analysis refuses an ill-conditioned shell before any ring
-    FFT, so such a grid costs the draws, the first chunk's tables and one
-    synthesis pass, and its report is the same.
+    full round trip spawns one child of the seed per draw, a chunk at a
+    time, the values random_staircase_signal gives for it. Each chunk makes
+    one harmonic table (angular._table), its angular draws at their shells
+    and rows beside _to_shells' columns of its full-round-trip tables, and
+    takes one synthesis and one analysis pass: one np.fft call per ring
+    size above one point and direction. A chunk takes as many draws as fit
+    in 8 MB of working memory (_CHUNK_BYTES): all of up to 316 at the
+    default grid, so a 100-draw report makes 5 + 5 calls where one draw at
+    a time made 1200 + 1200, and 10 at 15/25/41/63, 10 chunks for 100
+    draws. Each round trip's miss over a chunk is one reduction over every
+    shell, NaN included. The first chunk's analysis refuses an
+    ill-conditioned shell before any ring FFT, so such a grid costs the
+    draws, the first chunk's table and one synthesis pass.
     """
     for name, value, least in (("n_draws", n_draws, 1), ("seed", seed, 0)):
         if _as_int(value) is None:
@@ -202,30 +201,31 @@ def run_validation(grid: MultiShellGrid, seed: int = 0, n_draws: int = 100) -> d
 
     # the two randomised round trips: the angular draws come first, then both round trips go
     # through the transforms together, one chunk of draws at a time
-    rng, shells, start = np.random.default_rng(seed), [], 0
-    sht_draws = np.empty((n_draws, grid.n_samples), dtype=complex)
-    for scheme in grid.angular:
-        shells.append(slice(start, start + scheme.n_points))
-        _complex_normals(rng, sht_draws[:, shells[-1]])
-        start += scheme.n_points
-    children = np.random.SeedSequence(seed).spawn(n_draws)
+    within = np.concatenate([np.arange(s.n_points) for s in grid.angular])  # row in its shell
+    rng, sht_draws = np.random.default_rng(seed), np.empty((n_draws, grid.n_samples), complex)
+    for start, scheme in zip(np.flatnonzero(within == 0), grid.angular):  # shell by shell
+        _complex_normals(rng, sht_draws[:, start : start + scheme.n_points])
+    seeds = np.random.SeedSequence(seed)
     worst = {"sht_round_trip": 0.0, "spf_round_trip": 0.0}
     errors = {} if radial_error is None else {"spf_round_trip": radial_error}
     step = _draws_per_chunk(grid)
     try:
         for start in range(0, n_draws, step):
             sht = sht_draws[start : start + step].T
-            spf = None if radial_error is not None else _staircase_values(
-                children[start : start + step], layout).T
-            sht_back, spf_back = _round_trips(grid, [sht[shell] for shell in shells], spf)
-            miss = np.max(np.abs(np.concatenate(sht_back) - sht))
+            k = sht.shape[1]
+            # each spawn takes the seed's next k children, as one spawn(n_draws) would
+            spf = None if radial_error is not None else _staircase_values(seeds.spawn(k), layout).T
+            # the chunk's table goes straight to _synthesise, which lets it go after its gather
+            back = _analyse(_synthesise(_chunk_table(grid, within, sht, spf), grid.angular),
+                            grid.angular)
+            miss = np.max(np.abs(back[grid.shell_of, within, :k] - sht))
             worst["sht_round_trip"] = np.maximum(worst["sht_round_trip"], miss)
             if spf is not None:
-                miss = np.max(np.abs(spf_back - spf))
+                miss = np.max(np.abs(_from_shells(back[..., k:], grid, "staircase") - spf))
                 if not np.isfinite(miss):
                     raise ValueError("coefficient values must be finite")
                 worst["spf_round_trip"] = np.maximum(worst["spf_round_trip"], miss)
-            del spf, sht_back, spf_back  # not held while the next chunk is drawn and run
+            del spf, back  # not held while the next chunk is drawn and run
     except ConditioningError as exc:
         for name in worst:
             errors.setdefault(name, str(exc))

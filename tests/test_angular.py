@@ -176,7 +176,7 @@ def test_scheme_keeps_each_orders_legendre_rows():
     scheme = make_angular_scheme(21)
     table = normalized_legendre(20, np.cos(scheme.thetas))
     assert scheme.rows.shape == (21, 11, 11) and scheme.positions.shape == (21, 11, 2)
-    end = scheme.n_points  # one coefficient per point
+    end = -1  # one coefficient per point, then a harmonic table's last row, which stays zero
     sizes = np.array([r.stop - r.start for r in scheme.rings])
     for mu in range(21):
         rows, first = scheme.rows[mu], (mu + 1) // 2
@@ -189,9 +189,9 @@ def test_scheme_keeps_each_orders_legendre_rows():
         assert matrix.shape == (len(degrees),) * 2
         positions = scheme.positions[mu, first:]
         assert list(positions[:, 0]) == [_sh_position(l, mu) for l in degrees]
-        # -0 is +0; its column points past the coefficients
+        # -0 is +0; its column points at the last row
         assert list(positions[:, 1]) == [_sh_position(l, -mu) if mu else end for l in degrees]
-        # below the order's first degree there is no coefficient: rows zero, positions past the end
+        # below the order's first degree there is no coefficient: rows zero, positions the last row
         assert not rows[:, :first].any()
         assert np.all(scheme.positions[mu, :first] == end)
 

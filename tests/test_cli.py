@@ -342,6 +342,25 @@ def test_evaluate_prints_complex_for_non_real_tables(tmp_path, grid, capsys):
     complex(out)
 
 
+def test_evaluate_prints_complex_for_small_complex_tables(tmp_path, grid, capsys):
+    # the real-signal test is relative to the table's largest entry (4.5e-11 here), so a
+    # complex table of small entries is not printed as its real part
+    rng = np.random.default_rng(5)
+    samples = 1e-15 * (rng.standard_normal(grid.n_samples) + 1j * rng.standard_normal(grid.n_samples))
+    coeffs = forward_spf(grid, samples)
+    coeffs_path = tmp_path / "c.csv"
+    coeffs_path.write_text(format_coefficients_csv(coeffs))
+    queries_path = tmp_path / "q.txt"
+    queries_path.write_text("1000 0 0 1\n")
+    assert main([
+        "evaluate", "--coefficients", str(coeffs_path), "--queries", str(queries_path),
+    ]) == 0
+    out = capsys.readouterr().out.strip()
+    want = inverse_spf(coeffs, [0.0, 0.0, 1.0], b=1000.0)
+    assert abs(want.imag) > abs(want.real) > 0
+    assert abs(complex(out) - want) <= 1e-12 * abs(want)
+
+
 def test_validate_default_passes(tmp_path):
     report_path = tmp_path / "report.json"
     code = main(["validate", "--draws", "5", "--output", str(report_path)])

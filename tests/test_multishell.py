@@ -91,6 +91,16 @@ def test_staircase_ordering_and_lookup():
             index.locate(n, l, m)
 
 
+def test_locate_takes_integers_and_integral_floats_only():
+    index = staircase_index(DEFAULTS)
+    # (0, 2, 1.5) once landed on (0, 2, 2) and (0.5, 2, 1) at position 16.5
+    for n, l, m in [(0, 2, 1.5), (0.5, 2, 1), (0, 2.5, 0), (0, 2, float("nan")), ("0", 2, 1)]:
+        with pytest.raises(ValueError, match="outside the coefficient set"):
+            index.locate(n, l, m)
+    position = index.locate(1.0, 2.0, -1.0)
+    assert type(position) is int and position == index.locate(1, 2, -1)
+
+
 @pytest.mark.parametrize("bandlimits", [(3, 5, 9, 11), (11, 9, 5, 3), (3, 1, 7, 1, 9), (1,),
                                         (5, 5, 5), (15, 25, 41, 63), (133,)])
 def test_locate_inverts_entries(bandlimits):
@@ -455,20 +465,56 @@ def test_column_blocks_are_single_columns(layout):
     table = lambda values: SpfCoefficients(g.index, g.radial.zeta, g.radial.convention, values)
     full = np.column_stack([forward_spf(g, synthesize_on_grid(table(t), g)).values
                             for t in tables.T])
+    within = np.concatenate([np.arange(s.n_points) for s in g.angular])
+    round_trip = lambda table: qspf.angular._analyse(qspf.angular._synthesise(table, g.angular),
+                                                     g.angular)
     for v in (1, 2, 7, 64):
-        blocks = [c[:, :v] for c in coeffs]
+        blocks = np.concatenate([c[:, :v] for c in coeffs])  # (sample, column), shell-major
         same = (lambda a, b: a.tobytes() == b.tobytes()) if v == 1 else _close
-        assert same(qspf.angular._synthesise(blocks, g.angular), synthesised[:, :v])
-        for block, singles in zip(qspf.angular._analyse(samples[:, :v], g.angular), analysed):
-            assert same(block, singles[:, :v])
-        sht_back, _ = qspf.validate._round_trips(g, blocks, None)
-        for block, singles, c in zip(sht_back, round_trips, coeffs):
+        table = qspf.validate._chunk_table(g, within, blocks, None)
+        assert same(qspf.angular._synthesise(table, g.angular), synthesised[:, :v])
+        analysed_table = qspf.angular._analyse(samples[:, :v], g.angular)
+        for block, singles, s in zip(analysed_table, analysed, g.angular):
+            assert same(block[: s.n_points], singles[:, :v])
+        sht_back = round_trip(table)
+        for block, singles, c, s in zip(sht_back, round_trips, coeffs, g.angular):
+            block = block[: s.n_points]
             assert same(block, singles[:, :v]) if v == 1 else _as_close_to(block, singles, c)
         # with the full round trip's columns, one draw is a block of two
-        sht_back, spf_back = qspf.validate._round_trips(g, blocks, tables[:, :v])
-        for block, singles, c in zip(sht_back, round_trips, coeffs):
-            assert _as_close_to(block, singles, c)
+        back = round_trip(qspf.validate._chunk_table(g, within, blocks, tables[:, :v]))
+        for block, singles, c, s in zip(back, round_trips, coeffs, g.angular):
+            assert _as_close_to(block[: s.n_points, :v], singles, c)
+        spf_back = qspf.multishell._from_shells(back[..., v:], g, "staircase")
         assert _as_close_to(spf_back, full, tables)
+
+
+@pytest.mark.parametrize("layout", [(11, 9, 5, 3), (1, 3, 5, 7), "ring offsets"], ids=str)
+def test_harmonic_table_is_zero_from_each_shells_n_points(layout):
+    # the one (shell, row, column) table between the angular and radial halves: row r of
+    # shell i holds its coefficient r = l(l+1)/2 + m, and every row from the shell's own
+    # n_points up is zero, the last row too, where the cascade writes -0; zero_padded reads
+    # those rows of the smaller shells
+    if layout == "ring offsets":
+        g = _grid_with_ring_offsets()
+    else:
+        with pytest.warns(UserWarning) if layout == (11, 9, 5, 3) else contextlib.nullcontext():
+            g = build_grid(len(layout), 8000.0, layout)
+    rng, rows = np.random.default_rng(8), max(s.n_points for s in g.angular)
+    samples = rng.standard_normal((g.n_samples, 3)) + 1j * rng.standard_normal((g.n_samples, 3))
+    tables = np.array([random_staircase_signal(j, g).values for j in range(3)]).T
+    higher = staircase_index(tuple(L + 4 for L in g.bandlimits))  # rows past every shell's
+    harmonics = [qspf.angular._analyse(samples, g.angular),
+                 qspf.angular._analyse(samples[:, 0], g.angular),
+                 qspf.multishell._to_shells(tables, g.index, g),
+                 qspf.multishell._to_shells(np.ones((higher.size, 2), complex), higher, g)]
+    # into a caller's view of a table, whatever that view held
+    out = np.full((g.n_shells, rows + 1, 5), 1 + 1j)
+    harmonics.append(qspf.multishell._to_shells(tables, g.index, g, out=out[..., 2:]))
+    assert np.all(out[..., :2] == 1 + 1j) and np.array_equal(out[..., 2:], harmonics[2])
+    for table in harmonics:
+        assert table.shape[:2] == (g.n_shells, rows + 1)
+        for shell, scheme in zip(table, g.angular):
+            assert shell[: scheme.n_points].any() and not shell[scheme.n_points :].any()
 
 
 @st.composite
@@ -519,10 +565,10 @@ def test_random_grids_are_bijections_and_blocks_are_single_columns(g, seed):
         again = synthesize_on_grid(SpfCoefficients(g.index, g.radial.zeta, g.radial.convention,
                                                    fitted[:, j]), g)
         assert np.max(np.abs(again - samples[:, j])) <= 1e-11 * np.max(np.abs(samples[:, j]))
-    shells = qspf.multishell._to_shells(tables, g.index, g)
-    assert _close(qspf.angular._synthesise(shells, g.angular), synthesised)
-    shells = qspf.angular._analyse(samples, g.angular)
-    assert _close(qspf.multishell._from_shells(shells, g, "staircase"), fitted)
+    harmonics = qspf.multishell._to_shells(tables, g.index, g)
+    assert _close(qspf.angular._synthesise(harmonics, g.angular), synthesised)
+    harmonics = qspf.angular._analyse(samples, g.angular)
+    assert _close(qspf.multishell._from_shells(harmonics, g, "staircase"), fitted)
 
 
 def test_grid_transforms_take_one_fft_call_per_ring_size(grid, monkeypatch):

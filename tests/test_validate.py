@@ -9,7 +9,7 @@ import pytest
 import qspf.signals
 import qspf.validate
 from qspf import build_grid
-from qspf.angular import _analyse, _synthesise, make_angular_scheme
+from qspf.angular import _analyse, _synthesise, _table, make_angular_scheme
 from qspf.cli import descriptor_from_grid, grid_from_descriptor
 from qspf.errors import ConditioningError
 from qspf.multishell import _to_shells
@@ -103,9 +103,10 @@ def per_shell_sht_round_trip(grid, seed, n_draws):
         for i, scheme in enumerate(grid.angular):
             for start in range(0, n_draws, step):
                 coeffs = np.array(draws[i][start : start + step]).T
-                shells = _to_shells(spf[start : start + step].T, grid.index, grid)
-                block = np.hstack([coeffs, shells[i]])
-                back = _analyse(_synthesise([block], (scheme,)), (scheme,))[0]
+                harmonics = _to_shells(spf[start : start + step].T, grid.index, grid)
+                table = _table((scheme,), (2 * coeffs.shape[1],))
+                table[0, :-1] = np.hstack([coeffs, harmonics[i, : scheme.n_points]])
+                back = _analyse(_synthesise(table, (scheme,)), (scheme,))[0, :-1]
                 worst = max(worst, np.max(np.abs(back[:, : coeffs.shape[1]] - coeffs)))
         check = {"value": float(worst), "threshold": bound, "passed": bool(worst <= bound)}
     except ConditioningError as exc:
@@ -171,9 +172,8 @@ def test_validation_takes_one_fft_call_per_ring_size_per_chunk(bandlimits, monke
     assert calls == {"fft": ring_sizes * chunks, "ifft": ring_sizes * chunks}
 
 
-@pytest.mark.parametrize("n_draws", [100, 400])
-def test_validation_memory_above_the_draws_stays_within_the_chunk_budget(n_draws):
-    grid = build_grid(4, 8000.0, (15, 25, 41, 63))
+def _memory_above_the_draws(grid, n_draws):
+    """tracemalloc's peak over one report, less the angular round trip's held draws."""
     run_validation(grid, n_draws=1)  # memos
     held = n_draws * grid.n_samples * 16  # the angular round trip's draws
     tracemalloc.start()
@@ -183,7 +183,19 @@ def test_validation_memory_above_the_draws_stays_within_the_chunk_budget(n_draws
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak - held <= qspf.validate._CHUNK_BYTES
+    return peak - held
+
+
+@pytest.mark.parametrize("n_draws", [100, 400])
+def test_validation_memory_above_the_draws_stays_within_the_chunk_budget(n_draws):
+    grid = build_grid(4, 8000.0, (15, 25, 41, 63))
+    assert _memory_above_the_draws(grid, n_draws) <= qspf.validate._CHUNK_BYTES
+
+
+def test_default_grid_validation_memory_stays_within_the_chunk_budget():
+    # the default grid's chunks are its widest, up to 316 draws, so 400 draws fill one
+    grid = build_grid(4, 8000.0, (3, 5, 9, 11))
+    assert _memory_above_the_draws(grid, 400) <= qspf.validate._CHUNK_BYTES
 
 
 def _mutate(value):

@@ -34,10 +34,10 @@ import warnings
 
 import numpy as np
 
-from .errors import ConditioningError
+from .errors import ConditioningError, _integer
 from .multishell import (MultiShellGrid, SpfCoefficients, _checked_bandlimits, _finite_values,
                          build_grid, forward_spf, inverse_spf, staircase_index)
-from .radial import BConvention, _shell_count
+from .radial import BConvention
 from .validate import run_validation
 
 __all__ = [
@@ -103,7 +103,7 @@ def grid_from_descriptor(desc: dict) -> MultiShellGrid:
             raise CliError("descriptor convention must be a JSON object")
         convention = BConvention(conv.get("mode", "normalized"), conv.get("tau"))
         shells = desc["shells"]
-        if len(shells) != _shell_count(desc["n_shells"]):  # the count's type first
+        if len(shells) != _integer(desc["n_shells"], "n_shells"):  # the count's type first
             raise CliError("descriptor shell list does not match n_shells")
         for i, (shell, L) in enumerate(zip(shells, desc["bandlimits"])):
             if shell["bandlimit"] != L:

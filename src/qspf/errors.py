@@ -33,3 +33,13 @@ def _as_int(value):
     except (TypeError, ValueError, OverflowError):
         return None
     return number if number == value else None
+
+
+def _integer(value, name: str, least: int | None = None) -> int:
+    """value as an int (_as_int); ValueError naming it unless it is an integer, and >= least."""
+    number = _as_int(value)
+    if number is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and number < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return number

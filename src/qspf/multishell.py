@@ -55,8 +55,8 @@ import numpy as np
 
 from .angular import (_analyse, _flat, _odd_bandlimit, _read_only, _sh_position, _synthesise,
                       _table, make_angular_scheme)
-from .errors import _as_int, _refuse_ill_conditioned
-from .radial import (BConvention, RadialScheme, _basis_table, _radial_map, _shell_count,
+from .errors import _as_int, _integer, _refuse_ill_conditioned
+from .radial import (BConvention, RadialScheme, _b_max, _basis_table, _radial_map,
                      make_radial_scheme)
 from .specfun import _legendre_by_degree
 
@@ -221,7 +221,7 @@ def build_grid(
     read-only grid, though the checks and the warning run on every call.
     """
     bandlimits = _checked_bandlimits(bandlimits)
-    n_shells = _shell_count(n_shells)
+    n_shells = _integer(n_shells, "n_shells")
     if len(bandlimits) != n_shells:
         raise ValueError(f"{n_shells} shells need {n_shells} band limits, got {len(bandlimits)}")
     if any(b > a for a, b in zip(bandlimits[1:], bandlimits)):
@@ -233,8 +233,9 @@ def build_grid(
         raise ValueError("ring overrides must supply one entry (or None) per shell")
     # keyed on the memoised schemes, so a grid never keeps a scheme its memo has since replaced
     schemes = tuple(map(make_angular_scheme, bandlimits, ring_latitudes, ring_offsets))
-    indexes = staircase_index(bandlimits), staircase_index((max(bandlimits),) * n_shells)
-    return _grid(float(b_max), convention, *indexes, schemes)
+    # the band limits are checked above, so the memo is read directly
+    indexes = _staircase_index(bandlimits), _staircase_index((max(bandlimits),) * n_shells)
+    return _grid(_b_max(b_max), convention, *indexes, schemes)
 
 
 @functools.lru_cache(maxsize=16)

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _as_int, _refuse_ill_conditioned
+from .errors import _as_int, _integer, _refuse_ill_conditioned
 from .specfun import _laguerre_rows, laguerre_deriv, laguerre_eval, laguerre_roots
 
 __all__ = [
@@ -100,16 +101,13 @@ def make_radial_scheme(
     n_shells : int
         Number of shells N >= 1, an integer: 4.0 passes as 4, 4.5 and "4" do not.
     b_max : float
-        b-value of the outermost shell, s/mm^2, > 0; ValueError if a
-        quadrature weight then overflows or underflows.
+        b-value of the outermost shell, s/mm^2: a positive, finite real
+        number ("8000" is not); ValueError if a quadrature weight then
+        overflows or underflows.
     convention : BConvention
         b <-> q mapping; the default absorbs the diffusion-time constant.
     """
-    n_shells = _shell_count(n_shells)
-    if n_shells < 1:
-        raise ValueError(f"need at least one shell, got {n_shells}")
-    if not 0 < b_max < math.inf:
-        raise ValueError(f"b_max must be positive and finite, got {b_max}")
+    n_shells, b_max = _integer(n_shells, "n_shells", 1), _b_max(b_max)
     roots = laguerre_roots(n_shells, 0.5)
     q_max = float(convention.q_from_b(b_max))
     zeta = float(q_max**2 / roots[-1])
@@ -122,7 +120,7 @@ def make_radial_scheme(
     basis.flags.writeable = False
     return RadialScheme(
         n_shells=n_shells,
-        b_max=float(b_max),
+        b_max=b_max,
         zeta=zeta,
         roots=roots,
         radii=radii,
@@ -133,12 +131,13 @@ def make_radial_scheme(
     )
 
 
-def _shell_count(n_shells) -> int:
-    """The shell count as an int; ValueError unless it is an integer (4.0 passes, 4.5, "4" not)."""
-    count = _as_int(n_shells)
-    if count is None:
-        raise ValueError(f"n_shells must be an integer, got {n_shells!r}")
-    return count
+def _b_max(b_max) -> float:
+    """b_max as a float; ValueError unless it is a positive, finite real number ("8000" is not)."""
+    # float and int first, which isinstance tries in order: numbers.Real alone is an ABC check
+    # of six Python-level calls, on every build_grid call
+    if not isinstance(b_max, (float, int, numbers.Real)) or not 0 < b_max < math.inf:
+        raise ValueError(f"b_max must be a positive, finite real number, got {b_max!r}")
+    return float(b_max)
 
 
 def radial_basis_eval(n: int, q, zeta: float):
@@ -152,8 +151,7 @@ def radial_basis_eval(n: int, q, zeta: float):
     """
     if not 0 < zeta < math.inf:  # written so that NaN fails too
         raise ValueError(f"zeta must be positive and finite, got {zeta}")
-    if n < 0:
-        raise ValueError(f"radial order must be >= 0, got {n}")
+    n = _integer(n, "radial order", 0)
     q = np.asarray(q, dtype=float)
     if np.any(np.isnan(q)):
         raise ValueError("radial_basis_eval requires q that is not NaN")

@@ -26,7 +26,9 @@ package comes from there:
   turn: degree l's rows are overwritten two steps later, when degree l + 2
   is made, so a consumer that keeps rows past the next step must copy them.
 
-All functions are pure and safe for concurrent use.
+Orders, degrees and counts are integers as everywhere in the package: 2.0
+passes as 2, and 2.5, "2" or NaN raise ValueError. All functions are pure
+and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ import functools
 import math
 
 import numpy as np
+
+from .errors import _integer
 
 __all__ = [
     "laguerre_eval",
@@ -65,8 +69,7 @@ def laguerre_eval(n: int, alpha: float, x):
     -------
     float or ndarray matching the shape of ``x``.
     """
-    if n < 0:
-        raise ValueError(f"polynomial order must be >= 0, got {n}")
+    n = _integer(n, "polynomial order", 0)
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("laguerre_eval requires finite x")
@@ -86,6 +89,7 @@ def _laguerre_rows(n: int, alpha: float, x):
 
 def laguerre_deriv(n: int, alpha: float, x):
     """Derivative d/dx L_n^(alpha)(x) = -L_{n-1}^(alpha+1)(x)."""
+    n = _integer(n, "polynomial order", 0)
     if n == 0:
         x = np.asarray(x, dtype=float)
         return 0.0 if x.ndim == 0 else np.zeros_like(x)
@@ -113,8 +117,7 @@ def laguerre_roots(n_poly: int, alpha: float = 0.5) -> np.ndarray:
     -------
     ndarray of shape (N,), strictly increasing positive roots.
     """
-    if n_poly < 1:
-        raise ValueError(f"root count must be >= 1, got {n_poly}")
+    n_poly = _integer(n_poly, "root count", 1)
     if n_poly == 1:
         x = np.array([alpha + 1.0])
     else:
@@ -173,8 +176,7 @@ def normalized_legendre(l_max: int, x) -> np.ndarray:
     ndarray of shape (l_max+1, l_max+1) + shape(x); entry [l, m] holds
     P-tilde_l^m(x) for m <= l, zero above the diagonal.
     """
-    if l_max < 0:
-        raise ValueError(f"l_max must be >= 0, got {l_max}")
+    l_max = _integer(l_max, "l_max", 0)
     x = np.asarray(x, dtype=float)
     table = np.zeros((l_max + 1, l_max + 1, x.size))
     for l, rows in enumerate(_legendre_by_degree(l_max, x.ravel())):
@@ -221,6 +223,7 @@ def spherical_harmonic(l: int, m: int, theta, phi):
     theta is the colatitude in [0, pi], phi the longitude. Negative orders
     are produced exactly through Y_l^{-m} = (-1)^m conj(Y_l^m).
     """
+    l, m = _integer(l, "degree l", 0), _integer(m, "order m")
     if abs(m) > l:
         raise ValueError(f"order |m|={abs(m)} exceeds degree l={l}")
     x = np.cos(np.asarray(theta, dtype=float))

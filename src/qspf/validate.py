@@ -19,12 +19,13 @@ report's own work is its draws and those two passes.
 from __future__ import annotations
 
 import functools
+import itertools
 from math import lgamma, log
 
 import numpy as np
 
 from .angular import _analyse, _synthesise, _table
-from .errors import ConditioningError, _as_int
+from .errors import ConditioningError, _integer
 from .multishell import MultiShellGrid, _from_shells, _radial_gate, _to_shells
 from .signals import _draw_layout, _staircase_values
 
@@ -46,8 +47,10 @@ REPORT_THRESHOLDS = {
 # with four times as much
 _CHUNK_BYTES = 8 << 20
 # what a chunk holds per draw (its two columns), in bytes per sample and per harmonic table
-# cell: tracemalloc's peak above the held draws, over two chunks of 8 and of 64 draws, grew
-# by 66.5 per draw at 3/5/9/11 and 60.7 at 15/25/41/63
+# cell: tracemalloc's peak above the held draws, over two chunks of 8 and of 64 draws, grows
+# by 51.4 (15/25/41/63) to 57.3 (5/9/13/17) per draw on the band-limit ladder. 67 leaves
+# that headroom and keeps the chunk sizes: up to 316 draws at the default grid, 10 at
+# 15/25/41/63, which test_validation_takes_one_fft_call_per_ring_size_per_chunk counts on
 _BYTES_PER_DRAW = 67
 
 
@@ -59,21 +62,6 @@ def _check(value: float, threshold: float, larger_is_better: bool = False) -> di
 
 def _failed(threshold: float, reason: str) -> dict:
     return {"value": None, "threshold": threshold, "passed": False, "error": reason}
-
-
-def _complex_normals(rng, out: np.ndarray) -> None:
-    """Fill out, (rows, size), with re + i im, each row's re and im drawn after the previous row's.
-
-    The same values as one rng.standard_normal((rows, 2, size)), drawn in pieces
-    of at most half of _CHUNK_BYTES.
-    """
-    rows, size = out.shape
-    piece = max(1, _CHUNK_BYTES // (32 * size))
-    for start in range(0, rows, piece):
-        z = rng.standard_normal((min(piece, rows - start), 2, size))
-        out[start : start + len(z)].real = z[:, 0]
-        out[start : start + len(z)].imag = z[:, 1]
-        del z  # not held while the next piece is drawn
 
 
 def _draws_per_chunk(grid: MultiShellGrid) -> int:
@@ -138,17 +126,18 @@ def _grid_checks(grid: MultiShellGrid) -> tuple:
     return checks, radial_error, _draw_layout(grid.index)
 
 
-def _chunk_table(grid: MultiShellGrid, within, sht: np.ndarray, spf) -> np.ndarray:
+def _chunk_table(grid: MultiShellGrid, sht: list, spf: np.ndarray) -> np.ndarray:
     """One chunk's harmonic table (angular._table): its k angular draws, then its k spf columns.
 
-    sht, the chunk's (n_samples, k) angular draws, goes to (shell_of, within: row in its shell);
-    spf, the full round trip's (index.size, k) table columns, through _to_shells, unless None.
+    sht holds each shell's (k, 2, n_points) normals, the re and im of its k angular draws;
+    spf, the full round trip's (index.size, k) table columns, goes through _to_shells.
     """
-    k = sht.shape[1]
-    table = _table(grid.angular, (k if spf is None else 2 * k,))
-    table[grid.shell_of, within, :k] = sht
-    if spf is not None:
-        _to_shells(spf, grid.index, grid, out=table[..., k:])
+    k = spf.shape[1]
+    table = _table(grid.angular, (2 * k,))
+    for shell, z in zip(table, sht):
+        shell[: z.shape[2], :k].real = z[:, 0].T
+        shell[: z.shape[2], :k].imag = z[:, 1].T
+    _to_shells(spf, grid.index, grid, out=table[..., k:])
     return table
 
 
@@ -170,57 +159,59 @@ def run_validation(grid: MultiShellGrid, seed: int = 0, n_draws: int = 100) -> d
     the two round trips.
 
     The angular round trip draws all its inputs before the first transform,
-    shell by shell in the order one draw per shell at a time would take
-    them: n_draws x n_samples complex values are held, 211 kB at the
-    default grid with 100 draws and 5.3 MB at band limits 15/25/41/63. The
-    full round trip spawns one child of the seed per draw, a chunk at a
-    time, the values random_staircase_signal gives for it. Each chunk makes
-    one harmonic table (angular._table), its angular draws at their shells
-    and rows beside _to_shells' columns of its full-round-trip tables, and
-    takes one synthesis and one analysis pass: one np.fft call per ring
-    size above one point and direction. A chunk takes as many draws as fit
-    in 8 MB of working memory (_CHUNK_BYTES): all of up to 316 at the
-    default grid, so a 100-draw report makes 5 + 5 calls where one draw at
-    a time made 1200 + 1200, and 10 at 15/25/41/63, 10 chunks for 100
-    draws. Each round trip's miss over a chunk is one reduction over every
-    shell, NaN included. The first chunk's analysis refuses an
-    ill-conditioned shell before any ring FFT, so such a grid costs the
-    draws, the first chunk's table and one synthesis pass.
+    in one call, default_rng(seed).standard_normal(2 * n_draws * n_samples),
+    read as each shell's (n_draws, 2, n_points) in turn: draw by draw, the
+    re and then the im of its points. The normals are the held draws, 16
+    bytes per draw and sample: 211 kB at the default grid with 100 draws and
+    5.3 MB at band limits 15/25/41/63. The full round trip spawns one child
+    of the seed per draw, a chunk at a time, the values
+    random_staircase_signal gives for it. Each chunk makes one harmonic
+    table (angular._table), its angular draws at their shells and rows, then
+    _to_shells' columns of its full-round-trip tables, and takes one
+    synthesis and one analysis pass: one np.fft call per ring size above one
+    point and direction. A chunk takes as many draws as fit in 8 MB of
+    working memory (_CHUNK_BYTES): all of up to 316 at the default grid, so
+    a 100-draw report makes 5 + 5 calls, and 10 at 15/25/41/63, 10 chunks
+    for 100 draws. Each round trip's miss over a chunk is a maximum over
+    every shell, NaN included. A grid whose staircase radial map is refused
+    runs the same chunks and skips only the full round trip's radial
+    analysis, its check carrying the refusal. The first chunk's analysis
+    refuses an ill-conditioned shell before any ring FFT, so such a grid
+    costs the draws, the first chunk's table and one synthesis pass.
     """
-    for name, value, least in (("n_draws", n_draws, 1), ("seed", seed, 0)):
-        if _as_int(value) is None:
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
-    n_draws, seed = int(n_draws), int(seed)
+    n_draws, seed = _integer(n_draws, "n_draws", 1), _integer(seed, "seed", 0)
     memo, radial_error, layout = _grid_checks(grid)
     checks = {name: dict(check) for name, check in memo.items()}
     checks["gaussian_moments"]["residuals"] = list(checks["gaussian_moments"]["residuals"])
     checks["sht_conditioning"]["per_shell"] = [
         list(c) for c in checks["sht_conditioning"]["per_shell"]]
 
-    # the two randomised round trips: the angular draws come first, then both round trips go
-    # through the transforms together, one chunk of draws at a time
-    within = np.concatenate([np.arange(s.n_points) for s in grid.angular])  # row in its shell
-    rng, sht_draws = np.random.default_rng(seed), np.empty((n_draws, grid.n_samples), complex)
-    for start, scheme in zip(np.flatnonzero(within == 0), grid.angular):  # shell by shell
-        _complex_normals(rng, sht_draws[:, start : start + scheme.n_points])
+    # the two randomised round trips: every angular draw comes first, in one call, then both
+    # round trips go through the transforms together, one chunk of draws at a time
+    normals = np.random.default_rng(seed).standard_normal(2 * n_draws * grid.n_samples)
+    # each shell's (n_draws, 2, n_points) normals, in shell order
+    ends = list(itertools.accumulate(2 * n_draws * s.n_points for s in grid.angular))
+    shells = [normals[a:b].reshape(n_draws, 2, -1) for a, b in zip([0, *ends], ends)]
     seeds = np.random.SeedSequence(seed)
     worst = {"sht_round_trip": 0.0, "spf_round_trip": 0.0}
     errors = {} if radial_error is None else {"spf_round_trip": radial_error}
     step = _draws_per_chunk(grid)
     try:
         for start in range(0, n_draws, step):
-            sht = sht_draws[start : start + step].T
-            k = sht.shape[1]
+            sht = [z[start : start + step] for z in shells]
+            k = len(sht[0])
             # each spawn takes the seed's next k children, as one spawn(n_draws) would
-            spf = None if radial_error is not None else _staircase_values(seeds.spawn(k), layout).T
+            spf = _staircase_values(seeds.spawn(k), layout).T
             # the chunk's table goes straight to _synthesise, which lets it go after its gather
-            back = _analyse(_synthesise(_chunk_table(grid, within, sht, spf), grid.angular),
-                            grid.angular)
-            miss = np.max(np.abs(back[grid.shell_of, within, :k] - sht))
-            worst["sht_round_trip"] = np.maximum(worst["sht_round_trip"], miss)
-            if spf is not None:
+            back = _analyse(_synthesise(_chunk_table(grid, sht, spf), grid.angular), grid.angular)
+            # back's angular columns less their draws are the misses; indexed, so that no view
+            # of back outlives the del below
+            for i, z in enumerate(sht):
+                back[i, : z.shape[2], :k].real -= z[:, 0].T
+                back[i, : z.shape[2], :k].imag -= z[:, 1].T
+            worst["sht_round_trip"] = np.maximum(worst["sht_round_trip"],
+                                                 np.max(np.abs(back[..., :k])))
+            if radial_error is None:
                 miss = np.max(np.abs(_from_shells(back[..., k:], grid, "staircase") - spf))
                 if not np.isfinite(miss):
                     raise ValueError("coefficient values must be finite")

@@ -166,6 +166,17 @@ def test_descriptor_shell_count_is_checked_before_the_shell_list(tmp_path, grid,
         assert err == f"error: bad descriptor: n_shells must be an integer, got {n_shells!r}\n"
 
 
+def test_descriptor_b_max_must_be_a_number(tmp_path, grid, capsys):
+    # a string b_max once rebuilt the grid, printed "b_max": 8000.0 and exited 0
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps({**descriptor_from_grid(grid), "b_max": "8000"}))
+    assert main(["grid", "--from-descriptor", str(path), "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: bad descriptor: b_max must be a positive, finite real number, "
+                   "got '8000'\n")
+
+
 def test_forward_counts_mismatch_message(tmp_path, grid, capsys):
     desc_path = write_default_descriptor(tmp_path, grid)
     samples_path = tmp_path / "short.txt"

@@ -471,7 +471,8 @@ def test_column_blocks_are_single_columns(layout):
     for v in (1, 2, 7, 64):
         blocks = np.concatenate([c[:, :v] for c in coeffs])  # (sample, column), shell-major
         same = (lambda a, b: a.tobytes() == b.tobytes()) if v == 1 else _close
-        table = qspf.validate._chunk_table(g, within, blocks, None)
+        table = qspf.angular._table(g.angular, (v,))
+        table[g.shell_of, within] = blocks
         assert same(qspf.angular._synthesise(table, g.angular), synthesised[:, :v])
         analysed_table = qspf.angular._analyse(samples[:, :v], g.angular)
         for block, singles, s in zip(analysed_table, analysed, g.angular):
@@ -480,8 +481,10 @@ def test_column_blocks_are_single_columns(layout):
         for block, singles, c, s in zip(sht_back, round_trips, coeffs, g.angular):
             block = block[: s.n_points]
             assert same(block, singles[:, :v]) if v == 1 else _as_close_to(block, singles, c)
-        # with the full round trip's columns, one draw is a block of two
-        back = round_trip(qspf.validate._chunk_table(g, within, blocks, tables[:, :v]))
+        # with the full round trip's columns, one draw is a block of two; the angular draws go
+        # in as validation holds them, each shell's (draw, re or im, point) normals
+        normals = [np.stack([c[:, :v].real.T, c[:, :v].imag.T], axis=1) for c in coeffs]
+        back = round_trip(qspf.validate._chunk_table(g, normals, tables[:, :v]))
         for block, singles, c, s in zip(back, round_trips, coeffs, g.angular):
             assert _as_close_to(block[: s.n_points, :v], singles, c)
         spf_back = qspf.multishell._from_shells(back[..., v:], g, "staircase")
@@ -569,6 +572,17 @@ def test_random_grids_are_bijections_and_blocks_are_single_columns(g, seed):
     assert _close(qspf.angular._synthesise(harmonics, g.angular), synthesised)
     harmonics = qspf.angular._analyse(samples, g.angular)
     assert _close(qspf.multishell._from_shells(harmonics, g, "staircase"), fitted)
+    # a descriptor's JSON round trip rebuilds the grid, explicit ring placements and all: the
+    # same descriptor bytes, and the same transforms bit for bit
+    desc = json.dumps(descriptor_from_grid(g))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # band limits that decrease with b warn
+        rebuilt = grid_from_descriptor(json.loads(desc))
+    assert json.dumps(descriptor_from_grid(rebuilt)) == desc
+    assert forward_spf(rebuilt, samples[:, 0]).values.tobytes() == fitted[:, 0].tobytes()
+    again = synthesize_on_grid(SpfCoefficients(rebuilt.index, rebuilt.radial.zeta,
+                                               rebuilt.radial.convention, tables[:, 0]), rebuilt)
+    assert again.tobytes() == synthesised[:, 0].tobytes()
 
 
 def test_grid_transforms_take_one_fft_call_per_ring_size(grid, monkeypatch):

@@ -151,6 +151,25 @@ def test_make_radial_scheme_validation():
         make_radial_scheme(4, -10.0)
 
 
+@pytest.mark.parametrize("b_max", ["8000", b"8000", 8000j, None, float("nan")], ids=repr)
+def test_b_max_that_is_not_a_positive_real_number_is_a_value_error(b_max):
+    # "8000" once built a grid through build_grid's float(), and a TypeError came from
+    # make_radial_scheme's comparison
+    message = f"b_max must be a positive, finite real number, got {re.escape(repr(b_max))}$"
+    with pytest.raises(ValueError, match=message):
+        make_radial_scheme(4, b_max)
+    with pytest.raises(ValueError, match=message):
+        build_grid(4, b_max, (3, 5, 9, 11))
+
+
+def test_b_max_takes_any_real_number_as_its_float():
+    want = make_radial_scheme(4, 8000.0)
+    for b_max in (8000, np.float32(8000.0), np.int64(8000)):
+        scheme = make_radial_scheme(4, b_max)
+        assert type(scheme.b_max) is float and scheme.b_max == 8000.0
+        assert scheme.radii.tobytes() == want.radii.tobytes()
+
+
 def test_quadrature_weights_reject_non_roots(scheme):
     with pytest.raises(ValueError):
         quadrature_weights(scheme.roots + 0.05, scheme.zeta)

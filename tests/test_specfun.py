@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from scipy.special import eval_genlaguerre, roots_genlaguerre, roots_hermite, sp
 
 import qspf
 from qspf.angular import make_angular_scheme
+from qspf.radial import radial_basis_eval
 from qspf.specfun import (
     _legendre_by_degree,
     laguerre_deriv,
@@ -205,6 +207,31 @@ def test_spherical_harmonic_against_scipy():
 def test_spherical_harmonic_validation():
     with pytest.raises(ValueError):
         spherical_harmonic(2, 3, 0.3, 0.1)
+
+
+# every public special function by its integer argument: an order, degree or count
+INTEGER_ARGUMENTS = {
+    "laguerre_eval": lambda n: laguerre_eval(n, 0.5, [0.3, 1.7]),
+    "laguerre_deriv": lambda n: laguerre_deriv(n, 0.5, [0.3, 1.7]),
+    "laguerre_roots": laguerre_roots,
+    "normalized_legendre": lambda l_max: normalized_legendre(l_max, [0.2, -0.6]),
+    "spherical_harmonic-l": lambda l: spherical_harmonic(l, 1, [0.4, 1.1], [0.3, 2.0]),
+    "spherical_harmonic-m": lambda m: spherical_harmonic(3, m, [0.4, 1.1], [0.3, 2.0]),
+    "radial_basis_eval": lambda n: radial_basis_eval(n, [0.5, 1.5], 2.0),
+}
+
+
+@pytest.mark.parametrize("call", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS.keys())
+def test_an_integral_float_passes_as_its_integer(call):
+    # these raised TypeError or IndexError where the rest of the package takes 2.0 as 2
+    assert np.asarray(call(2.0)).tobytes() == np.asarray(call(2)).tobytes()
+
+
+@pytest.mark.parametrize("value", [2.5, "2", float("nan")], ids=repr)
+@pytest.mark.parametrize("call", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS.keys())
+def test_an_integer_argument_that_is_not_an_integer_is_a_value_error(call, value):
+    with pytest.raises(ValueError, match=f"must be an integer, got {re.escape(repr(value))}$"):
+        call(value)
 
 
 @given(

@@ -8,7 +8,7 @@ import pytest
 
 import qspf.signals
 import qspf.validate
-from qspf import build_grid
+from qspf import build_grid, forward_spf
 from qspf.angular import _analyse, _synthesise, _table, make_angular_scheme
 from qspf.cli import descriptor_from_grid, grid_from_descriptor
 from qspf.errors import ConditioningError
@@ -121,7 +121,12 @@ def _degenerate_grid():
     return build_grid(3, 1000.0, (3, 5, 5), ring_latitudes=[None, merged, nearly])
 
 
-@pytest.mark.parametrize("layout", [*LADDER, (11, 9, 5, 3), (1,), (3, 3, 3), "degenerate"], ids=str)
+# a 13-shell staircase, whose staircase radial map is refused (condition 4.8e8)
+REFUSED_RADIAL = tuple(range(1, 26, 2))
+
+
+@pytest.mark.parametrize("layout", [*LADDER, (11, 9, 5, 3), (1,), (3, 3, 3), REFUSED_RADIAL,
+                                    "degenerate"], ids=str)
 def test_round_trip_across_shells_reports_what_the_per_shell_loop_did(layout):
     if layout == "degenerate":
         grid = _degenerate_grid()
@@ -136,6 +141,14 @@ def test_round_trip_across_shells_reports_what_the_per_shell_loop_did(layout):
             want["checks"]["sht_round_trip"] = per_shell_sht_round_trip(grid, seed, n_draws)
             want["passed"] = all(c["passed"] for c in want["checks"].values())
             assert json.dumps(report) == json.dumps(want)
+    if layout == REFUSED_RADIAL:
+        # its chunks are those of every grid; only the full round trip's radial analysis is
+        # skipped, and its check carries the refusal forward_spf raises
+        with pytest.raises(ConditioningError) as refusal:
+            forward_spf(grid, np.ones(grid.n_samples))
+        assert report["checks"]["spf_round_trip"]["error"] == str(refusal.value)
+        assert str(refusal.value).startswith("radial collocation matrix is ill-conditioned")
+        assert report["checks"]["sht_round_trip"]["passed"]
     if layout == "degenerate":
         # the first ill-conditioned shell names the failure, as it did when it ran first
         first, second = (f"{s.condition:.3e}" for s in grid.angular[1:])

@@ -209,7 +209,7 @@ def _read_only(obj, *arrays):
 
 @functools.lru_cache(maxsize=32)
 def _scheme(bandlimit: int, thetas, phi_offsets) -> AngularScheme:
-    """The scheme for make_angular_scheme's checked band limit and exact placement keys."""
+    """The scheme for a checked band limit and exact placement keys (_exact_key)."""
     n_rings = (bandlimit + 1) // 2
 
     if thetas is None:
@@ -225,13 +225,12 @@ def _scheme(bandlimit: int, thetas, phi_offsets) -> AngularScheme:
     for l, leg in enumerate(_legendre_by_degree(bandlimit - 1, np.cos(thetas))):
         if l % 2 == 0:
             rows[: l + 1, :, l // 2] = leg
-    # order mu is solved on the rings from (mu + 1) // 2 on
-    conditions = np.array([np.linalg.cond(rows[mu, first:, first:])
-                           for mu, first in enumerate(np.arange(1, bandlimit + 1) // 2)])
+    # order mu is solved on the rings from (mu + 1) // 2 on: ring f's step stacks |m| = 2f, 2f - 1
+    stacks = [rows[2 * f :: -1][:2, f:, f:] for f in range(n_rings)]  # ring 0: just 0
+    conditions = np.concatenate([np.linalg.cond(stack)[::-1] for stack in stacks])  # mu ascending
     factors = []
     if conditions.max() < COND_LIMIT:  # else _analyse refuses the scheme before any step
-        for f in range(n_rings):  # ring f's step stacks |m| = 2f, 2f - 1 (ring 0: just 0)
-            q, r = np.linalg.qr(rows[2 * f :: -1][:2, f:, f:])
+        for q, r in map(np.linalg.qr, stacks):
             factors.append((q.swapaxes(1, 2).copy(), np.linalg.inv(r)))
 
     if phi_offsets is None:

@@ -91,10 +91,18 @@ def grid_from_descriptor(desc: dict) -> MultiShellGrid:
 
     Only the primary fields (shell count, b_max, convention, band limits,
     ring placements) drive the rebuild; stored derived values (zeta,
-    b-values, weights) are informational.
+    b-values, weights) are informational. No field may hold true or false.
     """
     if not isinstance(desc, dict):
         raise CliError("descriptor must be a JSON object")
+    for key, value in desc.items():  # no field is boolean, and True == 1 would pass for 1
+        stack = [value]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, bool):
+                raise CliError(f"bad descriptor: {key} holds a boolean ({json.dumps(item)})")
+            stack += (item.values() if isinstance(item, dict)
+                      else item if isinstance(item, list) else ())
     if desc.get("version") != DESCRIPTOR_VERSION:
         raise CliError(f"unsupported descriptor version {desc.get('version')!r}")
     try:
@@ -324,13 +332,9 @@ def _grid_from_args(args) -> MultiShellGrid:
 
 def cmd_grid(args) -> int:
     grid = _grid_from_args(args)
-    if args.format == "bvec":
-        if args.output:
-            _write_text(format_bvals(grid), args.output + ".bvals")
-            _write_text(format_bvecs(grid), args.output + ".bvecs")
-        else:
-            sys.stdout.write(format_bvals(grid))
-            sys.stdout.write(format_bvecs(grid))
+    if args.format == "bvec":  # --output "" is stdout too
+        for text, suffix in ((format_bvals(grid), ".bvals"), (format_bvecs(grid), ".bvecs")):
+            _write_text(text, args.output + suffix if args.output else None)
     elif args.format == "json":
         text = json.dumps(descriptor_from_grid(grid), indent=2) + "\n"
         _write_text(text, args.output)

@@ -1,4 +1,10 @@
-"""Shared exception types, the one conditioning gate and the integer-argument rule."""
+"""Shared exception types, the one conditioning gate and the two rules every scalar argument is
+checked by: an integer (_integer) equals an int (11.0, not 11.5 or "11"); a real number (_real)
+is finite and bounded below by 0 (8000, not "8000"). No bool passes either rule."""
+
+import numbers
+
+import numpy as np
 
 # a transform refuses any linear system whose condition number is not below this
 COND_LIMIT = 1e8
@@ -27,12 +33,12 @@ def _refuse_ill_conditioned(message: str, condition: float) -> None:
 
 
 def _as_int(value):
-    """value as an int if it equals one, else None: 11.0 gives 11; 11.5, "11", NaN and inf None."""
+    """value as an int if it equals one and is not a bool, else None: 11.0 gives 11, 11.5 None."""
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):
         return None
-    return number if number == value else None
+    return number if number == value and not isinstance(value, (bool, np.bool_)) else None
 
 
 def _integer(value, name: str, least: int | None = None) -> int:
@@ -43,3 +49,13 @@ def _integer(value, name: str, least: int | None = None) -> int:
     if least is not None and number < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return number
+
+
+def _real(value, name: str, positive: bool = True) -> float:
+    """value as a float; ValueError naming it unless real, finite and > 0 (>= 0 if not positive)."""
+    # float and int first, as numbers.Real alone is an ABC check of six Python-level calls
+    if (not isinstance(value, (float, int, numbers.Real)) or isinstance(value, (bool, np.bool_))
+            or not (0 < value < np.inf if positive else 0 <= value < np.inf)):
+        sign = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be a {sign}, finite real number, got {value!r}")
+    return float(value)

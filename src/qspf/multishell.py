@@ -53,11 +53,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .angular import (_analyse, _flat, _odd_bandlimit, _read_only, _sh_position, _synthesise,
-                      _table, make_angular_scheme)
-from .errors import _as_int, _integer, _refuse_ill_conditioned
-from .radial import (BConvention, RadialScheme, _b_max, _basis_table, _radial_map,
-                     make_radial_scheme)
+from .angular import (_analyse, _exact_key, _flat, _odd_bandlimit, _read_only, _scheme,
+                      _sh_position, _synthesise, _table)
+from .errors import _as_int, _integer, _real, _refuse_ill_conditioned
+from .radial import BConvention, RadialScheme, _basis_table, _radial_map, make_radial_scheme
 from .specfun import _legendre_by_degree
 
 __all__ = [
@@ -231,11 +230,12 @@ def build_grid(
     ring_offsets = [None] * n_shells if ring_offsets is None else ring_offsets
     if len(ring_latitudes) != n_shells or len(ring_offsets) != n_shells:
         raise ValueError("ring overrides must supply one entry (or None) per shell")
-    # keyed on the memoised schemes, so a grid never keeps a scheme its memo has since replaced
-    schemes = tuple(map(make_angular_scheme, bandlimits, ring_latitudes, ring_offsets))
-    # the band limits are checked above, so the memo is read directly
+    # keyed on the memoised schemes, so a grid never keeps a scheme its memo has since replaced;
+    # the band limits are checked above, so the scheme and index memos are read directly
+    keys = map(_exact_key, ring_latitudes), map(_exact_key, ring_offsets)
+    schemes = tuple(map(_scheme, bandlimits, *keys))
     indexes = _staircase_index(bandlimits), _staircase_index((max(bandlimits),) * n_shells)
-    return _grid(_b_max(b_max), convention, *indexes, schemes)
+    return _grid(_real(b_max, "b_max"), convention, *indexes, schemes)
 
 
 @functools.lru_cache(maxsize=16)
@@ -279,8 +279,7 @@ class SpfCoefficients:
             raise ValueError(
                 f"index has {self.index.size} entries, values have shape {self.values.shape}"
             )
-        if not 0 < self.zeta < np.inf:  # written so that NaN fails too
-            raise ValueError(f"zeta must be positive and finite, got {self.zeta}")
+        _real(self.zeta, "zeta")
         _finite_values(self)
 
     def to_real_basis(self) -> np.ndarray:

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _as_int, _integer, _refuse_ill_conditioned
+from .errors import _integer, _real, _refuse_ill_conditioned
 from .specfun import _laguerre_rows, laguerre_deriv, laguerre_eval, laguerre_roots
 
 __all__ = [
@@ -49,8 +48,7 @@ class BConvention:
         if self.mode not in ("normalized", "physical"):
             raise ValueError(f"unknown b convention {self.mode!r}")
         if self.mode == "physical":
-            if self.tau is None or not 0 < self.tau < math.inf:
-                raise ValueError("physical convention requires a finite tau > 0 (seconds)")
+            _real(self.tau, "tau")  # seconds
         elif self.tau is not None:
             raise ValueError("tau applies only to the physical convention")
 
@@ -99,15 +97,15 @@ def make_radial_scheme(
     Parameters
     ----------
     n_shells : int
-        Number of shells N >= 1, an integer: 4.0 passes as 4, 4.5 and "4" do not.
+        Number of shells N >= 1, an integer: 4.0 passes as 4, 4.5, "4" and True do not.
     b_max : float
         b-value of the outermost shell, s/mm^2: a positive, finite real
-        number ("8000" is not); ValueError if a quadrature weight then
+        number ("8000" and True are not); ValueError if a quadrature weight then
         overflows or underflows.
     convention : BConvention
         b <-> q mapping; the default absorbs the diffusion-time constant.
     """
-    n_shells, b_max = _integer(n_shells, "n_shells", 1), _b_max(b_max)
+    n_shells, b_max = _integer(n_shells, "n_shells", 1), _real(b_max, "b_max")
     roots = laguerre_roots(n_shells, 0.5)
     q_max = float(convention.q_from_b(b_max))
     zeta = float(q_max**2 / roots[-1])
@@ -131,15 +129,6 @@ def make_radial_scheme(
     )
 
 
-def _b_max(b_max) -> float:
-    """b_max as a float; ValueError unless it is a positive, finite real number ("8000" is not)."""
-    # float and int first, which isinstance tries in order: numbers.Real alone is an ABC check
-    # of six Python-level calls, on every build_grid call
-    if not isinstance(b_max, (float, int, numbers.Real)) or not 0 < b_max < math.inf:
-        raise ValueError(f"b_max must be a positive, finite real number, got {b_max!r}")
-    return float(b_max)
-
-
 def radial_basis_eval(n: int, q, zeta: float):
     """Orthonormal Gaussian-Laguerre radial basis function R_n(q).
 
@@ -149,9 +138,7 @@ def radial_basis_eval(n: int, q, zeta: float):
     is computed from log-gamma differences so relative error stays flat
     in n.
     """
-    if not 0 < zeta < math.inf:  # written so that NaN fails too
-        raise ValueError(f"zeta must be positive and finite, got {zeta}")
-    n = _integer(n, "radial order", 0)
+    zeta, n = _real(zeta, "zeta"), _integer(n, "radial order", 0)
     q = np.asarray(q, dtype=float)
     if np.any(np.isnan(q)):
         raise ValueError("radial_basis_eval requires q that is not NaN")
@@ -171,9 +158,7 @@ def quadrature_weights(roots: np.ndarray, zeta: float) -> np.ndarray:
     roots = np.asarray(roots, dtype=float)
     if roots.ndim != 1 or not len(roots):
         raise ValueError(f"expected a non-empty flat array of roots, got shape {roots.shape}")
-    n_shells = len(roots)
-    if not 0 < zeta < math.inf:  # written so that NaN fails too
-        raise ValueError(f"zeta must be positive and finite, got {zeta}")
+    n_shells, zeta = len(roots), _real(zeta, "zeta")
     deriv = laguerre_deriv(n_shells, 0.5, roots)  # raises for non-finite roots
     resid = laguerre_eval(n_shells, 0.5, roots)
     if np.any(np.abs(resid / deriv) > 1e-8 * np.maximum(roots, 1.0)):
@@ -248,17 +233,14 @@ def radial_collocation_solve(values, shells, scheme: RadialScheme) -> np.ndarray
     Raises
     ------
     ValueError
-        If a shell index is not an integer (1.0 passes as 1, 0.5 does not) or
+        If a shell index is not an integer (1.0 passes as 1, 0.5 and True not) or
         is outside 0 .. N - 1, or values do not pair with shells.
     ConditioningError
         If the collocation matrix condition number exceeds 1e8.
     """
     values, shells = np.asarray(values), np.asarray(shells)
-    given = shells.ravel().tolist()
-    indices = [_as_int(shell) for shell in given]
-    if None in indices:
-        raise ValueError(f"shell index {given[indices.index(None)]!r} is not an integer")
-    shells = np.array(indices, dtype=int).reshape(shells.shape)
+    shells = np.array([_integer(shell, "shell index") for shell in shells.ravel().tolist()],
+                      dtype=int).reshape(shells.shape)
     if values.shape != shells.shape:
         raise ValueError(f"{len(shells)} shells but {values.shape} values")
     if len(shells) > scheme.n_shells:

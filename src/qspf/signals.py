@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _real
 from .multishell import MultiShellGrid, SpfCoefficients, StaircaseIndex, _paired
 
 __all__ = [
@@ -40,7 +41,7 @@ class TensorComponent:
             raise ValueError("diffusion tensor must be symmetric")
         if np.linalg.eigvalsh(tensor).min() <= 0:
             raise ValueError("diffusion tensor must be positive-definite")
-        if not 0.0 <= self.fraction <= 1.0:
+        if _real(self.fraction, "volume fraction", positive=False) > 1.0:
             raise ValueError(f"volume fraction must lie in [0, 1], got {self.fraction}")
         object.__setattr__(self, "tensor", tensor)
 
@@ -147,9 +148,7 @@ def add_rician_noise(values, sigma: float, seed: int):
     Returns |v + eta_1 + i eta_2| with independent eta ~ N(0, sigma^2).
     sigma = 0 reduces to |v|. sigma and values must be finite.
     """
-    if not 0 <= sigma < np.inf:  # written so that NaN fails too
-        raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
-    values = np.asarray(values, dtype=float)
+    sigma, values = _real(sigma, "sigma", positive=False), np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite")
     rng = np.random.default_rng(seed)

@@ -26,8 +26,8 @@ package comes from there:
   turn: degree l's rows are overwritten two steps later, when degree l + 2
   is made, so a consumer that keeps rows past the next step must copy them.
 
-Orders, degrees and counts are integers as everywhere in the package: 2.0
-passes as 2, and 2.5, "2" or NaN raise ValueError. All functions are pure
+Orders, degrees and counts are integers by errors._integer, as everywhere in the package:
+2.0 passes as 2, and 2.5, "2", NaN or True raise ValueError. All functions are pure
 and safe for concurrent use.
 """
 

@@ -96,6 +96,17 @@ def test_explicit_latitudes_reproduce_the_chosen_layout():
         assert np.array_equal(again.order_conditions, chosen.order_conditions)
 
 
+@pytest.mark.parametrize("L", [1, 3, 11, 21, 63, 133])
+def test_order_conditions_are_each_orders_own_solve_matrix(L):
+    # conditions come from the two-order stacks the ring steps factor, one call per ring
+    latitudes = np.linspace(0.2, 1.5, (L + 1) // 2)  # an explicit layout, refused at L = 133
+    for scheme in (make_angular_scheme(L), make_angular_scheme(L, thetas=latitudes)):
+        firsts = [(mu + 1) // 2 for mu in range(L)]
+        want = [np.linalg.cond(scheme.rows[mu, f:, f:]) for mu, f in enumerate(firsts)]
+        assert scheme.order_conditions.tobytes() == np.array(want).tobytes()
+        assert scheme.condition == max(want)
+
+
 def test_default_schemes_are_memoised_and_read_only():
     scheme = make_angular_scheme(11)
     assert make_angular_scheme(11) is scheme

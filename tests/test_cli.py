@@ -177,6 +177,39 @@ def test_descriptor_b_max_must_be_a_number(tmp_path, grid, capsys):
                    "got '8000'\n")
 
 
+@pytest.mark.parametrize("path, value", [
+    (("version",), True), (("n_shells",), True), (("b_max",), True), (("bandlimits",), [True] * 4),
+    (("shells", 0, "bandlimit"), True), (("shells", 2, "ring_latitudes", 0), True),
+    (("shells", 0, "ring_phi_offsets"), [False, 0.0]),
+    (("convention",), {"mode": "physical", "tau": True}), (("zeta",), False),
+], ids=str)
+def test_descriptor_refuses_booleans_anywhere(tmp_path, grid, capsys, path, value):
+    # no field is boolean, but True == 1: "version": true passed the version check, a ring
+    # latitude of true was read as 1.0 and "b_max": true built a grid at b = 1
+    desc = target = descriptor_from_grid(grid)  # a fresh dict of fresh lists
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(CliError, match="^bad descriptor: "):
+        grid_from_descriptor(desc)
+    file = tmp_path / "scheme.json"
+    file.write_text(json.dumps(desc))
+    assert main(["grid", "--from-descriptor", str(file), "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: bad descriptor: ") and err.count("\n") == 1
+
+
+def test_grid_bvec_stdout_is_the_two_files(tmp_path, capsys):
+    prefix = tmp_path / "scheme"
+    assert main(["grid", "--format", "bvec", "--output", str(prefix)]) == 0
+    files = (prefix.with_suffix(".bvals").read_text() + prefix.with_suffix(".bvecs").read_text())
+    capsys.readouterr()
+    for output in ([], ["--output", ""]):
+        assert main(["grid", "--format", "bvec", *output]) == 0
+        out, err = capsys.readouterr()
+        assert out == files and err == ""
+
+
 def test_forward_counts_mismatch_message(tmp_path, grid, capsys):
     desc_path = write_default_descriptor(tmp_path, grid)
     samples_path = tmp_path / "short.txt"

@@ -1,8 +1,10 @@
 import contextlib
 import itertools
 import json
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +216,25 @@ def test_grid_memo_takes_the_schemes_the_scheme_memo_holds_now():
     assert again is not grid
     assert all(s is make_angular_scheme(L) for s, L in zip(again.angular, DEFAULTS))
     assert build_grid(4, 8000.0, DEFAULTS) is again
+
+
+def test_memo_hit_grid_enters_few_package_frames():
+    # a memo hit checks each argument once and reads the scheme and index memos directly; a
+    # few more Python calls here cost fit_voxels' setup as much as the lookup itself
+    package = str(Path(qspf.multishell.__file__).parent)
+    build_grid(4, 8000.0, DEFAULTS)
+    frames = []
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            frames.append(frame.f_code.co_name)
+
+    sys.setprofile(record)
+    try:
+        build_grid(4, 8000.0, DEFAULTS)
+    finally:
+        sys.setprofile(None)
+    assert len(frames) <= 31, frames
 
 
 def test_grid_arguments_are_checked_on_every_call():

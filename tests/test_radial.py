@@ -242,10 +242,12 @@ def test_collocation_refuses_shell_indices_outside_the_scheme(scheme):
 
 
 @pytest.mark.parametrize("shells, bad", [([0.5], 0.5), ([1, 2.5], 2.5), (["1"], "1"),
-                                         ([float("nan")], float("nan"))], ids=str)
+                                         ([float("nan")], float("nan")), ([True], True),
+                                         (np.array([1, 0], dtype=bool), True)], ids=str)
 def test_collocation_refuses_shell_indices_that_are_not_integers(scheme, shells, bad):
-    # 0.5 once truncated to shell 0 and solved there
-    with pytest.raises(ValueError, match=f"shell index {re.escape(repr(bad))} is not an integer"):
+    # 0.5 once truncated to shell 0 and solved there, and True was shell 1
+    message = f"shell index must be an integer, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
         radial_collocation_solve(np.ones(len(shells)), shells, scheme)
 
 

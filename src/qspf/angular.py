@@ -27,12 +27,14 @@ order, ring k of every scheme one after another, and the inverse's fold
 writes its bins in that order, so each ring index is one slice,
 transformed in place, and one gather puts the result in sample order.
 The transforms' two halves, _analyse and _synthesise, work that way on
-any tuple of schemes (forward_sht and inverse_sht are the one-scheme case,
-forward_spf and synthesize_on_grid the grid case), with index arrays built
-once per tuple of schemes (the most recent 32 tuples), read-only. Their
-coefficients are one harmonic table (_table), which the radial halves in
-multishell take and give too: row r = l(l+1)/2 + m of scheme i holds its
-(l, m) coefficient, and its rows from its own n_points up are zero.
+the ring plan (_RingPlan) of any tuple of schemes, its index arrays
+read-only. A scheme holds the plan of itself alone, for forward_sht and
+inverse_sht, and a grid the plan of its shells, for forward_spf and
+synthesize_on_grid: each is built on first use and lives as long as its
+scheme or grid. Their coefficients are one harmonic table (_table), which
+the radial halves in multishell take and give too: row r = l(l+1)/2 + m
+of scheme i holds its (l, m) coefficient, and its rows from its own
+n_points up are zero.
 
 Samples, bins and coefficients may also carry a trailing column axis,
 (n, V): V signals through the same schemes at once. Every step of either
@@ -75,19 +77,17 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import COND_LIMIT, _as_int, _refuse_ill_conditioned
-from .specfun import _legendre_by_degree, normalized_legendre
+from .specfun import _legendre_by_degree
 
 __all__ = [
     "AngularScheme",
     "make_angular_scheme",
     "forward_sht",
     "inverse_sht",
-    "dense_sht_oracle",
 ]
 
 
@@ -133,6 +133,11 @@ class AngularScheme:
     @property
     def n_points(self) -> int:
         return len(self.theta)
+
+    @functools.cached_property
+    def _plan(self) -> _RingPlan:
+        """The ring plan of this scheme alone, built on first use."""
+        return _ring_plan((self,))
 
 
 def _default_scale(bandlimit: int) -> float:
@@ -293,31 +298,31 @@ def forward_sht(values, scheme: AngularScheme) -> np.ndarray:
     ConditioningError
         If any per-order system has condition number above 1e8.
     """
-    return _analyse(_flat(values, scheme.n_points, "samples"), (scheme,))[0, :-1]
+    return _analyse(_flat(values, scheme.n_points, "samples"), scheme._plan)[0, :-1]
 
 
-def _table(schemes: tuple, columns: tuple = ()) -> np.ndarray:
-    """A zero harmonic table, (len(schemes), rows + 1, *columns), rows the largest n_points.
+def _table(plan: _RingPlan, columns: tuple = ()) -> np.ndarray:
+    """A zero harmonic table, (len(plan.schemes), plan.rows, *columns).
 
     Row r of scheme i holds its coefficient at r; its rows from its own n_points up stay
     zero, the last row too, where its positions of -1 (-0 and l < |m|) point.
     """
-    return np.zeros((len(schemes), max(s.n_points for s in schemes) + 1, *columns), dtype=complex)
+    return np.zeros((len(plan.schemes), plan.rows, *columns), dtype=complex)
 
 
-def _analyse(values, schemes: tuple) -> np.ndarray:
-    """forward_sht of the samples of schemes laid end to end, as their harmonic table (_table).
+def _analyse(values, plan: _RingPlan) -> np.ndarray:
+    """forward_sht of the samples of the plan's schemes laid end to end, as their _table.
 
-    Samples (n,) or (n, V) give a (len(schemes), rows + 1) or (len(schemes), rows + 1, V)
+    Samples (n,) or (n, V) give a (len(schemes), plan.rows) or (len(schemes), plan.rows, V)
     table. The one code that applies the stored factors, so the gate: it refuses the first
     scheme whose condition is not below COND_LIMIT before any ring FFT.
     """
-    for scheme in schemes:
+    for scheme in plan.schemes:
         _refuse_ill_conditioned("angular scheme is too ill-conditioned for a trustworthy transform",
                                 scheme.condition)
-    bins, start = _ring_dft(np.asarray(values, dtype=complex), schemes), 0
-    table = _table(schemes, bins.shape[1:])
-    for scheme, out in zip(schemes, table):
+    bins, start = _ring_dft(np.asarray(values, dtype=complex), plan), 0
+    table = _table(plan, bins.shape[1:])
+    for scheme, out in zip(plan.schemes, table):
         _solve_rings(bins[start : start + scheme.n_points], scheme, out)
         start += scheme.n_points
     table[:, -1] = 0.0  # where the cascade wrote -0
@@ -356,27 +361,26 @@ def inverse_sht(coeffs, scheme: AngularScheme) -> np.ndarray:
     scheme.n_points finite values.
     """
     coeffs = _flat(coeffs, scheme.n_points, "coefficients")
-    return _synthesise(np.append(coeffs, 0j)[None], (scheme,))  # a one-shell harmonic table
+    return _synthesise(np.append(coeffs, 0j)[None], scheme._plan)  # a one-shell harmonic table
 
 
-def _synthesise(table, schemes: tuple) -> np.ndarray:
+def _synthesise(table, plan: _RingPlan) -> np.ndarray:
     """inverse_sht of a harmonic table (see _table), unchecked: the samples laid end to end.
 
-    A (len(schemes), rows + 1) or (len(schemes), rows + 1, V) table gives samples (n,) or
-    (n, V). One gather takes every scheme's coefficients to its (order, degree, sign) layout
-    and lets the table go, one batched matmul per scheme makes their (order, ring, sign)
-    content, one product applies every phase, and one np.bincount adds all of it into the Re
-    and Im slots of the bins of every scheme and column, each bin from 0.0 in the order
-    np.add.at would take.
+    A (len(schemes), plan.rows) or (len(schemes), plan.rows, V) table of the plan's schemes
+    gives samples (n,) or (n, V). One gather takes every scheme's coefficients to its
+    (order, degree, sign) layout and lets the table go, one batched matmul per scheme makes
+    their (order, ring, sign) content, one product applies every phase, and one np.bincount
+    adds all of it into the Re and Im slots of the bins of every scheme and column, each bin
+    from 0.0 in the order np.add.at would take.
     """
     columns = table.shape[2:]
-    width, n = math.prod(columns), sum(s.n_points for s in schemes)
-    plan = _ring_plan(schemes)
+    width, n = math.prod(columns), len(plan.order)
     # (entry, columns): each scheme's entries are its (order, degree or ring, sign of m)
     by_degree = table.reshape(-1, *columns)[plan.positions]
     del table
     content, start = np.empty_like(by_degree), 0
-    for s in schemes:
+    for s in plan.schemes:
         block = slice(start, start + s.bins.size)
         np.matmul(s.rows, by_degree[block].reshape(*s.rows.shape[:2], -1).view(float),
                   out=content[block].reshape(*s.rows.shape[:2], -1).view(float))
@@ -388,28 +392,35 @@ def _synthesise(table, schemes: tuple) -> np.ndarray:
         slots = (slots[::2, None] * np.intp(width) + np.arange(2 * width)).ravel()
     bins = np.bincount(slots, content.view(float).ravel(), 2 * n * width)
     del content  # not held through the inverse FFTs
-    return _ring_dft(bins.view(complex).reshape(n, *columns), schemes, inverse=True)
+    return _ring_dft(bins.view(complex).reshape(n, *columns), plan, inverse=True)
 
 
-class _RingPlan(NamedTuple):
-    """Where the transforms of schemes laid end to end find their rings; see _ring_plan."""
+@dataclass(frozen=True, eq=False)
+class _RingPlan:
+    """Where the transforms of schemes laid end to end find their rings; see _ring_plan.
 
+    A scheme holds its own plan (AngularScheme._plan) and a grid the plan of its shells
+    (multishell.MultiShellGrid._plan), each built on first use and kept as long as its owner.
+    """
+
+    schemes: tuple
+    rows: int
     order: np.ndarray
-    unorder: np.ndarray
+    unorder: np.ndarray | None
     rings: tuple
     slots: np.ndarray
     positions: np.ndarray
     phase: np.ndarray
 
 
-@functools.lru_cache(maxsize=32)
 def _ring_plan(schemes: tuple) -> _RingPlan:
     """_ring_dft's ring order for schemes laid end to end, and _synthesise's gather and fold.
 
-    Ring k holds 4k+1 samples on every scheme that has it, so in ring order,
-    ring 0 of every scheme, then ring 1 of every scheme and so on, ring k
-    of all of them is one (schemes, 4k+1) block: rings holds (slice, shape)
-    of each for k >= 1. Ring 0, one sample per scheme, has none: its
+    rows is their harmonic table's rows per scheme (_table), the largest
+    n_points + 1. Ring k holds 4k+1 samples on every scheme that has it, so
+    in ring order, ring 0 of every scheme, then ring 1 of every scheme and
+    so on, ring k of all of them is one (schemes, 4k+1) block: rings holds
+    (slice, shape) of each for k >= 1. Ring 0, one sample per scheme, has none: its
     one-point DFT is the identity. Samples taken at order are in ring order,
     and ring-order values taken at unorder are in sample order again (None
     for a single scheme, whose two orders are one).
@@ -430,22 +441,18 @@ def _ring_plan(schemes: tuple) -> _RingPlan:
     rings = tuple((slice(end - block.size, end), block.shape)
                   for end, block in zip(ends[1:], blocks[1:]))
     bins = unorder[np.concatenate([start + s.bins.ravel() for start, s in zip(starts, schemes)])]
-    # int32 halves the memo; adding _synthesise's column offsets takes it to intp
+    # int32 halves the plan; adding _synthesise's column offsets takes it to intp
     slots = np.stack([2 * bins, 2 * bins + 1], axis=-1).astype(np.int32).ravel()
-    rows = max(s.n_points for s in schemes) + 1  # a harmonic table's rows per scheme (_table)
+    rows = max(s.n_points for s in schemes) + 1
     positions = np.concatenate([i * rows + s.positions % rows for i, s in enumerate(schemes)],
                                axis=None)
     phase = np.concatenate([s.phase for s in schemes], axis=None)
-    if len(schemes) == 1:
-        unorder = None
-    for array in (order, unorder, slots, positions, phase):
-        if array is not None:
-            array.flags.writeable = False
-    return _RingPlan(order, unorder, rings, slots, positions, phase)
+    return _read_only(_RingPlan(schemes, rows, order, None if len(schemes) == 1 else unorder,
+                                rings, slots, positions, phase))
 
 
-def _ring_dft(values, schemes: tuple, inverse: bool = False) -> np.ndarray:
-    """Every ring's FFT of samples, or inverse FFT of bins, of schemes laid end to end.
+def _ring_dft(values, plan: _RingPlan, inverse: bool = False) -> np.ndarray:
+    """Every ring's FFT of samples, or inverse FFT of bins, of the plan's schemes end to end.
 
     The forward transform takes samples in sample order and gathers them
     into ring order (see _ring_plan); the inverse takes bins that
@@ -458,7 +465,6 @@ def _ring_dft(values, schemes: tuple, inverse: bool = False) -> np.ndarray:
     norm="forward" puts the 1/n_k on the FFT, so a bin holds its order's
     amplitude.
     """
-    plan = _ring_plan(schemes)
     dft = np.fft.ifft if inverse else np.fft.fft
     if not inverse:
         values = values[plan.order]  # a copy: the caller's samples stay as they are
@@ -466,23 +472,4 @@ def _ring_dft(values, schemes: tuple, inverse: bool = False) -> np.ndarray:
         block = values[ring].reshape(shape + values.shape[1:])
         dft(block, axis=1, norm="forward", out=block)
     return values if plan.unorder is None else values[plan.unorder]
-
-
-def dense_sht_oracle(values, scheme: AngularScheme) -> np.ndarray:
-    """Forward transform by one dense square solve, for cross-checking.
-
-    Builds the full point-by-coefficient harmonic matrix and solves it
-    directly. Cubic in the point count, so only sensible at small band
-    limits; the FFT path should agree with this to rounding.
-    """
-    values = _flat(values, scheme.n_points, "samples")
-    # column (l, m) is Y_l^m at every point, from one table: Y_l^{-m} = (-1)^m conj Y_l^m
-    L = scheme.bandlimit
-    l = np.repeat(np.arange(0, L, 2), np.arange(1, 2 * L, 4))
-    m = np.arange(len(l)) - _sh_position(l, 0)
-    legendre = normalized_legendre(L - 1, np.cos(scheme.theta))[l, np.abs(m)].T
-    sign = np.where((m < 0) & (m % 2 == 1), -1.0, 1.0)
-    matrix = sign * legendre * np.exp(1j * np.outer(scheme.phi, m))
-    _refuse_ill_conditioned("dense harmonic matrix is ill-conditioned", np.linalg.cond(matrix))
-    return np.linalg.solve(matrix, values.astype(complex))
 

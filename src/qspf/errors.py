@@ -24,9 +24,9 @@ class ConditioningError(RuntimeError):
 def _refuse_ill_conditioned(message: str, condition: float) -> None:
     """ConditioningError(message, condition) unless condition is below COND_LIMIT; NaN is not.
 
-    Every transform refuses through this: the angular one in angular._analyse, the dense
-    oracle, and the radial collocation in multishell._radial_gate (forward_spf's and
-    run_validation's) and radial_collocation_solve.
+    Every transform refuses through this: the angular one in angular._analyse, and the radial
+    collocation in multishell._radial_gate (forward_spf's and run_validation's) and
+    radial_collocation_solve.
     """
     if not condition < COND_LIMIT:
         raise ConditioningError(message, condition)
@@ -34,11 +34,14 @@ def _refuse_ill_conditioned(message: str, condition: float) -> None:
 
 def _as_int(value):
     """value as an int if it equals one and is not a bool, else None: 11.0 gives 11, 11.5 None."""
+    # a bool dtype covers np.bool_ and 0-d bool arrays, which int() takes as 0 or 1 too
+    if isinstance(value, bool) or getattr(value, "dtype", None) == bool:
+        return None
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):
         return None
-    return number if number == value and not isinstance(value, (bool, np.bool_)) else None
+    return number if number == value else None
 
 
 def _integer(value, name: str, least: int | None = None) -> int:

@@ -41,7 +41,10 @@ once per process and returns the same read-only object to every caller
 angular schemes from make_angular_scheme's memo the same way, so grids
 with equal band limits and ring placements share both, and memoises the
 grid itself on b_max, convention, indexes and schemes (the most recent
-16), read-only too, explicit placements included.
+16), read-only too, explicit placements included. What the transforms
+derive from one of these objects lives on it, built on first use: a
+grid's ring plan (angular._RingPlan) on the grid, inverse_spf's harmonic
+layout on its index, so each lasts exactly as long as its owner.
 """
 
 from __future__ import annotations
@@ -53,8 +56,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .angular import (_analyse, _exact_key, _flat, _odd_bandlimit, _read_only, _scheme,
-                      _sh_position, _synthesise, _table)
+from .angular import (_analyse, _exact_key, _flat, _odd_bandlimit, _read_only, _ring_plan,
+                      _scheme, _sh_position, _synthesise, _table)
 from .errors import _as_int, _integer, _real, _refuse_ill_conditioned
 from .radial import BConvention, RadialScheme, _basis_table, _radial_map, make_radial_scheme
 from .specfun import _legendre_by_degree
@@ -116,10 +119,36 @@ class StaircaseIndex:
                 return entries.start + (row - rows.start) * len(shells) + n
         raise outside
 
+    @functools.cached_property
+    def _harmonic_layout(self):
+        """Where each entry lands in inverse_spf's (Re/Im, n) by (l, m >= 0, cos/sin) block.
+
+        Order m > 0 adds c+ e^(i m phi) + c- e^(-i m phi), c- = (-1)^m c_{n,l,-m}, which
+        is (c+ + c-) cos(m phi) + i (c+ - c-) sin(m phi); order 0 adds c cos(0 phi). So
+        entry (n, l, m) adds w c to the cos column of (l, |m|) and i v c to its sin
+        column: w = v = 1 for m > 0, w = 1 and v = 0 at m = 0, w = -v = (-1)^m for
+        m < 0. Returns (targets, factors, size): an entry's Re c, Re c, Im c, Im c
+        times its four factors add up at its four targets in a flat block of that
+        size, where the (l, m) columns of even degree l start at l^2 / 4. Built on
+        first use.
+        """
+        n_orders, l_max = len(self.bandlimits), max(self.bandlimits)
+        mu = np.abs(self.orders)
+        w = np.where((self.orders < 0) & (mu % 2 == 1), -1.0, 1.0)
+        v = np.sign(self.orders) * w
+        n_columns = (l_max + 1) ** 2 // 4
+        cell = (self.radial_orders * n_columns + self.degrees**2 // 4 + mu) * 2
+        plane = 2 * n_orders * n_columns  # the Im rows follow the Re rows
+        # Re c -> Re C = w Re c, Im S = v Re c; Im c -> Im C = w Im c, Re S = -v Im c
+        targets = np.stack([cell, cell + plane + 1, cell + plane, cell + 1], axis=1).ravel()
+        factors = np.stack([w, v, w, -v], axis=1).ravel()
+        targets.flags.writeable = factors.flags.writeable = False
+        return targets, factors, 2 * plane
+
 
 def _checked_bandlimits(bandlimits) -> tuple:
     """Band limits as a tuple of ints, each an odd positive integer (11.0 passes, 11.5 not)."""
-    bandlimits = tuple(_odd_bandlimit(L) for L in bandlimits)
+    bandlimits = tuple(map(_odd_bandlimit, bandlimits))
     if not bandlimits:
         raise ValueError("need at least one band limit")
     return bandlimits
@@ -192,6 +221,11 @@ class MultiShellGrid:
     def bandlimits(self) -> tuple:
         return self.index.bandlimits
 
+    @functools.cached_property
+    def _plan(self):
+        """The ring plan of the grid's shells (angular._ring_plan), built on first use."""
+        return _ring_plan(self.angular)
+
 
 def build_grid(
     n_shells: int,
@@ -223,7 +257,7 @@ def build_grid(
     n_shells = _integer(n_shells, "n_shells")
     if len(bandlimits) != n_shells:
         raise ValueError(f"{n_shells} shells need {n_shells} band limits, got {len(bandlimits)}")
-    if any(b > a for a, b in zip(bandlimits[1:], bandlimits)):
+    if bandlimits != tuple(sorted(bandlimits)):
         warnings.warn("band limits decrease with b; inner shells will carry more angular "
                       "detail than outer ones", stacklevel=2)
     ring_latitudes = [None] * n_shells if ring_latitudes is None else ring_latitudes
@@ -340,7 +374,7 @@ def forward_spf(grid: MultiShellGrid, samples, radial_mode: str = "staircase") -
         raise ValueError(f"unknown radial_mode {radial_mode!r}")
     values = _flat(samples, grid.n_samples, "samples")
     out_index = _radial_gate(grid, radial_mode)
-    out = _from_shells(_analyse(values, grid.angular), grid, radial_mode)
+    out = _from_shells(_analyse(values, grid._plan), grid, radial_mode)
     return SpfCoefficients(out_index, grid.radial.zeta, grid.radial.convention, out)
 
 
@@ -400,32 +434,6 @@ _BLOCK = 2048
 
 
 @functools.lru_cache(maxsize=64)
-def _harmonic_layout(index: StaircaseIndex):
-    """Where each table entry lands in inverse_spf's (Re/Im, n) by (l, m >= 0, cos/sin) block.
-
-    Order m > 0 adds c+ e^(i m phi) + c- e^(-i m phi), c- = (-1)^m c_{n,l,-m}, which
-    is (c+ + c-) cos(m phi) + i (c+ - c-) sin(m phi); order 0 adds c cos(0 phi). So
-    entry (n, l, m) adds w c to the cos column of (l, |m|) and i v c to its sin
-    column: w = v = 1 for m > 0, w = 1 and v = 0 at m = 0, w = -v = (-1)^m for
-    m < 0. Returns (targets, factors, size): an entry's Re c, Re c, Im c, Im c
-    times its four factors add up at its four targets in a flat block of that
-    size, where the (l, m) columns of even degree l start at l^2 / 4.
-    """
-    n_orders, l_max = len(index.bandlimits), max(index.bandlimits)
-    mu = np.abs(index.orders)
-    w = np.where((index.orders < 0) & (mu % 2 == 1), -1.0, 1.0)
-    v = np.sign(index.orders) * w
-    n_columns = (l_max + 1) ** 2 // 4
-    cell = (index.radial_orders * n_columns + index.degrees**2 // 4 + mu) * 2
-    plane = 2 * n_orders * n_columns  # the Im rows follow the Re rows
-    # Re c -> Re C = w Re c, Im S = v Re c; Im c -> Im C = w Im c, Re S = -v Im c
-    targets = np.stack([cell, cell + plane + 1, cell + plane, cell + 1], axis=1).ravel()
-    factors = np.stack([w, v, w, -v], axis=1).ravel()
-    targets.flags.writeable = factors.flags.writeable = False
-    return targets, factors, 2 * plane
-
-
-@functools.lru_cache(maxsize=64)
 def _degree_runs(l_max: int, n_orders: int, n_points: int):
     """inverse_spf's GEMMs on blocks of n_points: runs of adjacent even degrees, and the widest.
 
@@ -474,7 +482,7 @@ def inverse_spf(coeffs: SpfCoefficients, directions, q=None, b=None):
         qv = coeffs.convention.q_from_b(qv)
 
     n_orders, l_max = len(coeffs.index.bandlimits), max(coeffs.index.bandlimits)
-    targets, factors, n_parts = _harmonic_layout(coeffs.index)
+    targets, factors, n_parts = coeffs.index._harmonic_layout
     parts = np.bincount(targets, values.view(float).repeat(2) * factors, n_parts)
     parts = parts.reshape(2 * n_orders, -1)
 
@@ -543,7 +551,7 @@ def synthesize_on_grid(coeffs: SpfCoefficients, grid: MultiShellGrid) -> np.ndar
         raise ValueError("coefficient table and grid use different radial scales")
     if len(coeffs.index.bandlimits) > grid.n_shells:
         raise ValueError("coefficient table has more radial orders than the grid has shells")
-    return _synthesise(_to_shells(coeffs.values[:, None], coeffs.index, grid)[..., 0], grid.angular)
+    return _synthesise(_to_shells(coeffs.values[:, None], coeffs.index, grid)[..., 0], grid._plan)
 
 
 def _to_shells(values, index: StaircaseIndex, grid: MultiShellGrid, out=None) -> np.ndarray:
@@ -555,7 +563,7 @@ def _to_shells(values, index: StaircaseIndex, grid: MultiShellGrid, out=None) ->
     keeps its leading rows, which must be finite; its rows from its n_points up are zero.
     """
     basis, width = grid.radial.basis, values.shape[1]
-    out = _table(grid.angular, (width,)) if out is None else out
+    out = _table(grid._plan, (width,)) if out is None else out
     for carried, entries, rows in index.runs:
         n, shells = len(carried), out[:, rows]  # no rows past out's, whatever the index's
         product = values[entries].reshape(-1, n, width).swapaxes(1, 2).reshape(-1, n) @ basis[:n]

@@ -133,7 +133,7 @@ def _chunk_table(grid: MultiShellGrid, sht: list, spf: np.ndarray) -> np.ndarray
     spf, the full round trip's (index.size, k) table columns, goes through _to_shells.
     """
     k = spf.shape[1]
-    table = _table(grid.angular, (2 * k,))
+    table = _table(grid._plan, (2 * k,))
     for shell, z in zip(table, sht):
         shell[: z.shape[2], :k].real = z[:, 0].T
         shell[: z.shape[2], :k].imag = z[:, 1].T
@@ -203,7 +203,7 @@ def run_validation(grid: MultiShellGrid, seed: int = 0, n_draws: int = 100) -> d
             # each spawn takes the seed's next k children, as one spawn(n_draws) would
             spf = _staircase_values(seeds.spawn(k), layout).T
             # the chunk's table goes straight to _synthesise, which lets it go after its gather
-            back = _analyse(_synthesise(_chunk_table(grid, sht, spf), grid.angular), grid.angular)
+            back = _analyse(_synthesise(_chunk_table(grid, sht, spf), grid._plan), grid._plan)
             # back's angular columns less their draws are the misses; indexed, so that no view
             # of back outlives the del below
             for i, z in enumerate(sht):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 import qspf.angular
 from qspf.angular import (
     _analyse,
+    _ring_plan,
     _sh_position,
-    dense_sht_oracle,
     forward_sht,
     inverse_sht,
     make_angular_scheme,
@@ -114,7 +115,12 @@ def test_default_schemes_are_memoised_and_read_only():
     arrays = {name: v for name, v in vars(scheme).items() if isinstance(v, np.ndarray)}
     assert {"thetas", "phi_offsets", "points", "rows", "bins", "phase", "positions"} <= set(arrays)
     assert len(scheme.factors) == len(scheme.rings)
-    for array in [*arrays.values(), *(array for step in scheme.factors for array in step)]:
+    # the scheme's ring plan is built once, on first use, and read-only too
+    plan = scheme._plan
+    assert scheme._plan is plan and plan.schemes == (scheme,) and plan.unorder is None
+    arrays = [*arrays.values(), *(array for step in scheme.factors for array in step),
+              plan.order, plan.slots, plan.positions, plan.phase]
+    for array in arrays:
         with pytest.raises(ValueError):
             array[...] = array
 
@@ -149,10 +155,12 @@ def test_explicit_layouts_are_memoised_by_their_exact_bits():
 def test_explicit_layouts_copy_the_callers_arrays():
     thetas, offsets = make_angular_scheme(11).thetas.copy(), np.linspace(0.0, 0.5, 6)
     scheme = make_angular_scheme(11, thetas=thetas, phi_offsets=offsets)
-    before = copy.deepcopy(vars(scheme))
+    # the fields: a ring plan built on first use is not part of the layout
+    fields = {field.name: getattr(scheme, field.name) for field in dataclasses.fields(scheme)}
+    before = copy.deepcopy(fields)
     thetas[:] = 0.5
     offsets[:] = 0.3
-    for name, value in vars(scheme).items():
+    for name, value in fields.items():
         if isinstance(value, np.ndarray):
             assert np.array_equal(value, before[name]), name
         elif name == "factors":
@@ -332,13 +340,13 @@ def test_inverse_matches_direct_summation():
         assert np.max(np.abs(fast - slow)) < 1e-11
 
 
-def test_forward_agrees_with_dense_oracle():
+def test_forward_agrees_with_dense_oracle(dense_sht):
     rng = np.random.default_rng(2)
     for scheme in (make_angular_scheme(11), custom_scheme(), make_angular_scheme(21)):
         for _ in range(10):
             values = inverse_sht(random_coefficients(scheme.bandlimit, rng), scheme)
             fast = forward_sht(values, scheme)
-            dense = dense_sht_oracle(values, scheme)
+            dense = dense_sht(values, scheme)
             assert np.max(np.abs(fast - dense)) < 1e-11
 
 
@@ -381,7 +389,7 @@ def test_analyse_refuses_the_first_ill_conditioned_scheme_before_any_ring_fft(mo
     nearly = make_angular_scheme(5, thetas=[0.4, 0.4 + 1e-9, 1.0])
     merged = make_angular_scheme(5, thetas=[0.4, 0.4, 1.0])
     with pytest.raises(ConditioningError) as excinfo:
-        _analyse(np.ones(3 * good.n_points), (good, nearly, merged))
+        _analyse(np.ones(3 * good.n_points), _ring_plan((good, nearly, merged)))
     assert excinfo.value.condition == nearly.condition != merged.condition
 
 
@@ -395,8 +403,6 @@ def test_conditioning_error_messages():
     refusals = [
         (lambda: forward_sht(np.ones(nearly.n_points), nearly),
          "angular scheme is too ill-conditioned for a trustworthy transform"),
-        (lambda: dense_sht_oracle(np.ones(nearly.n_points), nearly),
-         "dense harmonic matrix is ill-conditioned"),
         (lambda: radial_collocation_solve(np.ones(2), [3, 3], make_radial_scheme(4, 8000.0)),
          "radial collocation matrix is ill-conditioned"),
         (lambda: forward_spf(collocated, np.zeros(collocated.n_samples)),
@@ -436,7 +442,6 @@ def test_transforms_refuse_values_that_are_not_numbers_with_a_value_error():
     transforms = [
         (lambda v: forward_sht(v, scheme), scheme.n_points, "samples"),
         (lambda v: inverse_sht(v, scheme), scheme.n_points, "coefficients"),
-        (lambda v: dense_sht_oracle(v, scheme), scheme.n_points, "samples"),
         (lambda v: forward_spf(grid, v), grid.n_samples, "samples"),
     ]
     for transform, count, what in transforms:

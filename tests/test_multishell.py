@@ -219,8 +219,9 @@ def test_grid_memo_takes_the_schemes_the_scheme_memo_holds_now():
 
 
 def test_memo_hit_grid_enters_few_package_frames():
-    # a memo hit checks each argument once and reads the scheme and index memos directly; a
-    # few more Python calls here cost fit_voxels' setup as much as the lookup itself
+    # a memo hit checks each argument once, with no generator expression, and reads the scheme
+    # and index memos directly; a few more Python calls here cost fit_voxels' setup as much as
+    # the lookup itself
     package = str(Path(qspf.multishell.__file__).parent)
     build_grid(4, 8000.0, DEFAULTS)
     frames = []
@@ -234,7 +235,7 @@ def test_memo_hit_grid_enters_few_package_frames():
         build_grid(4, 8000.0, DEFAULTS)
     finally:
         sys.setprofile(None)
-    assert len(frames) <= 31, frames
+    assert len(frames) <= 21, frames
 
 
 def test_grid_arguments_are_checked_on_every_call():
@@ -487,15 +488,15 @@ def test_column_blocks_are_single_columns(layout):
     full = np.column_stack([forward_spf(g, synthesize_on_grid(table(t), g)).values
                             for t in tables.T])
     within = np.concatenate([np.arange(s.n_points) for s in g.angular])
-    round_trip = lambda table: qspf.angular._analyse(qspf.angular._synthesise(table, g.angular),
-                                                     g.angular)
+    round_trip = lambda table: qspf.angular._analyse(qspf.angular._synthesise(table, g._plan),
+                                                     g._plan)
     for v in (1, 2, 7, 64):
         blocks = np.concatenate([c[:, :v] for c in coeffs])  # (sample, column), shell-major
         same = (lambda a, b: a.tobytes() == b.tobytes()) if v == 1 else _close
-        table = qspf.angular._table(g.angular, (v,))
+        table = qspf.angular._table(g._plan, (v,))
         table[g.shell_of, within] = blocks
-        assert same(qspf.angular._synthesise(table, g.angular), synthesised[:, :v])
-        analysed_table = qspf.angular._analyse(samples[:, :v], g.angular)
+        assert same(qspf.angular._synthesise(table, g._plan), synthesised[:, :v])
+        analysed_table = qspf.angular._analyse(samples[:, :v], g._plan)
         for block, singles, s in zip(analysed_table, analysed, g.angular):
             assert same(block[: s.n_points], singles[:, :v])
         sht_back = round_trip(table)
@@ -527,8 +528,8 @@ def test_harmonic_table_is_zero_from_each_shells_n_points(layout):
     samples = rng.standard_normal((g.n_samples, 3)) + 1j * rng.standard_normal((g.n_samples, 3))
     tables = np.array([random_staircase_signal(j, g).values for j in range(3)]).T
     higher = staircase_index(tuple(L + 4 for L in g.bandlimits))  # rows past every shell's
-    harmonics = [qspf.angular._analyse(samples, g.angular),
-                 qspf.angular._analyse(samples[:, 0], g.angular),
+    harmonics = [qspf.angular._analyse(samples, g._plan),
+                 qspf.angular._analyse(samples[:, 0], g._plan),
                  qspf.multishell._to_shells(tables, g.index, g),
                  qspf.multishell._to_shells(np.ones((higher.size, 2), complex), higher, g)]
     # into a caller's view of a table, whatever that view held
@@ -590,8 +591,8 @@ def test_random_grids_are_bijections_and_blocks_are_single_columns(g, seed):
                                                    fitted[:, j]), g)
         assert np.max(np.abs(again - samples[:, j])) <= 1e-11 * np.max(np.abs(samples[:, j]))
     harmonics = qspf.multishell._to_shells(tables, g.index, g)
-    assert _close(qspf.angular._synthesise(harmonics, g.angular), synthesised)
-    harmonics = qspf.angular._analyse(samples, g.angular)
+    assert _close(qspf.angular._synthesise(harmonics, g._plan), synthesised)
+    harmonics = qspf.angular._analyse(samples, g._plan)
     assert _close(qspf.multishell._from_shells(harmonics, g, "staircase"), fitted)
     # a descriptor's JSON round trip rebuilds the grid, explicit ring placements and all: the
     # same descriptor bytes, and the same transforms bit for bit
@@ -604,6 +605,33 @@ def test_random_grids_are_bijections_and_blocks_are_single_columns(g, seed):
     again = synthesize_on_grid(SpfCoefficients(rebuilt.index, rebuilt.radial.zeta,
                                                rebuilt.radial.convention, tables[:, 0]), rebuilt)
     assert again.tobytes() == synthesised[:, 0].tobytes()
+
+
+def test_live_schemes_and_grids_keep_their_plans(monkeypatch):
+    # a ring plan lives on its scheme or grid, so a second pass over more of them than any memo
+    # holds builds none; a memo of 32 scheme tuples rebuilt every plan of 40 schemes taken
+    # round robin
+    schemes = [make_angular_scheme(11, phi_offsets=np.full(6, 0.01 * i)) for i in range(40)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # band limits that decrease with b warn
+        grids = [build_grid(2, 8000.0, limits)
+                 for limits in itertools.islice(itertools.product(range(1, 22, 2), repeat=2), 33)]
+
+    def one_pass():
+        return ([forward_sht(np.ones(s.n_points), s) for s in schemes]
+                + [inverse_spf(forward_spf(g, np.ones(g.n_samples)), g.points, q=g.radii)
+                   for g in grids])
+    first, built = one_pass(), []
+
+    def counted(schemes, original=qspf.angular._ring_plan):
+        built.append(schemes)
+        return original(schemes)
+    # a grid builds its plan through multishell's import of the name, a scheme through angular's
+    monkeypatch.setattr(qspf.angular, "_ring_plan", counted)
+    monkeypatch.setattr(qspf.multishell, "_ring_plan", counted)
+    second = one_pass()
+    assert built == []
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
 
 
 def test_grid_transforms_take_one_fft_call_per_ring_size(grid, monkeypatch):
@@ -645,11 +673,11 @@ def test_every_forward_transform_refuses_an_ill_conditioned_shell_before_any_rin
     bad = nearly.angular[3]
     inverse_calls = []
 
-    def inverse_only(values, schemes, inverse=False, original=qspf.angular._ring_dft):
+    def inverse_only(values, plan, inverse=False, original=qspf.angular._ring_dft):
         if not inverse:
             raise AssertionError("a forward ring FFT ran on an ill-conditioned shell")
-        inverse_calls.append(schemes)
-        return original(values, schemes, inverse=True)
+        inverse_calls.append(plan)
+        return original(values, plan, inverse=True)
     monkeypatch.setattr(qspf.angular, "_ring_dft", inverse_only)
     message = ("angular scheme is too ill-conditioned for a trustworthy transform "
                f"(condition estimate {bad.condition:.3e})")
@@ -657,7 +685,7 @@ def test_every_forward_transform_refuses_an_ill_conditioned_shell_before_any_rin
         checks = run_validation(nearly, n_draws=2)["checks"]
         assert checks["sht_round_trip"]["error"] == checks["spf_round_trip"]["error"] == message
         # both round trips synthesise their first chunk in one pass, then its analysis refuses
-        assert inverse_calls == [nearly.angular]
+        assert inverse_calls == [nearly._plan] and nearly._plan.schemes == nearly.angular
         return
     with pytest.raises(ConditioningError) as excinfo:
         if transform == "forward_sht":

@@ -21,10 +21,13 @@ def test_package_exports_each_public_name_once_from_its_module():
 
 
 def test_declared_numpy_floor_has_the_in_place_ring_ffts():
-    # angular._ring_dft passes out= to np.fft, which numpy takes from 2.0 on
+    # angular._ring_dft passes out= to np.fft, which numpy takes from 2.0 on; the tests' oracle
+    # and references take scipy.special.sph_harm_y, which scipy has from 1.15 on
     text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
-    floor = re.search(r'"numpy>=(\d+)[.\d]*"', text)
-    assert floor is not None and int(floor.group(1)) >= 2
+    for package, least in (("numpy", (2, 0)), ("scipy", (1, 15))):
+        floor = re.search(rf'"{package}>=(\d+)\.?(\d*)[.\d]*"', text)
+        assert floor is not None, package
+        assert (int(floor.group(1)), int(floor.group(2) or 0)) >= least, package
 
 
 def _number_arguments():
@@ -56,11 +59,12 @@ def _number_arguments():
     ]
 
 
-@pytest.mark.parametrize("value", [True, False, np.True_, np.False_, "8000", None, b"1", 1j],
-                         ids=repr)
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_, np.array(True),
+                                   np.array(False), "8000", None, b"1", 1j], ids=repr)
 def test_number_arguments_refuse_bools_and_non_numbers_with_a_value_error(value):
-    # bool is an int in Python, so True once passed as 1 and False as 0 wherever 1 or 0 did; tau,
-    # zeta, sigma and the volume fraction raised a bare TypeError on "8000" or None
+    # bool is an int in Python, so True once passed as 1 and False as 0 wherever 1 or 0 did, and
+    # int() takes a 0-d bool array the same way; tau, zeta, sigma and the volume fraction raised
+    # a bare TypeError on "8000" or None
     for name, call in _number_arguments():
         with pytest.raises(ValueError, match=re.escape(name)):
             call(value)

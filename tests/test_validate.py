@@ -104,9 +104,9 @@ def per_shell_sht_round_trip(grid, seed, n_draws):
             for start in range(0, n_draws, step):
                 coeffs = np.array(draws[i][start : start + step]).T
                 harmonics = _to_shells(spf[start : start + step].T, grid.index, grid)
-                table = _table((scheme,), (2 * coeffs.shape[1],))
+                table = _table(scheme._plan, (2 * coeffs.shape[1],))
                 table[0, :-1] = np.hstack([coeffs, harmonics[i, : scheme.n_points]])
-                back = _analyse(_synthesise(table, (scheme,)), (scheme,))[0, :-1]
+                back = _analyse(_synthesise(table, scheme._plan), scheme._plan)[0, :-1]
                 worst = max(worst, np.max(np.abs(back[:, : coeffs.shape[1]] - coeffs)))
         check = {"value": float(worst), "threshold": bound, "passed": bool(worst <= bound)}
     except ConditioningError as exc:

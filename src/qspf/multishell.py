@@ -33,7 +33,9 @@ rows made by recurrence for every order at once, over blocks of a fixed
 number of points, so its working memory does not grow with the batch.
 It gathers the harmonic rows of adjacent degrees into one GEMM while they
 fit the room the sums take in a full block: one GEMM in all for a small
-batch, about one per degree for a full block.
+batch, about one per degree for a full block. Those runs, and the passes
+that make e^(i m phi), depend on the band limits and the block size alone,
+so _block_plan works them out once and a call only applies them.
 
 An index depends on its band limits alone, so staircase_index builds it
 once per process and returns the same read-only object to every caller
@@ -50,6 +52,7 @@ layout on its index, so each lasts exactly as long as its owner.
 from __future__ import annotations
 
 import functools
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -428,29 +431,41 @@ def _paired(radii, directions, what: str):
 
 
 # inverse_spf's points per block. Its one work buffer holds 6 l_max + 2 N floats per point and
-# the rows of its widest GEMM run (_degree_runs), 1.5 MB in all at the default band limits;
+# the rows of its widest GEMM run (_block_plan), 1.5 MB in all at the default band limits;
 # larger blocks run faster but hold more memory
 _BLOCK = 2048
 
 
 @functools.lru_cache(maxsize=64)
-def _degree_runs(l_max: int, n_orders: int, n_points: int):
-    """inverse_spf's GEMMs on blocks of n_points: runs of adjacent even degrees, and the widest.
+def _block_plan(l_max: int, n_orders: int, n_points: int):
+    """What inverse_spf does on every block of n_points, worked out once per band limit.
 
-    Degree l's harmonic rows are its l + 1 (cos, sin) columns from l^2 / 4 on, 2 (l + 1)
-    n_points floats. A run takes degrees while their rows fit in the 2 n_orders _BLOCK
-    floats the sums take in a full block, or holds one degree alone: a small block makes
-    one GEMM for all its degrees, a full block about one per degree, and at any l_max a
-    run's rows stay few enough to stay in cache while the recurrence makes its next degrees.
-    Returns ((first column, end column, last degree) per run, the most columns in one run).
+    Its GEMMs go by runs of adjacent even degrees. Degree l's harmonic rows are its l + 1
+    (cos, sin) columns from l^2 / 4 on, 2 (l + 1) n_points floats. A run takes degrees
+    while their rows fit in the 2 n_orders _BLOCK floats the sums take in a full block, or
+    holds one degree alone: a small block makes one GEMM for all its degrees, a full block
+    about one per degree, and at any l_max a run's rows stay few enough to stay in cache
+    while the recurrence makes its next degrees. e^(i m phi) for m < l_max doubles the
+    orders known, m < k, to m < 2 k - 1 in each pass, by e^(i (k - 1 + j) phi) =
+    e^(i (k - 1) phi) e^(i j phi).
+
+    Returns (runs, the most columns in one run, passes): per run its first and end column
+    and, per even degree in it, (l, the slice of the run's columns its rows fill); per
+    pass the slice of orders j it reads, k - 1, and the slice of orders k - 1 + j it makes.
     """
-    runs, first = [], 0
-    for l in range(2, l_max, 2):
-        if ((l + 2) ** 2 // 4 - first) * n_points > n_orders * _BLOCK:
-            runs.append((first, l * l // 4, l - 2))
-            first = l * l // 4
-    runs.append((first, (l_max + 1) ** 2 // 4, l_max - 1))
-    return tuple(runs), max(end - first for first, end, _ in runs)
+    runs, first, degrees = [], 0, []
+    for l in range(0, l_max, 2):
+        if degrees and ((l + 2) ** 2 // 4 - first) * n_points > n_orders * _BLOCK:
+            runs.append((first, l * l // 4, tuple(degrees)))
+            first, degrees = l * l // 4, []
+        degrees.append((l, slice(l * l // 4 - first, (l + 2) ** 2 // 4 - first)))
+    runs.append((first, (l_max + 1) ** 2 // 4, tuple(degrees)))
+    passes, k = [], 2
+    while k < l_max:
+        new = min(k - 1, l_max - k)
+        passes.append((slice(1, 1 + new), k - 1, slice(k, k + new)))
+        k += new
+    return tuple(runs), max(end - first for first, end, _ in runs), tuple(passes)
 
 
 def inverse_spf(coeffs: SpfCoefficients, directions, q=None, b=None):
@@ -490,7 +505,7 @@ def inverse_spf(coeffs: SpfCoefficients, directions, q=None, b=None):
     # one buffer for every block: the Legendre recurrence's, e^(i m phi), the sums and the
     # harmonic rows, so no block hands pages back to the allocator for the next to fault in
     size = min(len(qv), _BLOCK)
-    runs, width = _degree_runs(l_max, n_orders, size)
+    runs, width, passes = _block_plan(l_max, n_orders, size)
     fixed = 6 * l_max + 2 * n_orders
     work = np.empty((fixed + 2 * width) * size)
     for start in range(0, len(qv), _BLOCK):
@@ -501,25 +516,16 @@ def inverse_spf(coeffs: SpfCoefficients, directions, q=None, b=None):
         waves = work[4 * rows_n : 6 * rows_n].view(complex).reshape(l_max, n)
         acc = work[6 * rows_n : fixed * n].reshape(2 * n_orders, n)
         harmonics = work[fixed * n : (fixed + 2 * width) * n].reshape(width, 2, n)
-        # e^(i m phi) for m < l_max: each pass takes the m known, m < k, to m < 2k - 1
-        # by e^(i (k - 1 + j) phi) = e^(i (k - 1) phi) e^(i j phi)
-        waves[0], waves[1:2] = 1.0, np.exp(1j * phi)
-        k = 2
-        while k < l_max:
-            new = min(k - 1, l_max - k)
-            np.multiply(waves[1 : 1 + new], waves[k - 1], out=waves[k : k + new])
-            k += new
+        waves[0], waves[1:2] = 1.0, np.exp(1j * phi)  # e^(i m phi) for m < l_max
+        for orders, shift, made in passes:
+            np.multiply(waves[orders], waves[shift], out=waves[made])
         waves = waves.view(float).reshape(l_max, n, 2).transpose(0, 2, 1)  # (m, cos/sin, point)
-        legendre = enumerate(
-            _legendre_by_degree(l_max - 1, np.clip(dirs[block, 2], -1.0, 1.0), legendre_work))
-        for first, end, last in runs:
+        z = np.minimum(np.maximum(dirs[block, 2], -1.0), 1.0)
+        even = itertools.islice(_legendre_by_degree(l_max - 1, z, legendre_work), 0, None, 2)
+        for first, end, degrees in runs:
             held = harmonics[: end - first]
-            for l, leg in legendre:
-                if l % 2 == 0:
-                    column = l * l // 4 - first
-                    np.multiply(waves[: l + 1], leg[:, None], out=held[column : column + l + 1])
-                    if l == last:
-                        break
+            for (l, columns), leg in zip(degrees, even):
+                np.multiply(waves[: l + 1], leg[:, None], out=held[columns])
             if first:
                 acc += parts[:, 2 * first : 2 * end] @ held.reshape(-1, n)
             else:

@@ -22,9 +22,18 @@ package comes from there:
 * ``_legendre_by_degree`` yields the rows P-tilde_l^m, m = 0 .. l, one
   degree l at a time, every order in one step. ``normalized_legendre`` and
   ``spherical_harmonic`` read their values from it, as do the angular
-  schemes' per-degree rows and ``inverse_spf``. It reuses two buffers in
-  turn: degree l's rows are overwritten two steps later, when degree l + 2
-  is made, so a consumer that keeps rows past the next step must copy them.
+  schemes' per-degree rows and ``inverse_spf``. Its per-degree coefficients
+  live in ``_recurrence_coefficients``, made once per l_max (the most
+  recent 32 kept) as one read-only (a, b) column pair per degree, so a
+  call only applies them. It reuses two buffers in turn: degree l's rows
+  are overwritten two steps later, when degree l + 2 is made, so a
+  consumer that keeps rows past the next step must copy them.
+
+The public functions refuse what has no value: ``laguerre_eval`` non-finite
+x, ``normalized_legendre`` x outside [-1, 1] or NaN, and
+``spherical_harmonic`` non-finite angles, each with ValueError. The
+generators check nothing: ``inverse_spf`` and the angular schemes hand them
+points already checked or made in range.
 
 Orders, degrees and counts are integers by errors._integer, as everywhere in the package:
 2.0 passes as 2, and 2.5, "2", NaN or True raise ValueError. All functions are pure
@@ -80,9 +89,12 @@ def laguerre_eval(n: int, alpha: float, x):
 
 def _laguerre_rows(n: int, alpha: float, x):
     """Yield L_0^(alpha)(x) .. L_n^(alpha)(x), the rows of laguerre_eval's recurrence."""
-    p_prev, p = 0.0, np.ones_like(x)  # L_{-1} = 0, so step 0 gives L_1 = 1 + alpha - x
-    yield p
-    for k in range(n):
+    # L_0 = 1 and L_1 = 1 + alpha - x, the recurrence's k = 0 step from L_{-1} = 0 bit for bit
+    p_prev, p = np.ones_like(x), 1.0 + alpha - x
+    yield p_prev
+    if n:
+        yield p
+    for k in range(1, n):
         p_prev, p = p, ((2 * k + 1 + alpha - x) * p - (k + alpha) * p_prev) / (k + 1)
         yield p
 
@@ -137,10 +149,12 @@ def laguerre_roots(n_poly: int, alpha: float = 0.5) -> np.ndarray:
 def _recurrence_coefficients(l_max: int):
     """Read-only factors of the associated Legendre recurrence, up to degree l_max.
 
-    a[l, m] and b[l, m] step order m from degrees l - 1 and l - 2 to l;
-    a[l, l - 1] = sqrt(2 l + 1) and b[l, l - 1] = 0 start order l - 1 off
-    its sectoral value in the same step. P-tilde_l^l = sectoral[l] s
-    P-tilde_{l-1}^{l-1} with s = sqrt(1 - x^2); sectoral[0] is unused.
+    Returns (columns, sectoral). columns[l] = (a[l, :l, None], b[l, :l, None]),
+    views made once here so that each step only applies them: a[l, m] and
+    b[l, m] step order m from degrees l - 1 and l - 2 to l; a[l, l - 1] =
+    sqrt(2 l + 1) and b[l, l - 1] = 0 start order l - 1 off its sectoral value
+    in the same step. P-tilde_l^l = sectoral[l] s P-tilde_{l-1}^{l-1} with
+    s = sqrt(1 - x^2); sectoral[0] is unused.
     """
     l = np.arange(l_max + 1)[:, None]
     m = l.T
@@ -152,7 +166,7 @@ def _recurrence_coefficients(l_max: int):
     a[k, k - 1], b[k, k - 1] = np.sqrt(2.0 * k + 1.0), 0.0
     for array in (a, b, sectoral):
         array.flags.writeable = False
-    return a, b, sectoral
+    return tuple((a[l, :l, None], b[l, :l, None]) for l in range(l_max + 1)), sectoral
 
 
 def normalized_legendre(l_max: int, x) -> np.ndarray:
@@ -169,7 +183,8 @@ def normalized_legendre(l_max: int, x) -> np.ndarray:
     l_max : int
         Largest degree tabulated.
     x : float or ndarray
-        cos(colatitude), in [-1, 1].
+        cos(colatitude), in [-1, 1]; NaN, infinities and |x| > 1 raise
+        ValueError.
 
     Returns
     -------
@@ -178,6 +193,8 @@ def normalized_legendre(l_max: int, x) -> np.ndarray:
     """
     l_max = _integer(l_max, "l_max", 0)
     x = np.asarray(x, dtype=float)
+    if not (np.abs(x) <= 1.0).all():  # written so that NaN fails too
+        raise ValueError("normalized_legendre requires x in [-1, 1], not NaN")
     table = np.zeros((l_max + 1, l_max + 1, x.size))
     for l, rows in enumerate(_legendre_by_degree(l_max, x.ravel())):
         table[l, : l + 1] = rows
@@ -195,7 +212,7 @@ def _legendre_by_degree(l_max: int, x, out=None):
     given, is a float (4, l_max+1, len(x)) array to work in, so that a caller
     running block after block of points keeps one buffer for all of them.
     """
-    a, b, sectoral = _recurrence_coefficients(l_max)
+    columns, sectoral = _recurrence_coefficients(l_max)
     if out is None:
         out = np.zeros((4, l_max + 1) + x.shape)
     else:
@@ -203,15 +220,16 @@ def _legendre_by_degree(l_max: int, x, out=None):
     # degrees l - 2 and l - 1, a scratch slab, and sectoral[l] s, which takes P-tilde_{l-1}^{l-1}
     # to P-tilde_l^l; rows above a buffer's degree stay 0, so b[l, l - 1] reads a 0
     older, old, step, diagonal = out
-    np.multiply(sectoral[1:], np.sqrt(np.clip(1.0 - x * x, 0.0, None)), out=diagonal[:l_max])
+    np.multiply(sectoral[1:], np.sqrt(np.maximum(1.0 - x * x, 0.0)), out=diagonal[:l_max])
     old[0] = 1.0 / math.sqrt(4.0 * math.pi)
     yield old[:1]
     for l in range(1, l_max + 1):
-        ax = np.multiply(a[l, :l, None], x, out=step[:l])
+        a, b = columns[l]
+        ax = np.multiply(a, x, out=step[:l])
         ax *= old[:l]
-        rows = older[: l + 1]
-        rows[:l] *= b[l, :l, None]
-        np.subtract(ax, rows[:l], out=rows[:l])
+        rows, lower = older[: l + 1], older[:l]
+        lower *= b
+        np.subtract(ax, lower, out=lower)
         np.multiply(diagonal[l - 1], old[l - 1], out=rows[l])
         older, old = old, older
         yield rows
@@ -220,16 +238,20 @@ def _legendre_by_degree(l_max: int, x, out=None):
 def spherical_harmonic(l: int, m: int, theta, phi):
     """Orthonormal complex spherical harmonic Y_l^m(theta, phi).
 
-    theta is the colatitude in [0, pi], phi the longitude. Negative orders
-    are produced exactly through Y_l^{-m} = (-1)^m conj(Y_l^m).
+    theta is the colatitude in [0, pi], phi the longitude; either one NaN or
+    infinite raises ValueError. Negative orders are produced exactly through
+    Y_l^{-m} = (-1)^m conj(Y_l^m).
     """
     l, m = _integer(l, "degree l", 0), _integer(m, "order m")
     if abs(m) > l:
         raise ValueError(f"order |m|={abs(m)} exceeds degree l={l}")
-    x = np.cos(np.asarray(theta, dtype=float))
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
+        raise ValueError("spherical_harmonic requires finite theta and phi")
+    x = np.cos(theta)
     for rows in _legendre_by_degree(l, x.ravel()):
         pass
     leg = rows[abs(m)].reshape(x.shape)
     sign = -1.0 if m < 0 and m % 2 else 1.0
-    out = sign * leg * np.exp(1j * m * np.asarray(phi, dtype=float))
+    out = sign * leg * np.exp(1j * m * phi)
     return complex(out) if out.ndim == 0 else out

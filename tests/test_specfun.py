@@ -14,6 +14,7 @@ import qspf
 from qspf.angular import make_angular_scheme
 from qspf.radial import radial_basis_eval
 from qspf.specfun import (
+    _laguerre_rows,
     _legendre_by_degree,
     laguerre_deriv,
     laguerre_eval,
@@ -31,6 +32,31 @@ def test_laguerre_eval_matches_scipy():
             ref = eval_genlaguerre(n, alpha, x)
             scale = np.maximum(np.abs(ref), 1.0)
             assert np.max(np.abs(mine - ref) / scale) < 1e-12
+
+
+def textbook_laguerre_rows(n, alpha, x):
+    """L_0^(alpha) .. L_n^(alpha) by (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1}.
+
+    Starts from L_{-1} = 0 and L_0 = 1: the operation order _laguerre_rows must
+    reproduce bit for bit.
+    """
+    older, old = 0.0, np.ones_like(x)
+    rows = [old]
+    for k in range(n):
+        older, old = old, ((2 * k + 1 + alpha - x) * old - (k + alpha) * older) / (k + 1)
+        rows.append(old)
+    return rows
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+@pytest.mark.parametrize("n", [0, 1, 2, 362])
+def test_laguerre_rows_are_bit_identical_to_the_textbook_recurrence(n, alpha):
+    x = np.concatenate([[0.0, 1e-300, 700.0], laguerre_roots(362)])
+    rows = list(_laguerre_rows(n, alpha, x))
+    reference = textbook_laguerre_rows(n, alpha, x)
+    assert len(rows) == len(reference) == n + 1
+    for got, want in zip(rows, reference):
+        assert np.array_equal(got, want)
 
 
 def test_laguerre_eval_scalar_and_validation():
@@ -126,6 +152,10 @@ def test_normalized_legendre_shape_and_poles():
         for m in range(1, l + 1):
             assert np.all(table[l, m, :] == pytest.approx(0.0))
     assert table[0, 0, 0] == pytest.approx(1.0 / np.sqrt(4.0 * np.pi))
+    # no value continues past the poles, and NaN is not in [-1, 1]
+    for x in (np.nan, np.inf, -np.inf, 2.0, -1.0 - 1e-15):
+        with pytest.raises(ValueError, match=r"normalized_legendre requires x in \[-1, 1\]"):
+            normalized_legendre(2, [0.5, x])
 
 
 @pytest.mark.parametrize("l_max", [0, 1, 2, 5, 10, 62, 80])
@@ -207,6 +237,11 @@ def test_spherical_harmonic_against_scipy():
 def test_spherical_harmonic_validation():
     with pytest.raises(ValueError):
         spherical_harmonic(2, 3, 0.3, 0.1)
+    # these returned nan+nanj
+    for theta, phi in ((np.nan, 0.0), (0.3, np.nan), (np.inf, 0.0), (0.3, -np.inf),
+                       ([0.3, np.nan], [0.1, 0.2]), ([0.3, 0.4], [0.1, np.inf])):
+        with pytest.raises(ValueError, match="spherical_harmonic requires finite theta and phi"):
+            spherical_harmonic(2, 1, theta, phi)
 
 
 # every public special function by its integer argument: an order, degree or count
